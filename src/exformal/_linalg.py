@@ -6,7 +6,7 @@ from typing import Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
 
-__all__ = ["mat_det", "mat_inverse", "mat_identity", "mat_vec", "as_matrix"]
+__all__ = ["mat_det", "mat_inverse", "as_matrix"]
 
 Matrix = tuple[tuple[Expr, ...], ...]
 
@@ -60,13 +60,3 @@ def mat_inverse(m: Matrix, det: Expr | None = None) -> Matrix:
         out.append(tuple(row))
     return tuple(out)
 
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Rat(1) if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def mat_vec(m: Matrix, v: Sequence[Expr]) -> tuple[Expr, ...]:
-    return tuple(simplify(add(*(mul(m[i][j], v[j]) for j in range(len(v)))))
-                 for i in range(len(m)))

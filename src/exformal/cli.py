@@ -6,7 +6,8 @@ byte-identical for identical (file, seed, version) triples: no wall-clock
 content is emitted and JSON is dumped with sorted keys.  Exit codes:
 0 all task verdicts in {Pass, Closed, Exact, Value}; 1 any Fail/NonClosed
 (or Unknown under --strict); 2 input errors (missing file, JSON or
-expression ParseError, unresolved names).
+expression ParseError, unresolved names, values of the wrong shape) and
+engine errors inside a task, which report that task's verdict as Error.
 """
 
 from __future__ import annotations
@@ -15,80 +16,28 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .catalog import (
-    ENGINE_CONVENTIONS,
-    correspondence_table,
-    verify_einstein,
-    verify_hamiltonian,
-    verify_maxwell,
-)
-from .connection import (
-    Connection,
-    bianchi_residual,
-    christoffel,
-    covariant_derivative_1form,
-    einstein_tensor,
-    evolutionary_commutator,
-    ricci_and_scalar,
-    riemann,
-    torsion,
-)
-from .errors import (
-    DegenerateLagrangianError,
-    ExformalError,
-    ExprSyntaxError,
-    NotVerifiableError,
-    PatternMismatchError,
-    ScenarioError,
-    UnknownSymbolError,
-)
-from .exterior import (
-    Form,
-    SubmanifoldMap,
-    VectorField,
-    classify_closure,
-    ext_d,
-    form_to_text,
-    interior_product,
-    linear_combine,
-    pullback,
-    wedge,
-)
+from .catalog import (ENGINE_CONVENTIONS, _canonical_chart, correspondence_table,
+                      verify_einstein, verify_hamiltonian, verify_maxwell)
+from .connection import (Connection, bianchi_residual, christoffel,
+                         covariant_derivative_1form, einstein_tensor,
+                         evolutionary_commutator, ricci_and_scalar, riemann, torsion)
+from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
+                     NotVerifiableError, PatternMismatchError, ScenarioError,
+                     UnknownSymbolError)
+from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_d,
+                       form_to_text, interior_product, linear_combine, pullback, wedge)
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
-from .symbolic import (
-    DEFAULT_POLICY,
-    Chart,
-    ZERO,
-    ZeroVerdict,
-    diff,
-    eval_at,
-    is_zero,
-    parse_expr,
-    simplify,
-    to_text,
-)
-from .transform import (
-    HamiltonianSystem,
-    QuadraticLagrangian,
-    hamilton_flow_check,
-    integrating_factor,
-    inverse_legendre,
-    jacobian_degeneracy,
-    legendre,
-    poincare_cartan,
-    poisson_bracket,
-)
+from .symbolic import (DEFAULT_POLICY, Chart, ZERO, ZeroVerdict, diff, eval_at, is_zero,
+                       parse_expr, simplify, to_text)
+from .transform import (HamiltonianSystem, QuadraticLagrangian, hamilton_flow_check,
+                        integrating_factor, inverse_legendre, jacobian_degeneracy,
+                        legendre, poincare_cartan, poisson_bracket)
 
 __all__ = ["main", "run_scenario", "ENGINE_OPS"]
-
-
-# ---------------------------------------------------------------------------
-# Scenario loading
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -103,19 +52,123 @@ class ScenarioContext:
     tasks: list = field(default_factory=list)
 
 
-def _parse_in(ctx_chart: Chart, params, text: str, where: str):
-    if not isinstance(text, str):
+# ---------------------------------------------------------------------------
+# Shape decoders
+#
+# One decoder per kind of JSON value.  Each takes the raw value, the name of
+# its field for messages, and the scope it is decoded in (a ScenarioContext:
+# the chart and params expressions parse in, and the named forms, maps and
+# vectors).  A value of the wrong shape raises ScenarioError naming the field.
+# ---------------------------------------------------------------------------
+
+
+def _typed(kind: type, what: str):
+    """Decoder of a JSON value of exactly this type (no bool for int)."""
+    def decode(raw, where: str, scope=None):
+        if type(raw) is not kind:
+            raise ScenarioError(f"{where}: expected {what}")
+        return raw
+    return decode
+
+
+_object, _int = _typed(dict, "an object"), _typed(int, "an integer")
+_bool, _name = _typed(bool, "true or false"), _typed(str, "a name string")
+
+
+def _list(raw, where: str, size: int | None = None, what: str = "entries"):
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: expected a list")
+    if size is not None and len(raw) != size:
+        raise ScenarioError(f"{where}: expected {size} {what}, got {len(raw)}")
+    return raw
+
+
+def _expr(raw, where: str, scope: ScenarioContext):
+    if not isinstance(raw, str):
         raise ScenarioError(f"{where}: expected an expression string")
     try:
-        return parse_expr(text, ctx_chart, params)
+        return parse_expr(raw, scope.chart, scope.params)
     except ExprSyntaxError as e:
         raise ScenarioError(
-            f"{where}: syntax error at position {e.position} of {text!r}"
+            f"{where}: syntax error at position {e.position} of {raw!r}"
         ) from e
     except UnknownSymbolError as e:
         raise ScenarioError(
-            f"{where}: unknown symbol '{e.name}' in {text!r}"
+            f"{where}: unknown symbol '{e.name}' in {raw!r}"
         ) from e
+    except ExformalError as e:
+        raise ScenarioError(f"{where}: {e} in {raw!r}") from e
+
+
+def _exprs(raw, where: str, scope: ScenarioContext, size: int | None = None):
+    """A list of expressions, `size` of them when given."""
+    return [_expr(e, f"{where}[{i}]", scope)
+            for i, e in enumerate(_list(raw, where, size, "expressions"))]
+
+
+def _exprs_of(size: int):
+    return lambda raw, where, scope: _exprs(raw, where, scope, size)
+
+
+def _row(raw, where: str, scope: ScenarioContext):
+    """One expression per coordinate of the scope's chart."""
+    return _exprs(raw, where, scope, scope.chart.dim)
+
+
+def _matrix(raw, where: str, scope: ScenarioContext):
+    """n x n expressions, n the dimension of the scope's chart."""
+    rows = _list(raw, where, scope.chart.dim, "rows")
+    return [_row(r, f"{where}[{i}]", scope) for i, r in enumerate(rows)]
+
+
+def _names(raw, where: str, scope=None) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
+        raise ScenarioError(f"{where}: expected a list of name strings")
+    return tuple(raw)
+
+
+def _chart(raw, where: str) -> Chart:
+    try:
+        return Chart(_names(raw, where))
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from e
+
+
+def _coordinate(raw, where: str, scope: ScenarioContext) -> str:
+    """A coordinate of the scope's chart or a declared parameter."""
+    if not isinstance(raw, str) or raw not in scope.chart.names + scope.params:
+        raise ScenarioError(
+            f"{where}: {raw!r} is neither a coordinate nor a parameter"
+        )
+    return raw
+
+
+def _point(raw, where: str, scope=None) -> dict:
+    """Numeric values by symbol name."""
+    try:
+        return {name: float(x) for name, x in _object(raw, where).items()}
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{where}: expected numbers, got {raw!r}") from None
+
+
+def _named(table: str):
+    """Decoder of a name declared in the scenario's `table` section."""
+    def decode(raw, where: str, scope: ScenarioContext):
+        declared = getattr(scope, table)
+        if not isinstance(raw, str) or raw not in declared:
+            raise ScenarioError(
+                f"{where}: unresolved {table[:-1]} name {raw!r}"
+            )
+        return declared[raw]
+    return decode
+
+
+_form, _map, _vector = _named("forms"), _named("maps"), _named("vectors")
+
+
+def _form_list(raw, where: str, scope: ScenarioContext):
+    return [_form(n, f"{where}[{i}]", scope)
+            for i, n in enumerate(_list(raw, where))]
 
 
 def _component_key(raw: str, degree: int, where: str) -> tuple[int, ...]:
@@ -133,94 +186,134 @@ def _component_key(raw: str, degree: int, where: str) -> tuple[int, ...]:
     return idx
 
 
-def load_scenario(data: dict) -> ScenarioContext:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-    if "chart" not in data:
-        raise ScenarioError("scenario needs a 'chart' list")
+def _build(where: str, make, *parts):
+    """An engine object from decoded parts; its errors name the field."""
     try:
-        chart = Chart(data["chart"])
-    except (ValueError, TypeError) as e:
-        raise ScenarioError(f"bad chart: {e}") from e
-    params = tuple(data.get("params", ()))
-    ctx = ScenarioContext(chart=chart, params=params)
+        return make(*parts)
+    except ExformalError as e:
+        raise ScenarioError(f"{where}: {e}") from e
+
+
+# ---------------------------------------------------------------------------
+# Scenario loading
+# ---------------------------------------------------------------------------
+
+
+def load_scenario(data: dict) -> ScenarioContext:
+    data = _object(data, "scenario root")
+    ctx = ScenarioContext(chart=_chart(data.get("chart"), "chart"),
+                          params=_names(data.get("params", []), "params"))
 
     if "metric" in data:
-        m = data["metric"]
-        rows = [
-            [_parse_in(chart, params, e, f"metric[{i}][{j}]")
-             for j, e in enumerate(row)]
-            for i, row in enumerate(m.get("matrix", []))
-        ]
-        try:
-            ctx.metric = Metric(chart, rows, int(m.get("det_sign", 1)))
-        except ExformalError as e:
-            raise ScenarioError(f"metric: {e}") from e
+        m = _object(data["metric"], "metric")
+        rows = _matrix(m.get("matrix"), "metric matrix", ctx)
+        det_sign = _int(m.get("det_sign", 1), "metric det_sign")
+        ctx.metric = _build("metric", Metric, ctx.chart, rows, det_sign)
 
     if "connection" in data:
-        gamma = [
-            [
-                [
-                    _parse_in(chart, params, e, f"connection[{s}][{a}][{b}]")
-                    for b, e in enumerate(row)
-                ]
-                for a, row in enumerate(plane)
-            ]
-            for s, plane in enumerate(data["connection"])
-        ]
-        try:
-            ctx.connection = Connection(chart, gamma)
-        except ExformalError as e:
-            raise ScenarioError(f"connection: {e}") from e
+        planes = _list(data["connection"], "connection", ctx.chart.dim, "planes")
+        gamma = [_matrix(p, f"connection[{s}]", ctx)
+                 for s, p in enumerate(planes)]
+        ctx.connection = _build("connection", Connection, ctx.chart, gamma)
 
-    for name, spec in data.get("forms", {}).items():
-        degree = spec.get("degree")
-        if not isinstance(degree, int):
-            raise ScenarioError(f"form '{name}': integer 'degree' required")
+    for name, spec in _object(data.get("forms", {}), "forms").items():
+        where = f"form '{name}'"
+        spec = _object(spec, where)
+        degree = _int(spec.get("degree"), f"{where} degree")
+        raw = _object(spec.get("components", {}), f"{where} components")
         comps = {}
-        for key, text in spec.get("components", {}).items():
-            idx = _component_key(key, degree, f"form '{name}' component {key!r}")
-            comps[idx] = _parse_in(
-                chart, params, text, f"form '{name}' component {key!r}"
-            )
-        try:
-            ctx.forms[name] = Form(chart, degree, comps)
-        except ExformalError as e:
-            raise ScenarioError(f"form '{name}': {e}") from e
+        for key, text in raw.items():
+            at = f"{where} component {key!r}"
+            comps[_component_key(key, degree, at)] = _expr(text, at, ctx)
+        ctx.forms[name] = _build(where, Form, ctx.chart, degree, comps)
 
-    for name, spec in data.get("maps", {}).items():
-        try:
-            source = Chart(spec["source"])
-        except (KeyError, ValueError, TypeError) as e:
-            raise ScenarioError(f"map '{name}': bad source chart: {e}") from e
-        exprs = tuple(
-            _parse_in(source, params, t, f"map '{name}' expr[{i}]")
-            for i, t in enumerate(spec.get("exprs", ()))
-        )
-        try:
-            ctx.maps[name] = SubmanifoldMap(source, chart, exprs)
-        except ExformalError as e:
-            raise ScenarioError(f"map '{name}': {e}") from e
+    for name, spec in _object(data.get("maps", {}), "maps").items():
+        where = f"map '{name}'"
+        spec = _object(spec, where)
+        source = replace(ctx, chart=_chart(spec.get("source"), f"{where} source"))
+        exprs = _exprs(spec.get("exprs"), f"{where} exprs", source)
+        ctx.maps[name] = _build(where, SubmanifoldMap, source.chart, ctx.chart,
+                                tuple(exprs))
 
-    for name, comps in data.get("vectors", {}).items():
-        exprs = tuple(
-            _parse_in(chart, params, t, f"vector '{name}' comp[{i}]")
-            for i, t in enumerate(comps)
-        )
-        try:
-            ctx.vectors[name] = VectorField(chart, exprs)
-        except ExformalError as e:
-            raise ScenarioError(f"vector '{name}': {e}") from e
+    for name, comps in _object(data.get("vectors", {}), "vectors").items():
+        where = f"vector '{name}'"
+        exprs = _exprs(comps, where, ctx)
+        ctx.vectors[name] = _build(where, VectorField, ctx.chart, tuple(exprs))
 
-    tasks = data.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ScenarioError("'tasks' must be a list")
-    ctx.tasks = tasks
+    ctx.tasks = _list(data.get("tasks", []), "tasks")
     return ctx
 
 
 # ---------------------------------------------------------------------------
-# Task handlers
+# Op declarations
+# ---------------------------------------------------------------------------
+
+
+class _Opt(NamedTuple):
+    """An argument kind whose key may be absent; then it is not passed."""
+    kind: Callable
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """A task op: its handler and the arguments the binder decodes for it.
+
+    `args` maps each task key to its kind (a shape decoder, wrapped in
+    `_Opt` when the key is optional).  `needs` names scenario sections of
+    which at least one must be present.  An op whose expressions live on a
+    chart of their own sets `chart`, which builds that chart from the
+    decoded `args`, and lists those expressions in `charted`.
+    """
+    handler: Callable
+    args: dict
+    needs: tuple
+    chart: Callable | None
+    charted: dict
+
+
+OPS: dict[str, OpSpec] = {}
+
+
+def _op(name: str, needs=(), chart=None, charted=None, **args):
+    """Declare the handler below it as task op `name` (see OpSpec)."""
+    def register(handler):
+        OPS[name] = OpSpec(handler, args, needs, chart, charted or {})
+        return handler
+    return register
+
+
+def _decode(scope: ScenarioContext, kinds: dict, task: dict, where: str):
+    args = {}
+    for key, kind in kinds.items():
+        optional = isinstance(kind, _Opt)
+        if key in task:
+            decode = kind.kind if optional else kind
+            args[key] = decode(task[key], f"{where} {key}", scope)
+        elif not optional:
+            raise ScenarioError(f"{where}: missing '{key}'")
+    return args
+
+
+def _bind(ctx: ScenarioContext, spec: OpSpec, task: dict, where: str):
+    """Decode a task's arguments as its op declares them; returns the
+    scope the handler runs in (the scenario on the op's chart) and them."""
+    if spec.needs and all(getattr(ctx, s) is None for s in spec.needs):
+        sections = " or ".join(f"'{s}'" for s in spec.needs)
+        raise ScenarioError(f"{where} needs a {sections} section")
+    args = _decode(ctx, spec.args, task, where)
+    if spec.chart is None:
+        return ctx, args
+    try:
+        scope = replace(ctx, chart=spec.chart(args))
+    except ValueError as e:
+        raise ScenarioError(f"{where}: bad chart: {e}") from e
+    args.update(_decode(scope, spec.charted, task, where))
+    return scope, args
+
+
+# ---------------------------------------------------------------------------
+# Task handlers: each takes the scenario, the task's sampling policy and its
+# decoded arguments, calls the engine and formats the outcome.
 # ---------------------------------------------------------------------------
 
 
@@ -232,52 +325,23 @@ class TaskOutcome:
     details: list = field(default_factory=list)
 
 
-def _need(ctx, task, key, kind):
-    name = task.get(key)
-    table = getattr(ctx, kind)
-    if name is None:
-        raise ScenarioError(f"op '{task['op']}': missing '{key}'")
-    if name not in table:
-        raise ScenarioError(
-            f"op '{task['op']}': unresolved {kind[:-1]} name '{name}'"
-        )
-    return table[name]
-
-
-def _need_metric(ctx, task) -> Metric:
-    if ctx.metric is None:
-        raise ScenarioError(f"op '{task['op']}' needs a 'metric' section")
-    return ctx.metric
-
-
-def _need_connection(ctx, task) -> Connection:
-    if ctx.connection is None:
-        raise ScenarioError(f"op '{task['op']}' needs a 'connection' section")
-    return ctx.connection
-
-
-def _expr_arg(ctx, task, key="expr"):
-    if key not in task:
-        raise ScenarioError(f"op '{task['op']}': missing '{key}'")
-    return _parse_in(ctx.chart, ctx.params, task[key], f"op '{task['op']}' {key}")
-
-
 def _value(values: dict, expectable: str | None = None) -> TaskOutcome:
     exp = expectable if expectable is not None else values.get("result", "")
     return TaskOutcome("Value", exp, values)
 
 
-def _tri_outcome(verdicts) -> str:
-    vs = list(verdicts)
-    if any(v is ZeroVerdict.NONZERO for v in vs):
-        return "Fail"
-    if any(v is ZeroVerdict.UNKNOWN for v in vs):
-        return "Unknown"
-    return "Pass"
+def _tri_outcome(verdicts, values: dict) -> TaskOutcome:
+    if any(v is ZeroVerdict.NONZERO for v in verdicts):
+        out = "Fail"
+    elif any(v is ZeroVerdict.UNKNOWN for v in verdicts):
+        out = "Unknown"
+    else:
+        out = "Pass"
+    return TaskOutcome(out, out, values)
 
 
-def _form_values(f: Form, key="result") -> dict:
-    return {key: form_to_text(f)}
+def _form_value(f: Form) -> TaskOutcome:
+    return _value({"result": form_to_text(f)})
 
 
 def _nonzero_text(t) -> str:
@@ -285,75 +349,65 @@ def _nonzero_text(t) -> str:
     return "; ".join(f"{idx}={to_text(c)}" for idx, c in nz.items()) or "0"
 
 
-def _op_parse_expr(ctx, task, policy):
-    e = _expr_arg(ctx, task)
-    return _value({"result": to_text(e)})
+def _nonzero_value(t) -> TaskOutcome:
+    text = _nonzero_text(t)
+    return _value({"nonzero": text}, expectable=text)
 
 
-def _op_diff(ctx, task, policy):
-    e = _expr_arg(ctx, task)
-    by = task.get("by")
-    if by is None:
-        raise ScenarioError("op 'diff': missing 'by'")
-    return _value({"result": to_text(diff(e, by))})
+@_op("parse_expr", expr=_expr)
+def _op_parse_expr(ctx, policy, expr):
+    return _value({"result": to_text(expr)})
 
 
-def _op_simplify(ctx, task, policy):
-    return _value({"result": to_text(simplify(_expr_arg(ctx, task)))})
+@_op("diff", expr=_expr, by=_coordinate)
+def _op_diff(ctx, policy, expr, by):
+    return _value({"result": to_text(diff(expr, by))})
 
 
-def _op_eval_at(ctx, task, policy):
-    e = _expr_arg(ctx, task)
-    at = task.get("at")
-    if not isinstance(at, dict):
-        raise ScenarioError("op 'eval_at': missing 'at' assignment object")
-    v = eval_at(e, {k: float(x) for k, x in at.items()})
-    return _value({"result": repr(v)})
+@_op("simplify", expr=_expr)
+def _op_simplify(ctx, policy, expr):
+    return _value({"result": to_text(simplify(expr))})
 
 
-def _op_is_zero(ctx, task, policy):
-    v = is_zero(_expr_arg(ctx, task), policy)
+@_op("eval_at", expr=_expr, at=_point)
+def _op_eval_at(ctx, policy, expr, at):
+    return _value({"result": repr(eval_at(expr, at))})
+
+
+@_op("is_zero", expr=_expr)
+def _op_is_zero(ctx, policy, expr):
+    v = is_zero(expr, policy)
     return _value({"verdict": v.value}, expectable=v.value)
 
 
-def _op_wedge(ctx, task, policy):
-    a = _need(ctx, task, "a", "forms")
-    b = _need(ctx, task, "b", "forms")
-    return _value(_form_values(wedge(a, b)))
+@_op("wedge", a=_form, b=_form)
+def _op_wedge(ctx, policy, a, b):
+    return _form_value(wedge(a, b))
 
 
-def _op_ext_d(ctx, task, policy):
-    return _value(_form_values(ext_d(_need(ctx, task, "form", "forms"))))
+@_op("ext_d", form=_form)
+def _op_ext_d(ctx, policy, form):
+    return _form_value(ext_d(form))
 
 
-def _op_linear_combine(ctx, task, policy):
-    coeffs = [
-        _parse_in(ctx.chart, ctx.params, t, "op 'linear_combine' coeff")
-        for t in task.get("coeffs", ())
-    ]
-    names = task.get("forms", ())
-    forms = []
-    for n in names:
-        if n not in ctx.forms:
-            raise ScenarioError(f"op 'linear_combine': unresolved form '{n}'")
-        forms.append(ctx.forms[n])
-    return _value(_form_values(linear_combine(coeffs, forms)))
+@_op("linear_combine", coeffs=_exprs, forms=_form_list)
+def _op_linear_combine(ctx, policy, coeffs, forms):
+    return _form_value(linear_combine(coeffs, forms))
 
 
-def _op_pullback(ctx, task, policy):
-    phi = _need(ctx, task, "map", "maps")
-    a = _need(ctx, task, "form", "forms")
-    return _value(_form_values(pullback(phi, a)))
+@_op("pullback", map=_map, form=_form)
+def _op_pullback(ctx, policy, map, form):
+    return _form_value(pullback(map, form))
 
 
-def _op_interior_product(ctx, task, policy):
-    v = _need(ctx, task, "vector", "vectors")
-    a = _need(ctx, task, "form", "forms")
-    return _value(_form_values(interior_product(v, a)))
+@_op("interior_product", vector=_vector, form=_form)
+def _op_interior_product(ctx, policy, vector, form):
+    return _form_value(interior_product(vector, form))
 
 
-def _op_classify_closure(ctx, task, policy):
-    rep = classify_closure(_need(ctx, task, "form", "forms"), policy)
+@_op("classify_closure", form=_form)
+def _op_classify_closure(ctx, policy, form):
+    rep = classify_closure(form, policy)
     values = {"status": rep.status.value}
     if rep.potential is not None:
         values["potential"] = form_to_text(rep.potential)
@@ -366,96 +420,67 @@ def _op_classify_closure(ctx, task, policy):
     return TaskOutcome(rep.status.value, rep.status.value, values)
 
 
-def _op_hodge(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    return _value(_form_values(hodge(_need(ctx, task, "form", "forms"), g)))
+@_op("hodge", needs=("metric",), form=_form)
+def _op_hodge(ctx, policy, form):
+    return _form_value(hodge(form, ctx.metric))
 
 
-def _op_codifferential(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    return _value(
-        _form_values(codifferential(_need(ctx, task, "form", "forms"), g))
-    )
+@_op("codifferential", needs=("metric",), form=_form)
+def _op_codifferential(ctx, policy, form):
+    return _form_value(codifferential(form, ctx.metric))
 
 
-def _em_fields(ctx, task, key, count):
-    raw = task.get(key)
-    if not isinstance(raw, list) or len(raw) != count:
-        raise ScenarioError(f"op '{task['op']}': '{key}' needs {count} entries")
-    return [
-        _parse_in(ctx.chart, ctx.params, t, f"op '{task['op']}' {key}[{i}]")
-        for i, t in enumerate(raw)
-    ]
-
-
-def _op_build_em_form(ctx, task, policy):
-    E = _em_fields(ctx, task, "E", 3)
-    B = _em_fields(ctx, task, "B", 3)
+@_op("build_em_form", E=_exprs_of(3), B=_exprs_of(3))
+def _op_build_em_form(ctx, policy, E, B):
     text = form_to_text(build_em_form(E, B, ctx.chart))
     return _value({"F": text}, expectable=text)
 
 
-def _op_maxwell_residual(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    F = _need(ctx, task, "form", "forms")
-    if "current" in task:
-        J = _need(ctx, task, "current", "forms")
-    else:
-        J = Form.zero(ctx.chart, 1)
-    r1, r2 = maxwell_residual(F, J, g)
+@_op("maxwell_residual", needs=("metric",), form=_form, current=_Opt(_form))
+def _op_maxwell_residual(ctx, policy, form, current=None):
+    if current is None:
+        current = Form.zero(ctx.chart, 1)
+    r1, r2 = maxwell_residual(form, current, ctx.metric)
     verdicts = [is_zero(c, policy) for c in r1.components.values()]
     verdicts += [is_zero(c, policy) for c in r2.components.values()]
-    return TaskOutcome(
-        _tri_outcome(verdicts),
-        _tri_outcome(verdicts),
-        {"dF": form_to_text(r1), "dstarF_minus_starJ": form_to_text(r2)},
-    )
+    return _tri_outcome(verdicts, {"dF": form_to_text(r1),
+                                   "dstarF_minus_starJ": form_to_text(r2)})
 
 
-def _op_christoffel(ctx, task, policy):
-    c = christoffel(_need_metric(ctx, task))
-    n = ctx.chart.dim
-    nz = {
-        (s, a, b): c.gamma[s][a][b]
-        for s in range(n)
-        for a in range(n)
-        for b in range(n)
-        if c.gamma[s][a][b] != ZERO
-    }
-    text = "; ".join(f"{k}={to_text(v)}" for k, v in sorted(nz.items())) or "0"
+@_op("christoffel", needs=("metric",))
+def _op_christoffel(ctx, policy):
+    gamma = christoffel(ctx.metric).gamma
+    text = "; ".join(
+        f"{(s, a, b)}={to_text(e)}" for s, plane in enumerate(gamma)
+        for a, row in enumerate(plane) for b, e in enumerate(row) if e != ZERO
+    ) or "0"
     return _value({"nonzero": text}, expectable=text)
 
 
-def _op_torsion(ctx, task, policy):
-    t = torsion(_need_connection(ctx, task))
-    return _value({"nonzero": _nonzero_text(t)}, expectable=_nonzero_text(t))
+@_op("torsion", needs=("connection",))
+def _op_torsion(ctx, policy):
+    return _nonzero_value(torsion(ctx.connection))
 
 
-def _op_covariant_derivative_1form(ctx, task, policy):
-    c = _need_connection(ctx, task)
-    a = _need(ctx, task, "form", "forms")
-    t = covariant_derivative_1form(a, c)
-    return _value({"nonzero": _nonzero_text(t)}, expectable=_nonzero_text(t))
+@_op("covariant_derivative_1form", needs=("connection",), form=_form)
+def _op_covariant_derivative_1form(ctx, policy, form):
+    return _nonzero_value(covariant_derivative_1form(form, ctx.connection))
 
 
-def _op_evolutionary_commutator(ctx, task, policy):
-    c = _need_connection(ctx, task)
-    a = _need(ctx, task, "form", "forms")
-    return _value(_form_values(evolutionary_commutator(a, c)))
+@_op("evolutionary_commutator", needs=("connection",), form=_form)
+def _op_evolutionary_commutator(ctx, policy, form):
+    return _form_value(evolutionary_commutator(form, ctx.connection))
 
 
-def _op_riemann(ctx, task, policy):
-    c = (
-        _need_connection(ctx, task)
-        if ctx.connection is not None
-        else christoffel(_need_metric(ctx, task))
-    )
-    t = riemann(c)
-    return _value({"nonzero": _nonzero_text(t)}, expectable=_nonzero_text(t))
+@_op("riemann", needs=("connection", "metric"))
+def _op_riemann(ctx, policy):
+    c = ctx.connection if ctx.connection is not None else christoffel(ctx.metric)
+    return _nonzero_value(riemann(c))
 
 
-def _op_ricci_and_scalar(ctx, task, policy):
-    g = _need_metric(ctx, task)
+@_op("ricci_and_scalar", needs=("metric",))
+def _op_ricci_and_scalar(ctx, policy):
+    g = ctx.metric
     ric, scal = ricci_and_scalar(riemann(christoffel(g)), g)
     return _value(
         {"ricci_nonzero": _nonzero_text(ric), "scalar": to_text(scal)},
@@ -463,54 +488,29 @@ def _op_ricci_and_scalar(ctx, task, policy):
     )
 
 
-def _op_einstein_tensor(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    t = einstein_tensor(g)
-    return _value({"nonzero": _nonzero_text(t)}, expectable=_nonzero_text(t))
+@_op("einstein_tensor", needs=("metric",))
+def _op_einstein_tensor(ctx, policy):
+    return _nonzero_value(einstein_tensor(ctx.metric))
 
 
-def _op_bianchi_residual(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    res = bianchi_residual(g)
+@_op("bianchi_residual", needs=("metric",))
+def _op_bianchi_residual(ctx, policy):
+    res = bianchi_residual(ctx.metric)
     verdicts = [is_zero(e, policy) for e in res]
     text = "; ".join(
         f"{ctx.chart.names[i]}={to_text(e)}" for i, e in enumerate(res)
     )
-    return TaskOutcome(_tri_outcome(verdicts), _tri_outcome(verdicts),
-                       {"residuals": text})
+    return _tri_outcome(verdicts, {"residuals": text})
 
 
-def _lagrangian_from_task(ctx, task) -> QuadraticLagrangian:
-    q = task.get("q")
-    v = task.get("v")
-    if not q or not v:
-        raise ScenarioError(f"op '{task['op']}': need 'q' and 'v' name lists")
-    qchart = Chart(tuple(q))
-    mass = [
-        [
-            _parse_in(qchart, ctx.params, e, f"op '{task['op']}' mass[{i}][{j}]")
-            for j, e in enumerate(row)
-        ]
-        for i, row in enumerate(task.get("mass", ()))
-    ]
-    linear = [
-        _parse_in(qchart, ctx.params, e, f"op '{task['op']}' linear[{i}]")
-        for i, e in enumerate(task.get("linear", ["0"] * len(q)))
-    ]
-    potential = _parse_in(
-        qchart, ctx.params, task.get("potential", "0"),
-        f"op '{task['op']}' potential",
-    )
+@_op("legendre", q=_names, v=_names, chart=lambda a: Chart(a["q"]),
+     charted={"mass": _matrix, "linear": _Opt(_row), "potential": _Opt(_expr)})
+def _op_legendre(ctx, policy, q, v, mass, linear=None, potential=ZERO):
+    if linear is None:
+        linear = [ZERO] * len(q)
     try:
-        return QuadraticLagrangian(q, v, mass, linear, potential)
-    except ExformalError as e:
-        raise ScenarioError(f"op '{task['op']}': {e}") from e
-
-
-def _op_legendre(ctx, task, policy):
-    L = _lagrangian_from_task(ctx, task)
-    try:
-        H, rep = legendre(L, policy)
+        H, rep = legendre(QuadraticLagrangian(q, v, mass, linear, potential),
+                          policy)
     except DegenerateLagrangianError as e:
         cls = e.report.classification.value
         return TaskOutcome("Value", cls,
@@ -527,16 +527,12 @@ def _op_legendre(ctx, task, policy):
     )
 
 
-def _op_inverse_legendre(ctx, task, policy):
-    q = task.get("q")
-    p = task.get("p")
-    if not q or not p:
-        raise ScenarioError("op 'inverse_legendre': need 'q' and 'p' lists")
-    chart = Chart(tuple(q) + tuple(p))
-    H = _parse_in(chart, ctx.params, task.get("hamiltonian", ""),
-                  "op 'inverse_legendre' hamiltonian")
+@_op("inverse_legendre", q=_names, p=_names,
+     chart=lambda a: Chart(a["q"] + a["p"]), charted={"hamiltonian": _expr})
+def _op_inverse_legendre(ctx, policy, q, p, hamiltonian):
     try:
-        L = inverse_legendre(HamiltonianSystem(chart, H), policy=policy)
+        L = inverse_legendre(HamiltonianSystem(ctx.chart, hamiltonian),
+                             policy=policy)
     except PatternMismatchError:
         return TaskOutcome("Value", "PatternMismatch",
                            {"result": "PatternMismatch"})
@@ -555,22 +551,14 @@ def _op_inverse_legendre(ctx, task, policy):
     )
 
 
-def _op_poisson_bracket(ctx, task, policy):
-    f = _expr_arg(ctx, task, "f")
-    g = _expr_arg(ctx, task, "g")
-    try:
-        out = poisson_bracket(f, g, ctx.chart)
-    except ExformalError as e:
-        raise ScenarioError(f"op 'poisson_bracket': {e}") from e
-    return _value({"result": to_text(out)})
+@_op("poisson_bracket", f=_expr, g=_expr)
+def _op_poisson_bracket(ctx, policy, f, g):
+    return _value({"result": to_text(poisson_bracket(f, g, ctx.chart))})
 
 
-def _op_jacobian_degeneracy(ctx, task, policy):
-    phi = _need(ctx, task, "map", "maps")
-    try:
-        rep = jacobian_degeneracy(phi, policy)
-    except ExformalError as e:
-        raise ScenarioError(f"op 'jacobian_degeneracy': {e}") from e
+@_op("jacobian_degeneracy", map=_map)
+def _op_jacobian_degeneracy(ctx, policy, map):
+    rep = jacobian_degeneracy(map, policy)
     cls = rep.classification.value
     return _value(
         {"determinant": to_text(rep.determinant), "classification": cls},
@@ -578,15 +566,13 @@ def _op_jacobian_degeneracy(ctx, task, policy):
     )
 
 
-def _op_integrating_factor(ctx, task, policy):
-    w = _need(ctx, task, "form", "forms")
+@_op("integrating_factor", form=_form)
+def _op_integrating_factor(ctx, policy, form):
     try:
-        out = integrating_factor(w, policy)
+        out = integrating_factor(form, policy)
     except NotVerifiableError as e:
         return TaskOutcome("Value", "not-verifiable",
                            {"found": "not-verifiable", "error": str(e)})
-    except ExformalError as e:
-        raise ScenarioError(f"op 'integrating_factor': {e}") from e
     if out is None:
         return TaskOutcome("Value", "absent", {"found": "absent"})
     mu, psi = out
@@ -595,30 +581,15 @@ def _op_integrating_factor(ctx, task, policy):
                         "psi": to_text(psi)})
 
 
-def _hamiltonian_system(ctx, task) -> HamiltonianSystem:
-    H = _expr_arg(ctx, task, "hamiltonian")
-    try:
-        return HamiltonianSystem(ctx.chart, H)
-    except ExformalError as e:
-        raise ScenarioError(f"op '{task['op']}': {e}") from e
+@_op("poincare_cartan", hamiltonian=_expr)
+def _op_poincare_cartan(ctx, policy, hamiltonian):
+    theta = form_to_text(poincare_cartan(HamiltonianSystem(ctx.chart, hamiltonian)))
+    return _value({"theta": theta}, expectable=theta)
 
 
-def _op_poincare_cartan(ctx, task, policy):
-    sys_ = _hamiltonian_system(ctx, task)
-    try:
-        theta = poincare_cartan(sys_)
-    except ExformalError as e:
-        raise ScenarioError(f"op 'poincare_cartan': {e}") from e
-    return _value({"theta": form_to_text(theta)},
-                  expectable=form_to_text(theta))
-
-
-def _op_hamilton_flow_check(ctx, task, policy):
-    sys_ = _hamiltonian_system(ctx, task)
-    try:
-        fc = hamilton_flow_check(sys_, policy)
-    except ExformalError as e:
-        raise ScenarioError(f"op 'hamilton_flow_check': {e}") from e
+@_op("hamilton_flow_check", hamiltonian=_expr)
+def _op_hamilton_flow_check(ctx, policy, hamiltonian):
+    fc = hamilton_flow_check(HamiltonianSystem(ctx.chart, hamiltonian), policy)
     outcome = "Pass" if fc.passed else ("Unknown" if fc.uncertain else "Fail")
     return TaskOutcome(outcome, outcome,
                        {"residual": form_to_text(fc.residual)})
@@ -635,50 +606,28 @@ def _report_outcome(report) -> TaskOutcome:
     return TaskOutcome(out, out, values, details)
 
 
-def _op_verify_maxwell(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    E = _em_fields(ctx, task, "E", 3)
-    B = _em_fields(ctx, task, "B", 3)
-    J = _em_fields(ctx, task, "J", 4) if "J" in task else [
-        _parse_in(ctx.chart, ctx.params, "0", "zero")
-    ] * 4
-    return _report_outcome(verify_maxwell(E, B, J, g, policy))
+@_op("verify_maxwell", needs=("metric",), E=_exprs_of(3), B=_exprs_of(3),
+     J=_Opt(_exprs_of(4)))
+def _op_verify_maxwell(ctx, policy, E, B, J=(ZERO,) * 4):
+    return _report_outcome(verify_maxwell(E, B, J, ctx.metric, policy))
 
 
-def _op_verify_hamiltonian(ctx, task, policy):
-    k = task.get("k", 1)
-    from .catalog import _canonical_chart
-
-    chart = _canonical_chart(k)
-    H = _parse_in(chart, ctx.params, task.get("hamiltonian", ""),
-                  "op 'verify_hamiltonian' hamiltonian")
+@_op("verify_hamiltonian", k=_Opt(_int), corrupted=_Opt(_bool),
+     chart=lambda a: _canonical_chart(a.get("k", 1)),
+     charted={"hamiltonian": _expr})
+def _op_verify_hamiltonian(ctx, policy, hamiltonian, k=1, corrupted=False):
     return _report_outcome(
-        verify_hamiltonian(H, k, corrupted=bool(task.get("corrupted", False)),
-                           policy=policy)
+        verify_hamiltonian(hamiltonian, k, corrupted=corrupted, policy=policy)
     )
 
 
-def _op_verify_einstein(ctx, task, policy):
-    g = _need_metric(ctx, task)
-    T = None
-    if "T" in task:
-        n = ctx.chart.dim
-        rows = task["T"]
-        if len(rows) != n:
-            raise ScenarioError("op 'verify_einstein': T must be n x n")
-        T = tuple(
-            tuple(
-                _parse_in(ctx.chart, ctx.params, e,
-                          f"op 'verify_einstein' T[{i}][{j}]")
-                for j, e in enumerate(row)
-            )
-            for i, row in enumerate(rows)
-        )
-    kappa = task.get("kappa", "kappa")
-    return _report_outcome(verify_einstein(g, T, kappa, policy))
+@_op("verify_einstein", needs=("metric",), T=_Opt(_matrix), kappa=_Opt(_name))
+def _op_verify_einstein(ctx, policy, T=None, kappa="kappa"):
+    return _report_outcome(verify_einstein(ctx.metric, T, kappa, policy))
 
 
-def _op_correspondence_table(ctx, task, policy):
+@_op("correspondence_table")
+def _op_correspondence_table(ctx, policy):
     rows = correspondence_table()
     values = {
         f"k={e.degree}": f"{e.family} | {e.interaction} | "
@@ -689,47 +638,9 @@ def _op_correspondence_table(ctx, task, policy):
     return _value(values, expectable=str(len(rows)))
 
 
-OPS = {
-    "parse_expr": _op_parse_expr,
-    "diff": _op_diff,
-    "simplify": _op_simplify,
-    "eval_at": _op_eval_at,
-    "is_zero": _op_is_zero,
-    "wedge": _op_wedge,
-    "ext_d": _op_ext_d,
-    "linear_combine": _op_linear_combine,
-    "pullback": _op_pullback,
-    "interior_product": _op_interior_product,
-    "classify_closure": _op_classify_closure,
-    "hodge": _op_hodge,
-    "codifferential": _op_codifferential,
-    "build_em_form": _op_build_em_form,
-    "maxwell_residual": _op_maxwell_residual,
-    "christoffel": _op_christoffel,
-    "torsion": _op_torsion,
-    "covariant_derivative_1form": _op_covariant_derivative_1form,
-    "evolutionary_commutator": _op_evolutionary_commutator,
-    "riemann": _op_riemann,
-    "ricci_and_scalar": _op_ricci_and_scalar,
-    "einstein_tensor": _op_einstein_tensor,
-    "bianchi_residual": _op_bianchi_residual,
-    "legendre": _op_legendre,
-    "inverse_legendre": _op_inverse_legendre,
-    "poisson_bracket": _op_poisson_bracket,
-    "jacobian_degeneracy": _op_jacobian_degeneracy,
-    "integrating_factor": _op_integrating_factor,
-    "poincare_cartan": _op_poincare_cartan,
-    "hamilton_flow_check": _op_hamilton_flow_check,
-    "verify_maxwell": _op_verify_maxwell,
-    "verify_hamiltonian": _op_verify_hamiltonian,
-    "verify_einstein": _op_verify_einstein,
-    "correspondence_table": _op_correspondence_table,
-}
-
 ENGINE_OPS = tuple(sorted(OPS))
 
-_OK_VERDICTS = frozenset({"Pass", "Closed", "Exact", "Value"})
-_FAIL_VERDICTS = frozenset({"Fail", "NonClosed"})
+_FAIL_VERDICTS = frozenset({"Fail", "NonClosed", "Error"})
 
 
 # ---------------------------------------------------------------------------
@@ -738,30 +649,30 @@ _FAIL_VERDICTS = frozenset({"Fail", "NonClosed"})
 
 
 def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
+    where = f"task[{index}]"
     if not isinstance(task, dict) or "op" not in task:
-        raise ScenarioError(f"task[{index}]: needs an 'op' field")
+        raise ScenarioError(f"{where}: needs an 'op' field")
     op = task["op"]
-    handler = OPS.get(op)
-    if handler is None:
-        raise ScenarioError(f"task[{index}]: unknown op '{op}'")
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
+        raise ScenarioError(f"{where}: unknown op {op!r}")
+    scope, args = _bind(ctx, spec, task, f"{where} op '{op}'")
     policy = DEFAULT_POLICY.with_seed(seed + index)
-    out = handler(ctx, task, policy)
-    verdict = out.outcome
+    try:
+        out = spec.handler(scope, policy, **args)
+    except ExformalError as e:
+        out = TaskOutcome("Error", "", {"error": f"{type(e).__name__}: {e}"})
+    verdict, failed, unknown = out.outcome, False, False
     expect = task.get("expect")
-    if expect is None:
-        failed = verdict in _FAIL_VERDICTS
-        unknown = verdict == "Unknown"
+    if expect is None or verdict == "Error":
+        failed, unknown = verdict in _FAIL_VERDICTS, verdict == "Unknown"
     elif str(expect) == out.expectable:
         # a matched expectation is a success even for NonClosed/Fail
         if verdict == "Value":
             verdict = "Pass"
-        failed = False
-        unknown = False
     else:
-        verdict = "Fail"
+        verdict, failed = "Fail", True
         out.details.append(f"expected {expect!r}, got {out.expectable!r}")
-        failed = True
-        unknown = False
     return {
         "index": index,
         "op": op,
@@ -773,30 +684,20 @@ def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
     }
 
 
-def run_scenario(path: str, seed: int = 0, strict: bool = False,
-                 parallel: bool = False) -> tuple[int, dict]:
-    """Execute a scenario file; returns (exit_code, report dict)."""
+def run_scenario(path: str, seed: int = 0,
+                 strict: bool = False) -> tuple[int, dict]:
+    """Execute a scenario file; returns (exit_code, report dict).
+
+    Tasks run in order.  An engine error inside a task is that task's
+    verdict Error and makes the exit code 2; the other tasks still run.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     ctx = load_scenario(data)
+    task_reports = [_run_task(ctx, i, t, seed) for i, t in enumerate(ctx.tasks)]
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [
-                pool.submit(_run_task, ctx, i, t, seed)
-                for i, t in enumerate(ctx.tasks)
-            ]
-            task_reports = [f.result() for f in futures]
-    else:
-        task_reports = [
-            _run_task(ctx, i, t, seed) for i, t in enumerate(ctx.tasks)
-        ]
-
-    failed = 0
-    unknown = 0
-    for r in task_reports:
-        failed += 1 if r.pop("failed") else 0
-        unknown += 1 if r.pop("unknown") else 0
+    failed = sum(r.pop("failed") for r in task_reports)
+    unknown = sum(r.pop("unknown") for r in task_reports)
     report = {
         "version": __version__,
         "file": os.path.basename(path),
@@ -811,7 +712,9 @@ def run_scenario(path: str, seed: int = 0, strict: bool = False,
         },
     }
     code = 0
-    if failed or (strict and unknown):
+    if any(r["verdict"] == "Error" for r in task_reports):
+        code = 2
+    elif failed or (strict and unknown):
         code = 1
     return code, report
 
@@ -842,10 +745,8 @@ def _emit_json(report: dict, out) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        code, report = run_scenario(
-            args.file, seed=args.seed, strict=args.strict,
-            parallel=args.parallel,
-        )
+        code, report = run_scenario(args.file, seed=args.seed,
+                                    strict=args.strict)
     except FileNotFoundError:
         print(f"error: file not found: {args.file}", file=sys.stderr)
         return 2
@@ -856,16 +757,17 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    except ScenarioError as e:
-        print(f"error: ValidationError in {args.file}: {e}", file=sys.stderr)
-        return 2
     except ExformalError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        print(f"error: ValidationError in {args.file}: {e}", file=sys.stderr)
         return 2
     if args.format == "json":
         _emit_json(report, sys.stdout)
     else:
         _emit_text(report, sys.stdout)
+    for t in report["tasks"]:
+        if t["verdict"] == "Error":
+            print(f"error: task[{t['index']}] op={t['op']}: "
+                  f"{t['values']['error']}", file=sys.stderr)
     return code
 
 
@@ -917,14 +819,6 @@ def _cmd_check_expr(args) -> int:
     return 0
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("EXFORMAL_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="exformal",
@@ -934,13 +828,14 @@ def main(argv=None) -> int:
 
     p_run = subs.add_parser("run", help="execute a JSON scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--seed", type=int, default=_env_seed(),
+    p_run.add_argument("--seed", type=int,
+                       default=os.environ.get("EXFORMAL_SEED", "0"),
                        help="sampling seed (env EXFORMAL_SEED)")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--strict", action="store_true",
                        help="treat Unknown verdicts as failures")
     p_run.add_argument("--parallel", action="store_true",
-                       help="run independent tasks concurrently")
+                       help="accepted and ignored: tasks always run in order")
     p_run.set_defaults(fn=_cmd_run)
 
     p_table = subs.add_parser("table", help="print the correspondence table")

@@ -3,8 +3,11 @@ and the auxiliary subcommands."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 from exformal.cli import ENGINE_OPS, main, run_scenario
 
@@ -105,6 +108,20 @@ class TestDeterminism:
             capture_output=True, text=True, env=env,
         )
         assert json.loads(proc.stdout)["seed"] == 23
+
+    def test_bad_env_seed_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("EXFORMAL_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", scenario_path("reference.json")])
+        assert exc.value.code == 2
+        assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_explicit_seed_overrides_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("EXFORMAL_SEED", "abc")
+        code = main(["run", scenario_path("reference.json"),
+                     "--format", "json", "--seed", "5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
 
 
 class TestOperationCoverage:
@@ -328,3 +345,78 @@ class TestInProcessMain:
         assert code == 0
         assert report["seed"] == 5
         assert report["summary"]["tasks"] == 8
+
+
+def run_in_process(tmp_path, scenario, *argv):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(scenario), encoding="utf-8")
+    return main(["run", str(p), *argv])
+
+
+EUCLIDEAN2 = {"matrix": [["1", "0"], ["0", "1"]], "det_sign": 1}
+
+# Inputs of the wrong shape, and the field each error message must name.
+MALFORMED = {
+    "forms_list": ({"chart": ["x", "y"],
+                    "forms": [{"degree": 1, "components": {"0": "y"}}]},
+                   "forms"),
+    "metric_rows": ({"chart": ["x", "y"], "metric": [["1", "0"], ["0", "1"]]},
+                    "metric"),
+    "components_list": ({"chart": ["x", "y"], "forms": {
+        "w": {"degree": 1, "components": ["y"]}}}, "form 'w' components"),
+    "eval_at_text": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": "abc"}}]}, "at"),
+    "short_T_row": ({"chart": ["x", "y"], "metric": EUCLIDEAN2, "tasks": [
+        {"op": "verify_einstein", "T": [["0", "0"], ["0"]]}]}, "T[1]"),
+    "k_text": ({"chart": ["t"], "tasks": [
+        {"op": "verify_hamiltonian", "hamiltonian": "p^2/2", "k": "two"}]},
+        "k"),
+    "connection_null": ({"chart": ["x", "y"], "connection": None},
+                        "connection"),
+    "chart_text": ({"chart": "xy"}, "chart"),
+    "params_text": ({"chart": ["x"], "params": "ab"}, "params"),
+    "legendre_q_text": ({"chart": ["x"], "tasks": [
+        {"op": "legendre", "q": "q", "v": ["v"], "mass": [["1"]]}]}, "q"),
+    "diff_by_undeclared": ({"chart": ["x"], "tasks": [
+        {"op": "diff", "expr": "x^2", "by": "q"}]}, "by"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_two_naming_the_field(self, name, tmp_path, capsys):
+        scenario, field = MALFORMED[name]
+        assert run_in_process(tmp_path, scenario) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f": {field}" in captured.err or f" {field}:" in captured.err
+
+
+class TestTaskErrors:
+    def test_engine_error_is_reported_against_its_task(self, tmp_path,
+                                                       capsys):
+        scenario = {"chart": ["x"], "tasks": [
+            {"op": "eval_at", "expr": "ln(x)", "at": {"x": -1}},
+            {"op": "simplify", "expr": "x + x", "expect": "2*x"},
+        ]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 2
+        captured = capsys.readouterr()
+        tasks = json.loads(captured.out)["tasks"]
+        assert tasks[0]["verdict"] == "Error"
+        assert tasks[0]["values"] == {
+            "error": "DomainError: ln of a non-positive value"}
+        assert tasks[1]["verdict"] == "Pass"
+        assert tasks[1]["values"] == {"result": "2*x"}
+        assert captured.err.splitlines() == [
+            "error: task[0] op=eval_at: DomainError: ln of a non-positive value"
+        ]
+
+
+class TestReadme:
+    def test_readme_example_runs(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            example = re.search(r"```json\n(.*?)```", fh.read(), re.S)
+        assert run_in_process(tmp_path, json.loads(example.group(1))) == 0
+        assert "summary: 2 tasks, 0 failed" in capsys.readouterr().out
