@@ -11,10 +11,8 @@ __all__ = ["mat_det", "mat_inverse", "as_matrix"]
 Matrix = tuple[tuple[Expr, ...], ...]
 
 
-def as_matrix(rows: Sequence[Sequence[Expr]], simplify_entries: bool = True) -> Matrix:
-    out = tuple(
-        tuple(simplify(e) if simplify_entries else e for e in row) for row in rows
-    )
+def as_matrix(rows: Sequence[Sequence[Expr]]) -> Matrix:
+    out = tuple(tuple(simplify(e) for e in row) for row in rows)
     n = len(out)
     if any(len(row) != n for row in out):
         raise ValueError("matrix must be square")

@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .catalog import (ENGINE_CONVENTIONS, _canonical_chart, correspondence_table,
                       verify_einstein, verify_hamiltonian, verify_maxwell)
-from .connection import (Connection, bianchi_residual, christoffel,
-                         covariant_derivative_1form, einstein_tensor,
-                         evolutionary_commutator, ricci_and_scalar, riemann, torsion)
+from .connection import (Connection, _levi_civita_ricci, bianchi_residual,
+                         christoffel, covariant_derivative_1form, einstein_tensor,
+                         evolutionary_commutator, riemann, torsion)
 from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
                      NotVerifiableError, PatternMismatchError, ScenarioError,
                      UnknownSymbolError)
@@ -480,8 +480,7 @@ def _op_riemann(ctx, policy):
 
 @_op("ricci_and_scalar", needs=("metric",))
 def _op_ricci_and_scalar(ctx, policy):
-    g = ctx.metric
-    ric, scal = ricci_and_scalar(riemann(christoffel(g)), g)
+    ric, scal = _levi_civita_ricci(ctx.metric)
     return _value(
         {"ricci_nonzero": _nonzero_text(ric), "scalar": to_text(scal)},
         expectable=to_text(scal),
@@ -657,7 +656,7 @@ def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
     if spec is None:
         raise ScenarioError(f"{where}: unknown op {op!r}")
     scope, args = _bind(ctx, spec, task, f"{where} op '{op}'")
-    policy = DEFAULT_POLICY.with_seed(seed + index)
+    policy = replace(DEFAULT_POLICY, seed=seed + index)
     try:
         out = spec.handler(scope, policy, **args)
     except ExformalError as e:
@@ -757,6 +756,10 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    except UnicodeDecodeError as e:
+        print(f"error: ParseError in {args.file}: byte {e.start}: not UTF-8",
+              file=sys.stderr)
+        return 2
     except ExformalError as e:
         print(f"error: ValidationError in {args.file}: {e}", file=sys.stderr)
         return 2
@@ -802,7 +805,7 @@ def _cmd_check_expr(args) -> int:
     params = [s for s in args.params.split(",") if s] if args.params else []
     try:
         chart = Chart(chart_names)
-        e = parse_expr(args.expr, chart, params)
+        text = to_text(simplify(parse_expr(args.expr, chart, params)))
     except ExprSyntaxError as err:
         print(f"error: SyntaxError at position {err.position}: {err}",
               file=sys.stderr)
@@ -815,7 +818,7 @@ def _cmd_check_expr(args) -> int:
     except (ValueError, ExformalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(to_text(simplify(e)))
+    print(text)
     return 0
 
 

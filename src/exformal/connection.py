@@ -21,6 +21,7 @@ metric-compatibility constraint is imposed on user-supplied coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 
 from .errors import ChartMismatchError, DegreeError
 from .exterior import Form
@@ -134,6 +135,21 @@ class Connection:
         return cls(chart, z)
 
 
+def _stage(build):
+    """Build a stage of a metric's curvature stack on first use and keep it
+    on that metric object, so all its consumers share one stack.  A stage
+    is a pure function of the metric; a race can only store equal values."""
+    slot = f"_stage_{build.__name__}"
+
+    @wraps(build)
+    def stage(g: Metric):
+        if slot not in g.__dict__:
+            g.__dict__[slot] = build(g)
+        return g.__dict__[slot]
+    return stage
+
+
+@_stage
 def christoffel(g: Metric) -> Connection:
     """Levi-Civita coefficients of a nonsingular metric; symmetric in the
     lower pair by construction."""
@@ -283,10 +299,18 @@ def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
     return ricci_t, scalar
 
 
+@_stage
+def _levi_civita_ricci(g: Metric) -> tuple[Tensor, Expr]:
+    """Ricci tensor and scalar of the Levi-Civita connection; the n^4
+    Riemann tensor they come from is not kept."""
+    return ricci_and_scalar(riemann(christoffel(g)), g)
+
+
+@_stage
 def einstein_tensor(g: Metric) -> Tensor:
     """G_{mu nu} = R_{mu nu} - (1/2) g_{mu nu} R through the full
     christoffel -> riemann -> ricci pipeline."""
-    ricci, scalar = ricci_and_scalar(riemann(christoffel(g)), g)
+    ricci, scalar = _levi_civita_ricci(g)
     n = g.chart.dim
     half = Rat(Fraction(1, 2))
     comps = tuple(
@@ -299,7 +323,8 @@ def einstein_tensor(g: Metric) -> Tensor:
     return Tensor(g.chart, "ll", comps)
 
 
-def bianchi_residual(g: Metric) -> list[Expr]:
+@_stage
+def bianchi_residual(g: Metric) -> tuple[Expr, ...]:
     """Contracted Bianchi residual, one expression per lower index:
     div G_nu = g^{mu rho} (d_rho G_{mu nu} - Gamma^lam_{rho mu} G_{lam nu}
     - Gamma^lam_{rho nu} G_{mu lam}); expected componentwise zero."""
@@ -321,4 +346,4 @@ def bianchi_residual(g: Metric) -> list[Expr]:
                     inner.append(neg(mul(gamma[lam][r][v], G.comp(m, lam))))
                 parts.append(mul(g.inverse[m][r], add(*inner)))
         out.append(simplify(add(*parts)))
-    return out
+    return tuple(out)

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DomainError,
+    ExformalError,
     ExprSyntaxError,
     UnboundSymbolError,
     UnknownSymbolError,
@@ -518,23 +519,29 @@ def diff(e: Expr, name: str) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
 
 
+def _rebuild(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
+    """`e` rebuilt through the canonical constructors from `child` of each
+    direct subexpression; a Rat or Sym comes back as it is."""
+    if isinstance(e, (Rat, Sym)):
+        return e
+    if isinstance(e, Add):
+        return add(*(child(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return mul(*(child(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return pow_(child(e.base), e.exp)
+    if isinstance(e, Func):
+        return func(e.name, child(e.arg))
+    if isinstance(e, OpaqueFunc):
+        return OpaqueFunc(e.name, child(e.arg), e.order)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace symbols by expressions; rebuilds canonically."""
-    if isinstance(e, Rat):
-        return e
     if isinstance(e, Sym):
         return mapping.get(e.name, e)
-    if isinstance(e, Add):
-        return add(*(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), e.exp)
-    if isinstance(e, Func):
-        return func(e.name, substitute(e.arg, mapping))
-    if isinstance(e, OpaqueFunc):
-        return OpaqueFunc(e.name, substitute(e.arg, mapping), e.order)
-    raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
+    return _rebuild(e, lambda c: substitute(c, mapping))
 
 
 def substitute_function(e: Expr, name: str, var: str, profile: Expr) -> Expr:
@@ -549,21 +556,7 @@ def substitute_function(e: Expr, name: str, var: str, profile: Expr) -> Expr:
             body = diff(body, var)
         inner = substitute_function(e.arg, name, var, profile)
         return substitute(body, {var: inner})
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*(substitute_function(t, name, var, profile) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute_function(f, name, var, profile) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute_function(e.base, name, var, profile), e.exp)
-    if isinstance(e, Func):
-        return func(e.name, substitute_function(e.arg, name, var, profile))
-    if isinstance(e, OpaqueFunc):
-        return OpaqueFunc(
-            e.name, substitute_function(e.arg, name, var, profile), e.order
-        )
-    raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
+    return _rebuild(e, lambda c: substitute_function(c, name, var, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -626,30 +619,28 @@ def _pythagorean_pass(e: Add) -> Expr | None:
 
 def simplify(e: Expr) -> Expr:
     """Canonical form under the documented rewrite set; idempotent."""
-    if isinstance(e, (Rat, Sym)):
-        return e
-    if isinstance(e, Func):
-        return func(e.name, simplify(e.arg))
-    if isinstance(e, OpaqueFunc):
-        return OpaqueFunc(e.name, simplify(e.arg), e.order)
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exp)
-    if isinstance(e, Mul):
-        return mul(*(simplify(f) for f in e.factors))
+    out = _rebuild(e, simplify)
     if isinstance(e, Add):
-        out = add(*(simplify(t) for t in e.terms))
         while isinstance(out, Add):
             rewritten = _pythagorean_pass(out)
             if rewritten is None:
                 break
             out = rewritten
-        return out
-    raise TypeError(f"not an Expr: {e!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's integer string limit
+        raise ExformalError(
+            f"an integer of {n.bit_length()} bits is too long to print"
+        ) from None
 
 
 def _pow_token(base: Expr, exp: int) -> str:
@@ -676,9 +667,9 @@ def _term_text(t: Expr) -> str:
         else:
             den.append(_pow_token(b, -e))
     if coeff.numerator != 1 or not num:
-        num.insert(0, str(coeff.numerator))
+        num.insert(0, _digits(coeff.numerator))
     if coeff.denominator != 1:
-        den.insert(0, str(coeff.denominator))
+        den.insert(0, _digits(coeff.denominator))
     out = "*".join(num)
     for d in den:
         out += f"/{d}"
@@ -693,7 +684,8 @@ def to_text(e: Expr) -> str:
     """
     if isinstance(e, Rat):
         v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        num = _digits(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{_digits(v.denominator)}"
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Func):
@@ -930,7 +922,10 @@ def _eval(e: Expr, env: Mapping[str, float], fns: Mapping[str, Callable[[float],
                 raise DomainError("division by zero")
             if abs(b) < guard:
                 raise DomainError("near-singular denominator")
-        return b**e.exp
+        try:
+            return b**e.exp
+        except OverflowError:
+            raise DomainError("power overflow") from None
     if isinstance(e, Func):
         x = _eval(e.arg, env, fns, guard)
         if e.name == "sin":
@@ -1003,12 +998,6 @@ class SamplingPolicy:
     trust_sampling: bool = True
     singular_guard: float = 1e-6
     max_redraws: int = 200
-
-    def with_seed(self, seed: int) -> "SamplingPolicy":
-        return SamplingPolicy(
-            self.n_points, seed, self.box, self.tol,
-            self.trust_sampling, self.singular_guard, self.max_redraws,
-        )
 
 
 DEFAULT_POLICY = SamplingPolicy()

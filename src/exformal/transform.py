@@ -158,18 +158,6 @@ class QuadraticLagrangian:
     def chart(self) -> Chart:
         return Chart(self.q_names + self.v_names)
 
-    def lagrangian(self) -> Expr:
-        vs = [Sym(v) for v in self.v_names]
-        quad = add(
-            *(
-                mul(Rat(Fraction(1, 2)), vs[i], self.mass[i][j], vs[j])
-                for i in range(self.k)
-                for j in range(self.k)
-            )
-        )
-        lin = add(*(mul(self.linear[i], vs[i]) for i in range(self.k)))
-        return simplify(add(quad, lin, neg(self.potential)))
-
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticLagrangian)
@@ -430,6 +418,18 @@ class FlowCheckReport:
     uncertain: bool
 
 
+def _flow_residual(sys: HamiltonianSystem, dtheta: Form, sign: int) -> Form:
+    """i_X d(theta) for X = (1, dH/dp_i, sign * dH/dq_i); sign -1 is the
+    Hamiltonian flow, +1 the corrupted-flow control."""
+    # chart order is (t, q..., p...): dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i
+    ordered = (
+        [ONE]
+        + [diff(sys.hamiltonian, p) for p in sys.p_names]
+        + [mul(Rat(sign), diff(sys.hamiltonian, q)) for q in sys.q_names]
+    )
+    return interior_product(VectorField(sys.chart, tuple(ordered)), dtheta)
+
+
 def hamilton_flow_check(sys: HamiltonianSystem,
                         policy: SamplingPolicy = DEFAULT_POLICY
                         ) -> FlowCheckReport:
@@ -437,15 +437,7 @@ def hamilton_flow_check(sys: HamiltonianSystem,
     directions span the kernel of d(theta)."""
     if sys.time is None:
         raise ChartError("the flow check needs a time coordinate")
-    theta = poincare_cartan(sys)
-    # chart order is (t, q..., p...): dq_i/dt = dH/dp_i, dp_i/dt = -dH/dq_i
-    ordered = (
-        [ONE]
-        + [diff(sys.hamiltonian, p) for p in sys.p_names]
-        + [neg(diff(sys.hamiltonian, q)) for q in sys.q_names]
-    )
-    X = VectorField(sys.chart, tuple(ordered))
-    residual = interior_product(X, ext_d(theta))
+    residual = _flow_residual(sys, ext_d(poincare_cartan(sys)), -1)
     verdicts = {
         idx: is_zero(c, policy) for idx, c in residual.components.items()
     }

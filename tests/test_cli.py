@@ -58,6 +58,13 @@ class TestExitCodes:
         assert "ParseError" in err
         assert "line 1" in err
 
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"chart": ["x"], "tasks": []\xff}')
+        code, out, err = run_cli("run", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ParseError") and "Traceback" not in err
+
     def test_unresolved_name_exits_two(self, tmp_path):
         p = tmp_path / "unresolved.json"
         p.write_text(
@@ -299,6 +306,11 @@ class TestSubcommands:
         assert code == 2
         assert "UnknownSymbol" in err
 
+    def test_check_expr_integer_past_digit_limit(self):
+        code, out, err = run_cli("check-expr", "2^99999", "--chart", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(
             "run", scenario_path("reference.json"), "--strict"
@@ -411,6 +423,24 @@ class TestTaskErrors:
         assert captured.err.splitlines() == [
             "error: task[0] op=eval_at: DomainError: ln of a non-positive value"
         ]
+
+    @pytest.mark.parametrize("task, error", [
+        ({"op": "eval_at", "expr": "x^3", "at": {"x": 1e200}},
+         "DomainError: power overflow"),
+        ({"op": "eval_at", "expr": "1/x^200", "at": {"x": 1e-200}},
+         "DomainError: power overflow"),
+        ({"op": "parse_expr", "expr": "2^99999"},
+         "ExformalError: an integer of 100000 bits is too long to print"),
+    ])
+    def test_overflowing_values_are_task_errors(self, task, error, tmp_path,
+                                                capsys):
+        scenario = {"chart": ["x"], "tasks": [task]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 2
+        captured = capsys.readouterr()
+        (report,) = json.loads(captured.out)["tasks"]
+        assert report["verdict"] == "Error"
+        assert report["values"] == {"error": error}
+        assert captured.err == f"error: task[0] op={task['op']}: {error}\n"
 
 
 class TestReadme:

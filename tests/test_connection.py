@@ -11,8 +11,13 @@ index conventions):
   Gamma^x_tx = a'/a, R_tt = -3 a''/a, G_tt = 3 (a'/a)^2.
 """
 
+import gc
+import json
 import random
+import weakref
 
+import exformal.connection
+from exformal.cli import run_scenario
 from exformal.connection import (
     Connection,
     bianchi_residual,
@@ -314,3 +319,56 @@ class TestBianchi:
             for _ in range(10):
                 env = {n: rng.uniform(0.5, 2.0) for n in CH4.names}
                 assert abs(eval_at(concrete, env)) < 1e-8
+
+
+class TestSharedStack:
+    """Each Levi-Civita stage is built once per Metric object and kept on
+    that object only."""
+
+    @staticmethod
+    def count_riemann(monkeypatch):
+        calls = []
+        body = exformal.connection.riemann
+
+        def counted(c):
+            calls.append(c)
+            return body(c)
+
+        monkeypatch.setattr(exformal.connection, "riemann", counted)
+        return calls
+
+    def test_riemann_built_once_per_scenario(self, monkeypatch, tmp_path):
+        calls = self.count_riemann(monkeypatch)
+        scenario = {
+            "chart": ["theta", "phi"],
+            "metric": {"matrix": [["1", "0"], ["0", "sin(theta)^2"]],
+                       "det_sign": 1},
+            "tasks": [{"op": op} for op in (
+                "christoffel", "verify_einstein", "bianchi_residual",
+                "ricci_and_scalar", "einstein_tensor")],
+        }
+        p = tmp_path / "sphere.json"
+        p.write_text(json.dumps(scenario), encoding="utf-8")
+        code, report = run_scenario(str(p))
+        assert code == 0, report
+        assert len(calls) == 1
+
+    def test_equal_metrics_do_not_share(self, monkeypatch):
+        calls = self.count_riemann(monkeypatch)
+        g1, g2 = sphere_metric(), sphere_metric()
+        assert christoffel(g1) is christoffel(g1)
+        assert christoffel(g1) is not christoffel(g2)
+        assert einstein_tensor(g1) is not einstein_tensor(g2)
+        assert bianchi_residual(g1) is bianchi_residual(g1)
+        assert len(calls) == 2
+
+    def test_bianchi_residual_is_a_tuple(self):
+        assert isinstance(bianchi_residual(sphere_metric()), tuple)
+
+    def test_stack_dies_with_its_metric(self):
+        g = sphere_metric()
+        bianchi_residual(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None

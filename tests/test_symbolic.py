@@ -7,6 +7,7 @@ import pytest
 
 from exformal.errors import (
     DomainError,
+    ExformalError,
     ExprSyntaxError,
     UnboundSymbolError,
     UnknownSymbolError,
@@ -197,6 +198,11 @@ class TestPrintRoundTrip:
         printed = to_text(e)
         assert parse_expr(printed, CH) == e
 
+    def test_integer_past_digit_limit_is_an_engine_error(self):
+        # 2^99999 has 30103 digits, past the interpreter's 4300-digit limit
+        with pytest.raises(ExformalError):
+            to_text(parse_expr("2^99999", CH))
+
     def test_fixpoint_random(self):
         rng = random.Random(7)
         for _ in range(80):
@@ -225,6 +231,11 @@ class TestEval:
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             eval_at(pow_(Sym("x"), -1), {"x": 0.0})
+
+    @pytest.mark.parametrize("text, x", [("x^3", 1e200), ("1/x^200", 1e-200)])
+    def test_power_overflow_is_domain_error(self, text, x):
+        with pytest.raises(DomainError):
+            eval_at(parse_expr(text, CH), {"x": x})
 
     def test_opaque_fn_table(self):
         e = opaque("a", Sym("t"), 1)
@@ -291,6 +302,10 @@ class TestIsZero:
         # 1/x is nonzero; points near the pole get redrawn, not crashed
         assert is_zero(parse_expr("1/x", CH)) is ZeroVerdict.NONZERO
 
+    def test_power_overflow_redraws(self):
+        # 1/x^1100 overflows a float at every point with |x| < 0.52
+        assert is_zero(parse_expr("1/x^1100", CH)) is ZeroVerdict.NONZERO
+
 
 class TestSubstitute:
     def test_symbol(self):
@@ -302,3 +317,41 @@ class TestSubstitute:
         prof = parse_expr("u^2", Chart(("u",)))
         out = substitute_function(e, "a", "u", prof)
         assert out == parse_expr("t^2 + 2*t", CH)
+
+    # The rebuild walk reaches every node kind: a symbol inside a built-in
+    # function, an opaque argument, a negative power of a sum and a nested
+    # profile.  Substitution rebuilds through the constructors only, so the
+    # sin^2 + cos^2 pair below is left as it is.
+    @pytest.mark.parametrize("text, mapping, expected", [
+        ("sin(x*y) + cos(x)^2 + sin(x)^2", {"x": "t + 1"},
+         "sin(y + t*y) + cos(1 + t)^2 + sin(1 + t)^2"),
+        ("f(x + y)*z", {"x": "2*t", "z": "y"}, "y*f(y + 2*t)"),
+        ("1/(x + y)^2 + x", {"y": "t - x"}, "x + 1/t^2"),
+        ("a(a(t)) + a'(t)", {"t": "x + y"}, "a(a(x + y)) + a'(x + y)"),
+    ])
+    def test_symbol_in_every_node_kind(self, text, mapping, expected):
+        out = substitute(parse_expr(text, CH),
+                         {k: parse_expr(v, CH) for k, v in mapping.items()})
+        assert to_text(out) == expected
+
+    @pytest.mark.parametrize("profile, expected", [
+        ("u^3", "72*t^7"),
+        ("sin(u)", "-cos(sin(t))*sin(t) - sin(sin(t))*cos(t)^2"),
+        ("u^2 + u", "4 + 12*t + 12*t^2"),
+    ])
+    def test_nested_profile_second_derivative(self, profile, expected):
+        e = diff(diff(parse_expr("a(a(t))", CH), "t"), "t")
+        assert to_text(e) == "a'(a(t))*a''(t) + a''(a(t))*a'(t)^2"
+        out = substitute_function(e, "a", "u",
+                                  parse_expr(profile, Chart(("u",))))
+        assert to_text(out) == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        ("sin(a(x)) + f(a(y)) + 1/(a(t) + x)^2",
+         "sin(x^2) + f(y^2) + 1/(t^4 + x^2 + 2*x*t^2)"),
+        ("a(x + a(y))*x", "x^3 + 2*x^2*y^2 + x*y^4"),
+    ])
+    def test_profile_in_every_node_kind(self, text, expected):
+        out = substitute_function(parse_expr(text, CH), "a", "u",
+                                  parse_expr("u^2", Chart(("u",))))
+        assert to_text(out) == expected
