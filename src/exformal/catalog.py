@@ -9,7 +9,6 @@ control expected to Fail, so zero-residual checks cannot pass vacuously.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -27,8 +26,10 @@ from .symbolic import (
     Rat,
     SamplingPolicy,
     Sym,
+    Verdict,
     ZERO,
     ZeroVerdict,
+    _fold_verdicts,
     add,
     diff,
     is_zero,
@@ -78,12 +79,6 @@ ENGINE_CONVENTIONS = {
 }
 
 
-class Verdict(Enum):
-    PASS = "Pass"
-    FAIL = "Fail"
-    UNKNOWN = "Unknown"
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -98,36 +93,28 @@ class VerificationReport:
     conventions: dict = field(default_factory=lambda: dict(ENGINE_CONVENTIONS))
     values: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    timing: float = 0.0
 
     @property
     def verdict(self) -> Verdict:
-        if any(c.verdict is Verdict.FAIL for c in self.checks):
-            return Verdict.FAIL
-        if any(c.verdict is Verdict.UNKNOWN for c in self.checks):
-            return Verdict.UNKNOWN
-        return Verdict.PASS
+        return _fold_verdicts(c.verdict for c in self.checks)
 
 
 def _residual_check(name: str, residuals: dict, policy: SamplingPolicy
                     ) -> CheckResult:
-    """Verdict from a {label: Expr} residual map: Pass iff all ZERO."""
+    """Verdict from a {label: Expr} residual map: Pass iff all ZERO.  The
+    summary lists each NonZero residual, and each Unknown one that comes
+    before the first NonZero label."""
     bad = []
-    verdict = Verdict.PASS
+    verdicts = []
     for label in sorted(residuals, key=str):
         v = is_zero(residuals[label], policy)
         if v is ZeroVerdict.NONZERO:
-            verdict = Verdict.FAIL
             bad.append(f"{label}={to_text(simplify(residuals[label]))}")
-        elif v is ZeroVerdict.UNKNOWN and verdict is not Verdict.FAIL:
-            verdict = Verdict.UNKNOWN
+        elif v is ZeroVerdict.UNKNOWN and ZeroVerdict.NONZERO not in verdicts:
             bad.append(f"{label}=Unknown")
+        verdicts.append(v)
     summary = "all residuals zero" if not bad else "; ".join(bad)
-    return CheckResult(name, summary, verdict)
-
-
-def _form_residuals(f: Form) -> dict:
-    return {idx: c for idx, c in sorted(f.components.items())} or {}
+    return CheckResult(name, summary, _fold_verdicts(verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +130,6 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
     J carries contravariant current components (rho, J^1, J^2, J^3); it
     is lowered with the metric before dualizing.
     """
-    t0 = time.perf_counter()
     chart = metric.chart
     if chart.dim != 4:
         raise ChartError("Maxwell verification needs a 4-dimensional chart")
@@ -174,19 +160,16 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
 
     report = VerificationReport(scenario=scenario)
     report.checks.append(
-        _residual_check("dF = 0 (Faraday + no monopoles)",
-                        _form_residuals(r1), policy)
+        _residual_check("dF = 0 (Faraday + no monopoles)", r1.components, policy)
     )
     report.checks.append(
-        _residual_check("d*F = *J (Gauss + Ampere)",
-                        _form_residuals(r2), policy)
+        _residual_check("d*F = *J (Gauss + Ampere)", r2.components, policy)
     )
     report.checks.append(
         _residual_check("energy balance d_t u + div(ExB) + E.J = 0",
                         {"scalar": balance}, policy)
     )
     report.values["F"] = form_to_text(F)
-    report.timing = time.perf_counter() - t0
     return report
 
 
@@ -215,7 +198,6 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
     With corrupted=True the momentum equations get the wrong sign -- the
     bundled falsification control.
     """
-    t0 = time.perf_counter()
     if isinstance(H, HamiltonianSystem):
         sys = H.with_time()
     else:
@@ -225,19 +207,18 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
     residual = _flow_residual(sys, dtheta, 1 if corrupted else -1)
     report = VerificationReport(scenario=scenario)
     report.checks.append(
-        _residual_check("flow field lies in ker(d theta)",
-                        _form_residuals(residual), policy)
+        _residual_check("flow field lies in ker(d theta)", residual.components,
+                        policy)
     )
     dd = ext_d(dtheta)
     report.checks.append(
-        _residual_check("d(d theta) = 0", _form_residuals(dd), policy)
+        _residual_check("d(d theta) = 0", dd.components, policy)
     )
     hh = poisson_bracket(sys.hamiltonian, sys.hamiltonian, sys.chart)
     report.checks.append(
         _residual_check("{H, H} = 0", {"bracket": hh}, policy)
     )
     report.values["theta"] = form_to_text(theta)
-    report.timing = time.perf_counter() - t0
     return report
 
 
@@ -251,7 +232,6 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
                     scenario: str = "einstein") -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
     Levi-Civita connection, and optionally G - kappa*T."""
-    t0 = time.perf_counter()
     report = VerificationReport(scenario=scenario)
     n = g.chart.dim
     G = einstein_tensor(g)
@@ -263,8 +243,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
     )
     tors = torsion(christoffel(g))
     report.checks.append(
-        _residual_check("torsion(christoffel(g)) = 0", tors.nonzero() or {},
-                        policy)
+        _residual_check("torsion(christoffel(g)) = 0", tors.nonzero(), policy)
     )
     sym_residuals = {
         (m, v): sub(G.comp(m, v), G.comp(v, m))
@@ -293,7 +272,6 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
         report.notes.append(
             "dim-2 identity: R_{mu nu} = (1/2) g_{mu nu} R makes G vanish"
         )
-    report.timing = time.perf_counter() - t0
     return report
 
 

@@ -31,8 +31,8 @@ from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
 from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_d,
                        form_to_text, interior_product, linear_combine, pullback, wedge)
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
-from .symbolic import (DEFAULT_POLICY, Chart, ZERO, ZeroVerdict, diff, eval_at, is_zero,
-                       parse_expr, simplify, to_text)
+from .symbolic import (DEFAULT_POLICY, Chart, ZERO, _fold_verdicts, diff, eval_at,
+                       is_zero, parse_expr, simplify, to_text)
 from .transform import (HamiltonianSystem, QuadraticLagrangian, hamilton_flow_check,
                         integrating_factor, inverse_legendre, jacobian_degeneracy,
                         legendre, poincare_cartan, poisson_bracket)
@@ -221,10 +221,17 @@ def load_scenario(data: dict) -> ScenarioContext:
         spec = _object(spec, where)
         degree = _int(spec.get("degree"), f"{where} degree")
         raw = _object(spec.get("components", {}), f"{where} components")
-        comps = {}
+        comps, keys = {}, {}
         for key, text in raw.items():
             at = f"{where} component {key!r}"
-            comps[_component_key(key, degree, at)] = _expr(text, at, ctx)
+            idx = _component_key(key, degree, at)
+            if idx in keys:
+                raise ScenarioError(
+                    f"{where}: component keys {keys[idx]!r} and {key!r} "
+                    "name the same index"
+                )
+            keys[idx] = key
+            comps[idx] = _expr(text, at, ctx)
         ctx.forms[name] = _build(where, Form, ctx.chart, degree, comps)
 
     for name, spec in _object(data.get("maps", {}), "maps").items():
@@ -330,16 +337,6 @@ def _value(values: dict, expectable: str | None = None) -> TaskOutcome:
     return TaskOutcome("Value", exp, values)
 
 
-def _tri_outcome(verdicts, values: dict) -> TaskOutcome:
-    if any(v is ZeroVerdict.NONZERO for v in verdicts):
-        out = "Fail"
-    elif any(v is ZeroVerdict.UNKNOWN for v in verdicts):
-        out = "Unknown"
-    else:
-        out = "Pass"
-    return TaskOutcome(out, out, values)
-
-
 def _form_value(f: Form) -> TaskOutcome:
     return _value({"result": form_to_text(f)})
 
@@ -441,20 +438,15 @@ def _op_maxwell_residual(ctx, policy, form, current=None):
     if current is None:
         current = Form.zero(ctx.chart, 1)
     r1, r2 = maxwell_residual(form, current, ctx.metric)
-    verdicts = [is_zero(c, policy) for c in r1.components.values()]
-    verdicts += [is_zero(c, policy) for c in r2.components.values()]
-    return _tri_outcome(verdicts, {"dF": form_to_text(r1),
-                                   "dstarF_minus_starJ": form_to_text(r2)})
+    out = _fold_verdicts([is_zero(c, policy) for r in (r1, r2)
+                          for c in r.components.values()]).value
+    return TaskOutcome(out, out, {"dF": form_to_text(r1),
+                                  "dstarF_minus_starJ": form_to_text(r2)})
 
 
 @_op("christoffel", needs=("metric",))
 def _op_christoffel(ctx, policy):
-    gamma = christoffel(ctx.metric).gamma
-    text = "; ".join(
-        f"{(s, a, b)}={to_text(e)}" for s, plane in enumerate(gamma)
-        for a, row in enumerate(plane) for b, e in enumerate(row) if e != ZERO
-    ) or "0"
-    return _value({"nonzero": text}, expectable=text)
+    return _nonzero_value(christoffel(ctx.metric))
 
 
 @_op("torsion", needs=("connection",))
@@ -495,11 +487,11 @@ def _op_einstein_tensor(ctx, policy):
 @_op("bianchi_residual", needs=("metric",))
 def _op_bianchi_residual(ctx, policy):
     res = bianchi_residual(ctx.metric)
-    verdicts = [is_zero(e, policy) for e in res]
+    out = _fold_verdicts([is_zero(e, policy) for e in res]).value
     text = "; ".join(
         f"{ctx.chart.names[i]}={to_text(e)}" for i, e in enumerate(res)
     )
-    return _tri_outcome(verdicts, {"residuals": text})
+    return TaskOutcome(out, out, {"residuals": text})
 
 
 @_op("legendre", q=_names, v=_names, chart=lambda a: Chart(a["q"]),
@@ -589,9 +581,8 @@ def _op_poincare_cartan(ctx, policy, hamiltonian):
 @_op("hamilton_flow_check", hamiltonian=_expr)
 def _op_hamilton_flow_check(ctx, policy, hamiltonian):
     fc = hamilton_flow_check(HamiltonianSystem(ctx.chart, hamiltonian), policy)
-    outcome = "Pass" if fc.passed else ("Unknown" if fc.uncertain else "Fail")
-    return TaskOutcome(outcome, outcome,
-                       {"residual": form_to_text(fc.residual)})
+    out = fc.verdict.value
+    return TaskOutcome(out, out, {"residual": form_to_text(fc.residual)})
 
 
 def _report_outcome(report) -> TaskOutcome:
@@ -691,7 +682,13 @@ def run_scenario(path: str, seed: int = 0,
     verdict Error and makes the exit code 2; the other tasks still run.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # an integer past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ScenarioError(f"a JSON number has more than {limit} digits") from None
     ctx = load_scenario(data)
     task_reports = [_run_task(ctx, i, t, seed) for i, t in enumerate(ctx.tasks)]
 

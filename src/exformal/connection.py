@@ -116,16 +116,14 @@ class Tensor:
         return dict(sorted(out.items()))
 
 
-class Connection:
-    """n^3 coefficients Gamma^sigma_{alpha beta}, possibly nonsymmetric."""
+class Connection(Tensor):
+    """n^3 coefficients Gamma^sigma_{alpha beta}, possibly nonsymmetric,
+    held in a "ull" component container (Gamma itself does not transform
+    as a tensor); `gamma` is its component array."""
 
     def __init__(self, chart: Chart, gamma):
-        if not _nested_shape_ok(gamma, 3, chart.dim):
-            raise DegreeError(
-                f"connection needs a {chart.dim}^3 array of Expr"
-            )
-        self.chart = chart
-        self.gamma = _simplify_nested(gamma, 3)
+        super().__init__(chart, "ull", gamma)
+        self.gamma = self.comps
 
     @classmethod
     def zero(cls, chart: Chart) -> "Connection":

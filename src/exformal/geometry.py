@@ -36,15 +36,14 @@ from .symbolic import (
     DEFAULT_POLICY,
     Chart,
     Expr,
-    Mul,
     Rat,
-    SamplingPolicy,
     ZERO,
     ZeroVerdict,
-    _as_base_exp,
     _coeff_monomial,
+    _mono_factors,
     add,
     eval_at,
+    free_symbols,
     func,
     interpretation_table,
     is_zero,
@@ -74,15 +73,8 @@ def _sqrt_positive(e: Expr) -> Expr:
         num, den = coeff.numerator, coeff.denominator
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn == num and rd * rd == den:
-            if isinstance(mono, Mul):
-                raw = [f for f in mono.factors if not isinstance(f, Rat)]
-            elif isinstance(mono, Rat):
-                raw = []
-            else:
-                raw = [mono]
             halved = []
-            for f in raw:
-                b, k = _as_base_exp(f)
+            for b, k in _mono_factors(mono):
                 if k % 2:
                     break
                 halved.append(pow_(b, k // 2))
@@ -96,12 +88,11 @@ class Metric:
 
     Construction simplifies entries, checks symmetry structurally,
     computes and caches the inverse, rejects identically singular
-    matrices, and (unless validate=False) confirms g*g^-1 = I and the
-    declared sign of det g at the sampling box center.
+    matrices, and confirms g*g^-1 = I and the declared sign of det g at
+    the sampling box center, zero-testing under DEFAULT_POLICY.
     """
 
-    def __init__(self, chart: Chart, g: Sequence[Sequence[Expr]], det_sign: int,
-                 policy: SamplingPolicy = DEFAULT_POLICY, validate: bool = True):
+    def __init__(self, chart: Chart, g: Sequence[Sequence[Expr]], det_sign: int):
         if det_sign not in (1, -1):
             raise MetricValidationError("det_sign must be +1 or -1")
         n = chart.dim
@@ -117,15 +108,14 @@ class Metric:
                         f"metric not symmetric at ({i},{j})"
                     )
         self.det = mat_det(self.g)
-        if is_zero(self.det, policy) is ZeroVerdict.ZERO:
+        if is_zero(self.det) is ZeroVerdict.ZERO:
             raise SingularMetricError("metric determinant is identically zero")
         self.inverse = mat_inverse(self.g, self.det)
         self.sqrt_abs_det = _sqrt_positive(mul(Rat(det_sign), self.det))
-        if validate:
-            self._check_inverse(policy)
-            self._check_det_sign(policy)
+        self._check_inverse()
+        self._check_det_sign()
 
-    def _check_inverse(self, policy: SamplingPolicy):
+    def _check_inverse(self):
         n = self.chart.dim
         for i in range(n):
             for j in range(n):
@@ -133,15 +123,17 @@ class Metric:
                     *(mul(self.g[i][k], self.inverse[k][j]) for k in range(n))
                 )
                 target = Rat(1) if i == j else ZERO
-                if is_zero(add(entry, neg(target)), policy) is not ZeroVerdict.ZERO:
+                if is_zero(add(entry, neg(target))) is not ZeroVerdict.ZERO:
                     raise MetricValidationError(
                         f"g * g^-1 != identity at ({i},{j})"
                     )
 
-    def _check_det_sign(self, policy: SamplingPolicy):
+    def _check_det_sign(self):
+        policy = DEFAULT_POLICY
         lo, hi = policy.box
         center = (lo + hi) / 2.0
-        names = sorted(_matrix_symbols(self.g))
+        names = sorted(set().union(*(free_symbols(e) for row in self.g
+                                     for e in row)))
         fns = interpretation_table(self.det, policy)
         rng = random.Random(policy.seed)
         env = {n: center for n in names}
@@ -161,20 +153,10 @@ class Metric:
             )
 
 
-def _matrix_symbols(m) -> set[str]:
-    from .symbolic import free_symbols
-
-    out: set[str] = set()
-    for row in m:
-        for e in row:
-            out |= free_symbols(e)
-    return out
-
-
 def euclidean_metric(chart: Chart) -> Metric:
     n = chart.dim
     rows = [[Rat(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    return Metric(chart, rows, det_sign=1, validate=False)
+    return Metric(chart, rows, det_sign=1)
 
 
 def minkowski_metric(chart: Chart) -> Metric:
@@ -187,7 +169,7 @@ def minkowski_metric(chart: Chart) -> Metric:
         ]
         for i in range(n)
     ]
-    return Metric(chart, rows, det_sign=-1, validate=False)
+    return Metric(chart, rows, det_sign=-1)
 
 
 def _raised_component(a: Form, idx: tuple[int, ...], ginv) -> Expr:

@@ -73,6 +73,7 @@ __all__ = [
     "SamplingPolicy",
     "DEFAULT_POLICY",
     "ZeroVerdict",
+    "Verdict",
     "is_zero",
 ]
 
@@ -833,14 +834,21 @@ class _Parser:
                     "exponent must be an integer", tok.pos,
                     expected=("integer exponent",),
                 )
-            return pow_(base, sign * int(tok.text))
+            return pow_(base, sign * self.number(tok, int))
         return base
+
+    @staticmethod
+    def number(tok: _Token, convert: Callable[[str], object]):
+        try:
+            return convert(tok.text)
+        except ValueError:  # past the interpreter's integer string limit
+            raise ExprSyntaxError("number has too many digits", tok.pos) from None
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return Rat(Fraction(tok.text))
+            return Rat(self.number(tok, Fraction))
         if tok.kind == "(":
             self.take()
             e = self.expr()
@@ -978,6 +986,29 @@ class ZeroVerdict(Enum):
     ZERO = "Zero"
     NONZERO = "NonZero"
     UNKNOWN = "Unknown"
+
+
+class Verdict(Enum):
+    """Outcome of a check that a set of residuals vanishes."""
+
+    PASS = "Pass"
+    FAIL = "Fail"
+    UNKNOWN = "Unknown"
+
+
+_CHECK_VERDICT = {ZeroVerdict.ZERO: Verdict.PASS, ZeroVerdict.NONZERO: Verdict.FAIL,
+                  ZeroVerdict.UNKNOWN: Verdict.UNKNOWN}
+
+
+def _fold_verdicts(verdicts: Iterable[ZeroVerdict | Verdict]) -> Verdict:
+    """One verdict for a whole check: Fail beats Unknown beats Pass.
+
+    Takes zero-test and check verdicts alike (a ZeroVerdict counts as the
+    Verdict it implies) and consumes them all; none at all is Pass.
+    """
+    seen = {_CHECK_VERDICT.get(v, v) for v in verdicts}
+    return next((v for v in (Verdict.FAIL, Verdict.UNKNOWN) if v in seen),
+                Verdict.PASS)
 
 
 @dataclass(frozen=True)

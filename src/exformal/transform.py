@@ -40,9 +40,11 @@ from .symbolic import (
     Rat,
     SamplingPolicy,
     Sym,
+    Verdict,
     ZERO,
     ZeroVerdict,
     _coeff_monomial,
+    _fold_verdicts,
     add,
     depends_on,
     diff,
@@ -410,12 +412,15 @@ def poincare_cartan(sys: HamiltonianSystem) -> Form:
 
 @dataclass(frozen=True)
 class FlowCheckReport:
-    """Residual of the Hamiltonian flow field contracted into d(theta)."""
+    """Residual of the Hamiltonian flow field contracted into d(theta), and
+    the verdict of zero-testing its components."""
 
     residual: Form
-    verdicts: dict
-    passed: bool
-    uncertain: bool
+    verdict: Verdict
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict is Verdict.PASS
 
 
 def _flow_residual(sys: HamiltonianSystem, dtheta: Form, sign: int) -> Form:
@@ -438,9 +443,6 @@ def hamilton_flow_check(sys: HamiltonianSystem,
     if sys.time is None:
         raise ChartError("the flow check needs a time coordinate")
     residual = _flow_residual(sys, ext_d(poincare_cartan(sys)), -1)
-    verdicts = {
-        idx: is_zero(c, policy) for idx, c in residual.components.items()
-    }
-    passed = all(v is ZeroVerdict.ZERO for v in verdicts.values())
-    uncertain = any(v is ZeroVerdict.UNKNOWN for v in verdicts.values())
-    return FlowCheckReport(residual, verdicts, passed, uncertain)
+    return FlowCheckReport(residual, _fold_verdicts(
+        [is_zero(c, policy) for c in residual.components.values()]
+    ))

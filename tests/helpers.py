@@ -93,7 +93,7 @@ def rand_diag_metric(rng: random.Random, chart: Chart) -> Metric:
         c = Rat(rng.randint(1, 3))
         entry = add(c, pow_(Sym(chart.names[rng.randrange(n)]), 2))
         rows[i][i] = entry
-    return Metric(chart, rows, det_sign=1, validate=False)
+    return Metric(chart, rows, det_sign=1)
 
 
 def rand_connection(rng: random.Random, chart: Chart, density=0.3,

@@ -311,6 +311,12 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_check_expr_literal_past_digit_limit(self):
+        # 5000 digits are past the interpreter's 4300-digit conversion limit
+        code, out, err = run_cli("check-expr", "1" * 5000, "--chart", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: SyntaxError at position 0: ")
+
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(
             "run", scenario_path("reference.json"), "--strict"
@@ -391,6 +397,11 @@ MALFORMED = {
         {"op": "legendre", "q": "q", "v": ["v"], "mass": [["1"]]}]}, "q"),
     "diff_by_undeclared": ({"chart": ["x"], "tasks": [
         {"op": "diff", "expr": "x^2", "by": "q"}]}, "by"),
+    # 5000 digits are past the interpreter's 4300-digit conversion limit
+    "literal_past_digit_limit": ({"chart": ["x"], "tasks": [
+        {"op": "parse_expr", "expr": "1" * 5000}]}, "expr"),
+    "exponent_past_digit_limit": ({"chart": ["x"], "tasks": [
+        {"op": "parse_expr", "expr": "x^" + "1" * 5000}]}, "expr"),
 }
 
 
@@ -403,6 +414,31 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert f": {field}" in captured.err or f" {field}:" in captured.err
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("first, second", [("0", " 0"), ("0,1", "0, 1")])
+    def test_component_keys_naming_one_index(self, first, second, tmp_path,
+                                             capsys):
+        scenario = {"chart": ["x", "y"], "forms": {"w": {
+            "degree": len(first.split(",")),
+            "components": {first: "x", second: "y"}}},
+            "tasks": [{"op": "ext_d", "form": "w"}]}
+        assert run_in_process(tmp_path, scenario) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"form 'w': component keys {first!r} and {second!r} "
+            "name the same index\n")
+
+    def test_json_number_past_digit_limit(self, tmp_path):
+        p = tmp_path / "long.json"
+        p.write_text('{"chart": ["x"], "params": ' + "1" * 5000 + "}",
+                     encoding="utf-8")
+        code, out, err = run_cli("run", str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: ValidationError in {p}: a JSON number has "
+                       f"more than {sys.get_int_max_str_digits()} digits\n")
 
 
 class TestTaskErrors:
@@ -441,6 +477,35 @@ class TestTaskErrors:
         assert report["verdict"] == "Error"
         assert report["values"] == {"error": error}
         assert captured.err == f"error: task[0] op={task['op']}: {error}\n"
+
+
+class TestVerdictFold:
+    # (0, 2, 3) of dF is 1 (NonZero); the sqrt of the negative -1 - x^2
+    # leaves the domain at every sample, so d*F's component is Unknown
+    SCENARIO = {
+        "chart": ["t", "x", "y", "z"],
+        "metric": {"matrix": [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
+                              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                   "det_sign": -1},
+        "forms": {"F": {"degree": 2, "components": {
+            "0,1": "-sqrt(-1 - x^2)", "2,3": "t"}}},
+        "tasks": [
+            {"op": "maxwell_residual", "form": "F"},
+            {"op": "verify_maxwell", "E": ["sqrt(-1 - x^2)", "0", "0"],
+             "B": ["t", "0", "0"]},
+        ],
+    }
+
+    def test_fail_beats_unknown(self, tmp_path, capsys):
+        assert run_in_process(tmp_path, self.SCENARIO, "--format", "json") == 1
+        residual, maxwell = json.loads(capsys.readouterr().out)["tasks"]
+        assert residual["verdict"] == "Fail"
+        assert maxwell["verdict"] == "Fail"
+        assert maxwell["details"] == [
+            "Fail: dF = 0 (Faraday + no monopoles) [(0, 2, 3)=1]",
+            "Unknown: d*F = *J (Gauss + Ampere) [(1, 2, 3)=Unknown]",
+            "Fail: energy balance d_t u + div(ExB) + E.J = 0 [scalar=t]",
+        ]
 
 
 class TestReadme:

@@ -1,0 +1,79 @@
+"""Golden reports: the exact stdout bytes and exit code of `exformal run`
+on fixed scenarios at seed 0.
+
+`test_cli` checks that two runs agree with each other; these tests check
+that a run agrees with the report the engine printed when the golden was
+written, so a change that must keep reports as they are is held to every
+byte.  The scenarios are `scenarios/reference.json` and
+`scenarios/expect_fail.json` (JSON reports, and the reference one also as
+a text report) and the three every-op scenarios of `test_fuzz`.
+
+After a change that is meant to alter reports, rewrite the goldens from
+the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+review `git diff tests/golden`, and update an exit code in CASES by hand
+if one changed on purpose.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from exformal.cli import main
+from test_fuzz import PHASE, PLANE, SPACETIME
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+SCENARIOS = os.path.join(HERE, "..", "scenarios")
+
+# golden file -> (bundled file name or scenario dict, report format, exit code)
+CASES = {
+    "reference.json": ("reference.json", "json", 0),
+    "reference.txt": ("reference.json", "text", 0),
+    "expect_fail.json": ("expect_fail.json", "json", 1),
+    "plane.json": (PLANE, "json", 0),
+    "phase.json": (PHASE, "json", 0),
+    "spacetime.json": (SPACETIME, "json", 0),
+}
+
+
+def _report(golden: str, folder: str) -> tuple[int, bytes]:
+    """Exit code and stdout of the run a golden file records; scenario
+    dicts are written to `folder` under the golden's stem, which the
+    report names as its file."""
+    source, fmt, _ = CASES[golden]
+    if isinstance(source, dict):
+        path = os.path.join(folder, golden.split(".")[0] + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(source, fh)
+    else:
+        path = os.path.join(SCENARIOS, source)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", path, "--format", fmt, "--seed", "0"])
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_report_matches_golden(golden, tmp_path):
+    code, out = _report(golden, str(tmp_path))
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out == fh.read()
+    assert code == CASES[golden][2]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as folder:
+        for name in sorted(CASES):
+            code, out = _report(name, folder)
+            with open(os.path.join(GOLDEN, name), "wb") as fh:
+                fh.write(out)
+            print(f"{name}: exit {code}", file=sys.stderr)

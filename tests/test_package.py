@@ -1,5 +1,6 @@
-"""Package hygiene: every exported name exists, and the runtime imports
-nothing outside the standard library."""
+"""Package hygiene: every exported name exists, the runtime imports
+nothing outside the standard library, each module imports only the layers
+below it, and no import sits inside a function."""
 
 import ast
 import importlib
@@ -20,6 +21,34 @@ SOURCES = sorted(
     if f.endswith(".py")
 )
 
+# Lowest first; a module may import only modules of an earlier layer.  The
+# package itself (`__init__`) sits above them all, and `cli` may import it
+# for `__version__`.
+LAYERS = [("errors",), ("symbolic",), ("_antideriv", "_linalg"), ("exterior",),
+          ("geometry",), ("connection",), ("transform",), ("catalog",),
+          ("cli",)]
+RANK = {m: i for i, layer in enumerate(LAYERS) for m in layer}
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _own_imports(tree):
+    """(imported module, names) for each import of this package's modules;
+    the module is "" for the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module or "", [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "exformal":
+            yield node.module.partition(".")[2], [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "exformal":
+                    yield a.name.partition(".")[2], []
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
@@ -30,10 +59,8 @@ def test_every_exported_name_exists(name):
 
 @pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
 def test_imports_only_stdlib_and_own_modules(path):
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
     outside = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             tops = [a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -45,3 +72,33 @@ def test_imports_only_stdlib_and_own_modules(path):
             if t != "exformal" and t not in sys.stdlib_module_names
         )
     assert not outside, f"{path} imports {sorted(outside)}"
+
+
+def test_every_module_has_a_layer():
+    assert sorted(RANK) == sorted(m.split(".")[1] for m in MODULES
+                                  if m != "exformal")
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_imports_only_lower_layers(module):
+    tree = _tree(os.path.join(exformal.__path__[0], f"{module}.py"))
+    for target, names in _own_imports(tree):
+        if target == "":
+            assert module == "cli" and names == ["__version__"], (
+                f"{module} imports {names} from the package")
+        else:
+            assert RANK[target] < RANK[module], (
+                f"{module} (layer {RANK[module]}) imports {target} "
+                f"(layer {RANK[target]})")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_import_inside_a_function(path):
+    inside = [
+        f"{fn.name} line {node.lineno}"
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not inside, f"{path} imports inside {inside}"

@@ -1,6 +1,7 @@
 """Expression substrate: parsing, differentiation, simplification,
 evaluation, and the tri-state zero test."""
 
+import itertools
 import random
 
 import pytest
@@ -18,8 +19,10 @@ from exformal.symbolic import (
     Rat,
     SamplingPolicy,
     Sym,
+    Verdict,
     ZERO,
     ZeroVerdict,
+    _fold_verdicts,
     add,
     diff,
     eval_at,
@@ -110,6 +113,17 @@ class TestParse:
     def test_negative_exponent_accepted(self):
         e = parse_expr("x^-2", CH)
         assert e == pow_(Sym("x"), -2)
+
+    # 5000 digits are past the interpreter's 4300-digit conversion limit
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 5000, 0),
+        ("x^" + "1" * 5000, 2),
+        ("x + 0." + "1" * 5000, 4),
+    ])
+    def test_number_past_digit_limit_is_a_syntax_error(self, text, position):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(text, CH)
+        assert exc.value.position == position
 
 
 class TestDiff:
@@ -305,6 +319,27 @@ class TestIsZero:
     def test_power_overflow_redraws(self):
         # 1/x^1100 overflows a float at every point with |x| < 0.52
         assert is_zero(parse_expr("1/x^1100", CH)) is ZeroVerdict.NONZERO
+
+
+class TestFoldVerdicts:
+    KINDS = list(ZeroVerdict) + list(Verdict)
+
+    @pytest.mark.parametrize("size", range(4))
+    def test_fail_beats_unknown_beats_pass(self, size):
+        for combo in itertools.product(self.KINDS, repeat=size):
+            values = {v.value for v in combo}
+            if values & {"NonZero", "Fail"}:
+                expected = Verdict.FAIL
+            elif "Unknown" in values:
+                expected = Verdict.UNKNOWN
+            else:
+                expected = Verdict.PASS
+            assert _fold_verdicts(combo) is expected, combo
+
+    def test_consumes_every_verdict(self):
+        verdicts = iter([ZeroVerdict.NONZERO, ZeroVerdict.ZERO, Verdict.PASS])
+        assert _fold_verdicts(verdicts) is Verdict.FAIL
+        assert next(verdicts, None) is None
 
 
 class TestSubstitute:

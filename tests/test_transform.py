@@ -22,6 +22,7 @@ from exformal.symbolic import (
     Chart,
     Rat,
     Sym,
+    Verdict,
     ZERO,
     ZeroVerdict,
     add,
@@ -313,6 +314,7 @@ class TestHamiltonFlow:
             HamiltonianSystem(ch, parse_expr("(p^2 + q^2)/2", ch))
         )
         assert fc.passed and fc.residual.is_zero_form
+        assert fc.verdict is Verdict.PASS
 
     def test_free_particle(self):
         ch = Chart(("t", "q", "p"))
