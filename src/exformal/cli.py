@@ -686,6 +686,9 @@ def run_scenario(path: str, seed: int = 0,
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise
+        except RecursionError:
+            raise json.JSONDecodeError(
+                "arrays and objects nested too deeply", "", 0) from None
         except ValueError:  # an integer past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
             raise ScenarioError(f"a JSON number has more than {limit} digits") from None

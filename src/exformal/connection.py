@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from typing import Callable
 
 from .errors import ChartMismatchError, DegreeError
 from .exterior import Form
@@ -245,42 +246,42 @@ def evolutionary_commutator(a: Form, c: Connection) -> Form:
     return Form(a.chart, 2, comps)
 
 
+def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
+    """R^r_{s m v} of the coefficients `gamma`, not yet simplified."""
+    parts = [diff(gamma[r][v][s], names[m]), neg(diff(gamma[r][m][s], names[v]))]
+    for lam in range(len(names)):
+        parts.append(mul(gamma[r][m][lam], gamma[lam][v][s]))
+        parts.append(neg(mul(gamma[r][v][lam], gamma[lam][m][s])))
+    return add(*parts)
+
+
 def riemann(c: Connection) -> Tensor:
     """Curvature R^rho_{sigma mu nu} of a (possibly nonsymmetric)
     connection; antisymmetric in mu, nu."""
     n = c.chart.dim
     names = c.chart.names
-    G = c.gamma
-    out = []
-    for r in range(n):
-        by_sigma = []
-        for s in range(n):
-            by_mu = []
-            for m in range(n):
-                row = []
-                for v in range(n):
-                    parts = [
-                        diff(G[r][v][s], names[m]),
-                        neg(diff(G[r][m][s], names[v])),
-                    ]
-                    for lam in range(n):
-                        parts.append(mul(G[r][m][lam], G[lam][v][s]))
-                        parts.append(neg(mul(G[r][v][lam], G[lam][m][s])))
-                    row.append(add(*parts))
-                by_mu.append(tuple(row))
-            by_sigma.append(tuple(by_mu))
-        out.append(tuple(by_sigma))
-    return Tensor(c.chart, "ulll", tuple(out))
+    comps = tuple(
+        tuple(
+            tuple(
+                tuple(_riemann_component(c.gamma, names, r, s, m, v)
+                      for v in range(n))
+                for m in range(n)
+            )
+            for s in range(n)
+        )
+        for r in range(n)
+    )
+    return Tensor(c.chart, "ulll", comps)
 
 
-def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
-    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}."""
-    if R4.chart != g.chart:
-        raise ChartMismatchError("curvature and metric charts differ")
+def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
+                       g: Metric) -> tuple[Tensor, Expr]:
+    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}, from the
+    simplified Riemann components `component(rho, sigma, mu, nu)`."""
     n = g.chart.dim
     ricci = tuple(
         tuple(
-            add(*(R4.comp(r, m, r, v) for r in range(n))) for v in range(n)
+            add(*(component(r, m, r, v) for r in range(n))) for v in range(n)
         )
         for m in range(n)
     )
@@ -297,11 +298,26 @@ def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
     return ricci_t, scalar
 
 
+def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
+    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}."""
+    if R4.chart != g.chart:
+        raise ChartMismatchError("curvature and metric charts differ")
+    return _ricci_contraction(R4.comp, g)
+
+
 @_stage
 def _levi_civita_ricci(g: Metric) -> tuple[Tensor, Expr]:
-    """Ricci tensor and scalar of the Levi-Civita connection; the n^4
-    Riemann tensor they come from is not kept."""
-    return ricci_and_scalar(riemann(christoffel(g)), g)
+    """Ricci tensor and scalar of the Levi-Civita connection, contracted
+    from the n^3 Riemann components R^rho_{mu rho nu} alone; each is
+    simplified as `riemann` simplifies it, so the result equals
+    `ricci_and_scalar(riemann(christoffel(g)), g)`."""
+    gamma = christoffel(g).gamma
+    names = g.chart.names
+
+    def component(r, s, m, v):
+        return simplify(_riemann_component(gamma, names, r, s, m, v))
+
+    return _ricci_contraction(component, g)
 
 
 @_stage

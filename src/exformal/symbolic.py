@@ -4,9 +4,11 @@ Everything downstream (forms, metrics, connections, transforms) computes
 over the expression trees defined here.  Design points:
 
 * constants are exact rationals (`fractions.Fraction`); floating point
-  enters only in `eval_at`;
+  enters only in numeric evaluation (`eval_at` and the sampling of
+  `is_zero`), which computes each distinct subexpression once per point;
 * trees are immutable and built through canonicalizing constructors, so
-  `simplify` is idempotent by construction;
+  `simplify` is idempotent by construction; it keeps its result on the
+  node it simplified, so no tree is simplified twice;
 * zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`) backed by a
   documented, seeded sampling policy;
 * unspecified profiles like a(t) or f(z - t) are opaque function symbols
@@ -131,7 +133,11 @@ class Chart:
 
 
 class Expr:
-    __slots__ = ("key", "_h")
+    # `_simple` is the memo of `simplify`: None until the node is simplified,
+    # then its simplified tree, or True when the node is that tree itself (a
+    # flag rather than a self-reference, so that reference counting still
+    # frees a tree).  Rat and Sym never read or set it.
+    __slots__ = ("key", "_h", "_simple")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Expr) and self.key == other.key)
@@ -174,6 +180,7 @@ class Func(Expr):
         self.arg = arg
         self.key = (2, name, arg.key)
         self._h = hash(self.key)
+        self._simple = None
 
 
 class OpaqueFunc(Expr):
@@ -187,6 +194,7 @@ class OpaqueFunc(Expr):
         self.order = order
         self.key = (3, name, order, arg.key)
         self._h = hash(self.key)
+        self._simple = None
 
 
 class Pow(Expr):
@@ -197,6 +205,7 @@ class Pow(Expr):
         self.exp = exp
         self.key = (4, base.key, exp)
         self._h = hash(self.key)
+        self._simple = None
 
 
 class Mul(Expr):
@@ -206,6 +215,7 @@ class Mul(Expr):
         self.factors = factors
         self.key = (5, tuple(f.key for f in factors))
         self._h = hash(self.key)
+        self._simple = None
 
 
 class Add(Expr):
@@ -215,6 +225,7 @@ class Add(Expr):
         self.terms = terms
         self.key = (6, tuple(t.key for t in terms))
         self._h = hash(self.key)
+        self._simple = None
 
 
 ZERO = Rat(0)
@@ -422,15 +433,16 @@ def opaque(name: str, arg: Expr, order: int = 0) -> OpaqueFunc:
 # ---------------------------------------------------------------------------
 
 
-def _children(e: Expr):
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
     if isinstance(e, (Func, OpaqueFunc)):
-        yield e.arg
-    elif isinstance(e, Pow):
-        yield e.base
-    elif isinstance(e, Mul):
-        yield from e.factors
-    elif isinstance(e, Add):
-        yield from e.terms
+        return (e.arg,)
+    return ()
 
 
 def free_symbols(e: Expr) -> set[str]:
@@ -619,7 +631,17 @@ def _pythagorean_pass(e: Add) -> Expr | None:
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form under the documented rewrite set; idempotent."""
+    """Canonical form under the documented rewrite set; idempotent.
+
+    The result is kept on `e` and marked as its own fixed point, so each
+    tree, and each subtree shared with one already simplified, is simplified
+    once.  When the result equals `e`, `e` itself is returned.
+    """
+    if isinstance(e, (Rat, Sym)):
+        return e
+    done = e._simple
+    if done is not None:
+        return e if done is True else done
     out = _rebuild(e, simplify)
     if isinstance(e, Add):
         while isinstance(out, Add):
@@ -627,6 +649,12 @@ def simplify(e: Expr) -> Expr:
             if rewritten is None:
                 break
             out = rewritten
+    if out == e:
+        e._simple = True
+        return e
+    e._simple = out
+    if not isinstance(out, (Rat, Sym)):
+        out._simple = True
     return out
 
 
@@ -792,7 +820,11 @@ class _Parser:
         return self.take()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:  # each nesting level is a few parser frames
+            raise ExprSyntaxError("expression nested too deeply",
+                                  self.peek().pos) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(
@@ -907,64 +939,99 @@ def fn_key(name: str, order: int) -> str:
     return name + "'" * order
 
 
-def _eval(e: Expr, env: Mapping[str, float], fns: Mapping[str, Callable[[float], float]],
-          guard: float) -> float:
-    if isinstance(e, Rat):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise UnboundSymbolError(f"symbol '{e.name}' is unbound") from None
-    if isinstance(e, Add):
-        return sum(_eval(t, env, fns, guard) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, env, fns, guard)
-        return out
-    if isinstance(e, Pow):
-        b = _eval(e.base, env, fns, guard)
-        if e.exp < 0:
-            if b == 0:
-                raise DomainError("division by zero")
-            if abs(b) < guard:
-                raise DomainError("near-singular denominator")
-        try:
-            return b**e.exp
-        except OverflowError:
-            raise DomainError("power overflow") from None
-    if isinstance(e, Func):
-        x = _eval(e.arg, env, fns, guard)
-        if e.name == "sin":
+def _plan(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
+    """The distinct subexpressions of `e`, equal ones once, each with the
+    plan slots of its children; children come first, in the left-to-right
+    post-order in which a walk of the tree first completes them, so the
+    last entry is `e`."""
+    slots: dict[Expr, int] = {}
+    plan: list[tuple[Expr, tuple[int, ...]]] = []
+
+    def visit(node: Expr) -> int:
+        slot = slots.get(node)
+        if slot is None:
+            kids = tuple(map(visit, _children(node)))
+            slot = slots[node] = len(plan)
+            plan.append((node, kids))
+        return slot
+
+    visit(e)
+    return plan
+
+
+def _eval_plan(plan: list[tuple[Expr, tuple[int, ...]]], env: Mapping[str, float],
+               fns: Mapping[str, Callable[[float], float]], guard: float) -> float:
+    """Value of the last plan entry; each entry is computed once, so a
+    DomainError names the first failing node of the tree's post-order."""
+    vals: list[float] = []
+    for e, kids in plan:
+        if isinstance(e, Add):
+            v = sum([vals[i] for i in kids])
+        elif isinstance(e, Mul):
+            v = 1.0
+            for i in kids:
+                v *= vals[i]
+        elif isinstance(e, Pow):
+            b = vals[kids[0]]
+            if e.exp < 0:
+                if b == 0:
+                    raise DomainError("division by zero")
+                if abs(b) < guard:
+                    raise DomainError("near-singular denominator")
+            try:
+                v = b**e.exp
+            except OverflowError:
+                raise DomainError("power overflow") from None
+        elif isinstance(e, Rat):
+            try:
+                v = float(e.value)
+            except OverflowError:
+                raise DomainError("constant too large for a float") from None
+        elif isinstance(e, Sym):
+            try:
+                v = float(env[e.name])
+            except KeyError:
+                raise UnboundSymbolError(f"symbol '{e.name}' is unbound") from None
+        elif isinstance(e, Func):
+            v = _eval_func(e.name, vals[kids[0]], guard)
+        elif isinstance(e, OpaqueFunc):
+            key = fn_key(e.name, e.order)
+            fn = fns.get(key)
+            if fn is None:
+                raise UnboundSymbolError(f"function '{key}' is unbound")
+            v = float(fn(vals[kids[0]]))
+        else:  # pragma: no cover
+            raise TypeError(f"not an Expr: {e!r}")
+        vals.append(v)
+    return vals[-1]
+
+
+def _eval_func(name: str, x: float, guard: float) -> float:
+    try:
+        if name == "sin":
             return math.sin(x)
-        if e.name == "cos":
+        if name == "cos":
             return math.cos(x)
-        if e.name == "tan":
+        if name == "tan":
             if abs(math.cos(x)) < guard:
                 raise DomainError("tan near a pole")
             return math.tan(x)
-        if e.name == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise DomainError("exp overflow") from None
-        if e.name == "ln":
-            if x <= 0:
-                raise DomainError("ln of a non-positive value")
-            return math.log(x)
-        if e.name == "sqrt":
-            if x < 0:
-                raise DomainError("sqrt of a negative value")
-            return math.sqrt(x)
-        raise ValueError(e.name)  # pragma: no cover
-    if isinstance(e, OpaqueFunc):
-        key = fn_key(e.name, e.order)
-        fn = fns.get(key)
-        if fn is None:
-            raise UnboundSymbolError(f"function '{key}' is unbound")
-        return float(fn(_eval(e.arg, env, fns, guard)))
-    raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
+    except ValueError:  # an infinite argument
+        raise DomainError(f"{name} of an infinite value") from None
+    if name == "exp":
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise DomainError("exp overflow") from None
+    if name == "ln":
+        if x <= 0:
+            raise DomainError("ln of a non-positive value")
+        return math.log(x)
+    if name == "sqrt":
+        if x < 0:
+            raise DomainError("sqrt of a negative value")
+        return math.sqrt(x)
+    raise ValueError(name)  # pragma: no cover
 
 
 def eval_at(e: Expr, assignment: Mapping[str, float],
@@ -972,9 +1039,9 @@ def eval_at(e: Expr, assignment: Mapping[str, float],
     """Double-precision value of `e` with every symbol and function bound.
 
     fn_table keys follow `fn_key`: "a" for a, "a'" for its first formal
-    derivative, and so on.
+    derivative, and so on.  Each distinct subexpression is evaluated once.
     """
-    return _eval(e, assignment, fn_table or {}, 0.0)
+    return _eval_plan(_plan(e), assignment, fn_table or {}, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,8 +1137,13 @@ def interpretation_table(e: Expr, policy: SamplingPolicy) -> dict[str, Callable[
     The interpretation of a name depends only on (seed, name), so the same
     profile backs a(t) and a'(t) consistently across expressions.
     """
+    return _interpretations(opaque_calls(e), policy)
+
+
+def _interpretations(calls: Mapping[str, int],
+                     policy: SamplingPolicy) -> dict[str, Callable[[float], float]]:
     table: dict[str, Callable[[float], float]] = {}
-    for name, max_order in sorted(opaque_calls(e).items()):
+    for name, max_order in sorted(calls.items()):
         interp = _OpaqueInterp(random.Random(f"{policy.seed}:{name}"))
         for order in range(max_order + 1):
             table[fn_key(name, order)] = interp.derivative(order)
@@ -1084,8 +1156,13 @@ def is_zero(e: Expr, policy: SamplingPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     if isinstance(s, Rat):
         return ZeroVerdict.ZERO if s.value == 0 else ZeroVerdict.NONZERO
 
-    names = sorted(free_symbols(s))
-    fns = interpretation_table(s, policy)
+    plan = _plan(s)
+    names = sorted({node.name for node, _ in plan if isinstance(node, Sym)})
+    calls: dict[str, int] = {}
+    for node, _ in plan:
+        if isinstance(node, OpaqueFunc):
+            calls[node.name] = max(calls.get(node.name, 0), node.order)
+    fns = _interpretations(calls, policy)
     rng = random.Random(policy.seed)
     lo, hi = policy.box
     redraws = 0
@@ -1093,7 +1170,7 @@ def is_zero(e: Expr, policy: SamplingPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     while done < policy.n_points:
         env = {n: rng.uniform(lo, hi) for n in names}
         try:
-            v = _eval(s, env, fns, policy.singular_guard)
+            v = _eval_plan(plan, env, fns, policy.singular_guard)
         except DomainError:
             redraws += 1
             if redraws > policy.max_redraws:

@@ -65,6 +65,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ParseError") and "Traceback" not in err
 
+    def test_deeply_nested_json_exits_two(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text('{"chart": ' + "[" * 100000 + "]" * 100000 + "}",
+                     encoding="utf-8")
+        code, out, err = run_cli("run", str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: ParseError in {p}: line 1 column 1: "
+                       "arrays and objects nested too deeply\n")
+
     def test_unresolved_name_exits_two(self, tmp_path):
         p = tmp_path / "unresolved.json"
         p.write_text(
@@ -317,6 +326,14 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert err.startswith("error: SyntaxError at position 0: ")
 
+    def test_check_expr_nested_too_deeply(self):
+        text = "(" * 300 + "x" + ")" * 300
+        code, out, err = run_cli("check-expr", text, "--chart", "x")
+        assert code == 2 and out == ""
+        assert re.match(r"error: SyntaxError at position \d+: expression "
+                        r"nested too deeply", err)
+        assert "Traceback" not in err
+
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(
             "run", scenario_path("reference.json"), "--strict"
@@ -402,6 +419,8 @@ MALFORMED = {
         {"op": "parse_expr", "expr": "1" * 5000}]}, "expr"),
     "exponent_past_digit_limit": ({"chart": ["x"], "tasks": [
         {"op": "parse_expr", "expr": "x^" + "1" * 5000}]}, "expr"),
+    "nested_parentheses": ({"chart": ["x"], "tasks": [
+        {"op": "parse_expr", "expr": "(" * 300 + "x" + ")" * 300}]}, "expr"),
 }
 
 
@@ -467,6 +486,10 @@ class TestTaskErrors:
          "DomainError: power overflow"),
         ({"op": "parse_expr", "expr": "2^99999"},
          "ExformalError: an integer of 100000 bits is too long to print"),
+        ({"op": "eval_at", "expr": "10^400*x", "at": {"x": 1}},
+         "DomainError: constant too large for a float"),
+        ({"op": "eval_at", "expr": "sin(2*x)", "at": {"x": 1e308}},
+         "DomainError: sin of an infinite value"),
     ])
     def test_overflowing_values_are_task_errors(self, task, error, tmp_path,
                                                 capsys):
@@ -477,6 +500,15 @@ class TestTaskErrors:
         assert report["verdict"] == "Error"
         assert report["values"] == {"error": error}
         assert captured.err == f"error: task[0] op={task['op']}: {error}\n"
+
+
+    def test_huge_constant_zero_test_is_unknown(self, tmp_path, capsys):
+        # every sample leaves the float range, so the redraws run out
+        scenario = {"chart": ["x"], "tasks": [
+            {"op": "is_zero", "expr": "10^400*x"}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 0
+        (report,) = json.loads(capsys.readouterr().out)["tasks"]
+        assert report["values"] == {"verdict": "Unknown"}
 
 
 class TestVerdictFold:

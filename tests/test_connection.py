@@ -16,10 +16,13 @@ import json
 import random
 import weakref
 
+import pytest
+
 import exformal.connection
 from exformal.cli import run_scenario
 from exformal.connection import (
     Connection,
+    _levi_civita_ricci,
     bianchi_residual,
     christoffel,
     covariant_derivative_1form,
@@ -286,6 +289,21 @@ class TestRicciEinstein:
             sub(G.comp(0, 0), parse_expr("3*a'(t)^2/a(t)^2", CH4))
         ) == ZERO
 
+    @pytest.mark.parametrize("make", [
+        sphere_metric,
+        frw_metric,
+        lambda: rand_diag_metric(random.Random(47), CHARTS[3]),
+    ], ids=["sphere", "frw", "random_diagonal"])
+    def test_direct_contraction_matches_full_riemann(self, make):
+        """The Levi-Civita Ricci stage contracts only the n^3 components
+        R^r_{m r v}; it equals the contraction of the whole tensor, built
+        on an equal metric that shares no stage with the first."""
+        ric, scal = _levi_civita_ricci(make())
+        g = make()
+        full_ric, full_scal = ricci_and_scalar(riemann(christoffel(g)), g)
+        assert ric == full_ric
+        assert scal == full_scal
+
     def test_einstein_symmetry_random(self):
         rng = random.Random(47)
         g = rand_diag_metric(rng, CHARTS[3])
@@ -326,19 +344,21 @@ class TestSharedStack:
     that object only."""
 
     @staticmethod
-    def count_riemann(monkeypatch):
+    def count_ricci_builds(monkeypatch):
+        """Count Ricci builds: each contracts the Riemann components once,
+        through `_ricci_contraction`."""
         calls = []
-        body = exformal.connection.riemann
+        body = exformal.connection._ricci_contraction
 
-        def counted(c):
-            calls.append(c)
-            return body(c)
+        def counted(component, g):
+            calls.append(g)
+            return body(component, g)
 
-        monkeypatch.setattr(exformal.connection, "riemann", counted)
+        monkeypatch.setattr(exformal.connection, "_ricci_contraction", counted)
         return calls
 
     def test_riemann_built_once_per_scenario(self, monkeypatch, tmp_path):
-        calls = self.count_riemann(monkeypatch)
+        calls = self.count_ricci_builds(monkeypatch)
         scenario = {
             "chart": ["theta", "phi"],
             "metric": {"matrix": [["1", "0"], ["0", "sin(theta)^2"]],
@@ -354,7 +374,7 @@ class TestSharedStack:
         assert len(calls) == 1
 
     def test_equal_metrics_do_not_share(self, monkeypatch):
-        calls = self.count_riemann(monkeypatch)
+        calls = self.count_ricci_builds(monkeypatch)
         g1, g2 = sphere_metric(), sphere_metric()
         assert christoffel(g1) is christoffel(g1)
         assert christoffel(g1) is not christoffel(g2)

@@ -6,7 +6,10 @@ that a run agrees with the report the engine printed when the golden was
 written, so a change that must keep reports as they are is held to every
 byte.  The scenarios are `scenarios/reference.json` and
 `scenarios/expect_fail.json` (JSON reports, and the reference one also as
-a text report) and the three every-op scenarios of `test_fuzz`.
+a text report), the three every-op scenarios of `test_fuzz`, and the
+curvature stack with zero tests and evaluations on two curved metrics:
+the unit 2-sphere and a flat FRW universe with an opaque scale factor
+a(t).
 
 After a change that is meant to alter reports, rewrite the goldens from
 the repository root with
@@ -29,6 +32,39 @@ import pytest
 from exformal.cli import main
 from test_fuzz import PHASE, PLANE, SPACETIME
 
+# every curvature op, then zero tests that need sampling and an evaluation
+CURVATURE_OPS = ["christoffel", "riemann", "ricci_and_scalar", "einstein_tensor",
+                 "bianchi_residual"]
+SPHERE = {
+    "chart": ["th", "ph"],
+    "metric": {"matrix": [["1", "0"], ["0", "sin(th)^2"]], "det_sign": 1},
+    "tasks": [{"op": op} for op in CURVATURE_OPS] + [
+        {"op": "verify_einstein", "T": [["0", "0"], ["0", "0"]]},
+        {"op": "is_zero", "expr": "(sin(th)^2 - 1)/(sin(th) - 1) - sin(th) - 1"},
+        {"op": "is_zero", "expr": "sin(th)^2/(cos(th) + 2) - sin(th)/(cos(th) + 2)"},
+        {"op": "eval_at", "expr": "(sin(th) + ph)^2/(cos(th) + 2) + sin(th) + ph",
+         "at": {"th": 0.5, "ph": 1.25}},
+    ],
+}
+FRW = {
+    "chart": ["t", "x", "y", "z"],
+    "params": ["kappa"],
+    "metric": {"matrix": [["-1", "0", "0", "0"], ["0", "a(t)^2", "0", "0"],
+                          ["0", "0", "a(t)^2", "0"], ["0", "0", "0", "a(t)^2"]],
+               "det_sign": -1},
+    "tasks": [{"op": op} for op in CURVATURE_OPS] + [
+        {"op": "verify_einstein", "kappa": "kappa",
+         "T": [["3*a'(t)^2/(kappa*a(t)^2)", "0", "0", "0"],
+               ["0", "-(2*a(t)*a''(t) + a'(t)^2)/kappa", "0", "0"],
+               ["0", "0", "-(2*a(t)*a''(t) + a'(t)^2)/kappa", "0"],
+               ["0", "0", "0", "-(2*a(t)*a''(t) + a'(t)^2)/kappa"]]},
+        {"op": "is_zero", "expr": "(a(t)^2 - 1)/(a(t) - 1) - a(t) - 1"},
+        {"op": "is_zero", "expr": "a'(t)/(a(t)^2 + 1) - a(t)/(a(t)^2 + 1)"},
+        {"op": "eval_at", "expr": "(x + t)^2/(y - 1) + 1/(x + t) + z",
+         "at": {"t": 0.5, "x": 1.5, "y": 3.0, "z": -2.0}},
+    ],
+}
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 SCENARIOS = os.path.join(HERE, "..", "scenarios")
@@ -41,6 +77,8 @@ CASES = {
     "plane.json": (PLANE, "json", 0),
     "phase.json": (PHASE, "json", 0),
     "spacetime.json": (SPACETIME, "json", 0),
+    "sphere.json": (SPHERE, "json", 0),
+    "frw.json": (FRW, "json", 0),
 }
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from exformal import symbolic
 from exformal.errors import (
     DomainError,
     ExformalError,
@@ -114,6 +115,12 @@ class TestParse:
         e = parse_expr("x^-2", CH)
         assert e == pow_(Sym("x"), -2)
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
+            parse_expr("(" * 300 + "x" + ")" * 300, CH)
+        assert 0 < exc.value.position < 300
+        assert parse_expr("(" * 100 + "x" + ")" * 100, CH) == Sym("x")
+
     # 5000 digits are past the interpreter's 4300-digit conversion limit
     @pytest.mark.parametrize("text, position", [
         ("1" * 5000, 0),
@@ -178,11 +185,27 @@ class TestSimplify:
         assert s == add(Rat(2), pow_(func("sin", Sym("t")), 2))
 
     def test_idempotent_on_random(self):
+        # `simplify` keeps its result on the tree, so the second call on `s`
+        # only reads that memo; the reparsed copy carries none
         rng = random.Random(42)
         for _ in range(60):
             e = rand_expr(rng, CH.names)
             s = simplify(e)
             assert simplify(s) == s
+            assert simplify(parse_expr(to_text(s), CH)) == s
+
+    def test_second_simplify_builds_nothing(self, monkeypatch):
+        e = parse_expr("(x + sin(t))^2/(y - 1) + x*sin(t)^2 + x*cos(t)^2", CH)
+        s = simplify(e)
+        assert s != e  # the sin^2 + cos^2 rule rewrote it
+        calls = []
+        for name in ("add", "mul"):
+            body = getattr(symbolic, name)
+            monkeypatch.setattr(symbolic, name, lambda *a, body=body, name=name:
+                                calls.append(name) or body(*a))
+        assert simplify(s) is s
+        assert simplify(e) is s
+        assert calls == []
 
     def test_expansion(self):
         e = parse_expr("(x + y)^2", CH)
@@ -255,6 +278,123 @@ class TestEval:
         e = opaque("a", Sym("t"), 1)
         assert eval_at(e, {"t": 2.0}, {"a'": lambda s: 3 * s}) == 6.0
 
+    def test_huge_constant_is_domain_error(self):
+        with pytest.raises(DomainError, match="constant too large for a float"):
+            eval_at(parse_expr("10^400*x", CH), {"x": 1.0})
+
+    def test_trig_of_infinity_is_domain_error(self):
+        with pytest.raises(DomainError, match="cos of an infinite value"):
+            eval_at(parse_expr("cos(x*y)", CH), {"x": 1e200, "y": 1e200})
+
+
+# Values and errors of `eval_at` at fixed points, as printed by the
+# recursive evaluator it replaced: the plan evaluator computes each
+# distinct subexpression once but in the same float operations and order,
+# so every value is bit-identical and the first failing node is the same.
+EVAL_POINTS = [
+    {"x": 0.3, "y": -1.7},
+    {"x": 1.25, "y": 1.25},
+    {"x": -0.5, "y": 2.0},
+    {"x": 1e200, "y": 1e-200},
+    {"x": 20.0, "y": 30.0},
+    {"x": 0.0, "y": 0.0},
+]
+EVAL_FNS = {"a": lambda s: s * s + 0.5, "a'": lambda s: 2 * s,
+            "a''": lambda s: 2.0}
+EVAL_PINS = [
+    ("3/7*x*y*sin(x)*cos(y)*exp(x*y)/(x + y)*ln(y^2 + 1)*a(x)", [
+        '-0.0028609536951343553',
+        '0.7421269429813493',
+        '-0.025312831433365934',
+        'nan',
+        '7.44565375622913e+263',
+        'DomainError: division by zero',
+    ]),
+    ("x*y*sin(x)*cos(y)*exp(x)*tan(y)/(x - y)", [
+        '0.10087431746856002',
+        'DomainError: division by zero',
+        '-0.10576448945119672',
+        'DomainError: exp overflow',
+        '26257687024.33062',
+        'DomainError: division by zero',
+    ]),
+    ('1/(x + y) + x/(x + y) + sin(1/(x + y))^2 + cos(1/(x + y))', [
+        '0.25611696950109786',
+        '1.9727076393293026',
+        '1.5016018074587867',
+        '2.0',
+        '1.420199953336089',
+        'DomainError: division by zero',
+    ]),
+    ('sin(x*y)^2 + cos(x*y)*sin(x*y) + exp(x*y)/(x*y - 1)', [
+        '-0.5854161778669076',
+        '9.489530553264588',
+        '0.0694849842750091',
+        'DomainError: division by zero',
+        '6.298865277011586e+257',
+        '-1.0',
+    ]),
+    ('sqrt(x^2 + 1)*ln(x^2 + 1)/(x^2 + 1)^2 - 3/7*x^5*y^-3', [
+        '0.0759397379707651',
+        '-0.4402467068528323',
+        '0.16134263497622853',
+        'DomainError: power overflow',
+        '-50.792904349387115',
+        'DomainError: division by zero',
+    ]),
+    ('tan(x - y)^3 + 1/tan(x - y) + (x - y)^-2', [
+        '-10.63991013831594',
+        'DomainError: division by zero',
+        '1.9155181785978561',
+        '-1.7844045659815093',
+        '-1.8049036291859486',
+        'DomainError: division by zero',
+    ]),
+    ("a(x*y)^2 + a'(x*y)*a(x*y) + a''(x*y)/(a(x*y) - 1)", [
+        '-8.534356992917884',
+        '18.873946345308177',
+        '3.25',
+        '9.25',
+        '130032360600.25',
+        '-3.75',
+    ]),
+    ('ln(x - y) + sqrt(y)', [
+        'DomainError: sqrt of a negative value',
+        'DomainError: ln of a non-positive value',
+        'DomainError: ln of a non-positive value',
+        '460.51701859880916',
+        'DomainError: ln of a non-positive value',
+        'DomainError: ln of a non-positive value',
+    ]),
+    ('exp(x*y^2)', [
+        '2.3797608513294968',
+        '7.050686584819912',
+        '0.1353352832366127',
+        '1.0',
+        'DomainError: exp overflow',
+        '1.0',
+    ]),
+    ('x^3*y^-3', [
+        '-0.005495623855078363',
+        '1.0',
+        '-0.015625',
+        'DomainError: power overflow',
+        '0.2962962962962963',
+        'DomainError: division by zero',
+    ]),
+]
+
+
+@pytest.mark.parametrize("text, expected", EVAL_PINS)
+def test_eval_at_pinned(text, expected):
+    e = parse_expr(text, CH)
+    for at, want in zip(EVAL_POINTS, expected):
+        try:
+            got = repr(eval_at(e, at, EVAL_FNS))
+        except ExformalError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == want, at
+
 
 class TestFiniteDifferenceOracle:
     """diff agrees with central differences (the stated derivative oracle)."""
@@ -319,6 +459,10 @@ class TestIsZero:
     def test_power_overflow_redraws(self):
         # 1/x^1100 overflows a float at every point with |x| < 0.52
         assert is_zero(parse_expr("1/x^1100", CH)) is ZeroVerdict.NONZERO
+
+    def test_huge_constant_redraws_until_unknown(self):
+        # 10^400 is past the float range, so no point can be evaluated
+        assert is_zero(parse_expr("10^400*x", CH)) is ZeroVerdict.UNKNOWN
 
 
 class TestFoldVerdicts:
