@@ -368,16 +368,20 @@ def _hamiltonian_scenario(control: bool, policy: SamplingPolicy
 
 def _einstein_scenario(control: bool, policy: SamplingPolicy
                        ) -> VerificationReport:
-    chart = Chart(("t", "x", "y", "z"))
-    g = minkowski_metric(chart)
     if control:
+        g = minkowski_metric(Chart(("t", "x", "y", "z")))
         T = [[ZERO] * 4 for _ in range(4)]
         T[0][0] = ONE
         return verify_einstein(g, tuple(tuple(r) for r in T), policy=policy,
                                scenario="einstein/minkowski-with-dust-T")
     zeroT = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
+    chart = Chart(("t", "r", "th", "ph"))
+    rows = [["-(1 - 2*m/r)", "0", "0", "0"], ["0", "1/(1 - 2*m/r)", "0", "0"],
+            ["0", "0", "r^2", "0"], ["0", "0", "0", "r^2*sin(th)^2"]]
+    g = Metric(chart, [[parse_expr(e, chart, ("m",)) for e in row]
+                       for row in rows], det_sign=-1)
     return verify_einstein(g, zeroT, policy=policy,
-                           scenario="einstein/minkowski-vacuum")
+                           scenario="einstein/schwarzschild-vacuum")
 
 
 _SCENARIOS = {

@@ -3,8 +3,9 @@
 Conventions (also echoed in every CLI report):
 
 * Minkowski scenarios use the mostly-plus signature diag(-1, 1, 1, 1)
-  with time first; the determinant sign is declared, then checked
-  numerically at the sampling box center, never inferred symbolically.
+  with time first; the determinant sign is declared, then checked:
+  exactly when det g simplifies to a constant, otherwise numerically at
+  the sampling box center; it is never inferred.
 * hodge raises all indices with g^{-1}, contracts against the
   Levi-Civita symbol, and scales by sqrt|det g|; the involution
   **a = s * (-1)^(p(n-p)) a fixes every sign (s = declared det sign).
@@ -88,8 +89,9 @@ class Metric:
 
     Construction simplifies entries, checks symmetry structurally,
     computes and caches the inverse, rejects identically singular
-    matrices, and confirms g*g^-1 = I and the declared sign of det g at
-    the sampling box center, zero-testing under DEFAULT_POLICY.
+    matrices, and confirms g*g^-1 = I and the declared sign of det g
+    (exactly for a constant det g, else at the sampling box center),
+    zero-testing under DEFAULT_POLICY.
     """
 
     def __init__(self, chart: Chart, g: Sequence[Sequence[Expr]], det_sign: int):
@@ -129,6 +131,18 @@ class Metric:
                     )
 
     def _check_det_sign(self):
+        det = simplify(self.det)
+        exact = isinstance(det, Rat)
+        v = det.value if exact else self._sample_det()
+        if (v > 0) != (self.det_sign > 0):
+            where = "the constant det" if exact else "det at sample"
+            raise MetricValidationError(
+                f"declared det_sign {self.det_sign} contradicts {where}"
+            )
+
+    def _sample_det(self) -> float:
+        """det g at the sampling box center, or at the first seeded point
+        where it is not within the singular guard of zero."""
         policy = DEFAULT_POLICY
         lo, hi = policy.box
         center = (lo + hi) / 2.0
@@ -143,14 +157,9 @@ class Metric:
             except DomainError:
                 v = 0.0
             if abs(v) > policy.singular_guard:
-                break
+                return v
             env = {n: rng.uniform(lo, hi) for n in names}
-        else:
-            raise MetricValidationError("could not sample a nonsingular point")
-        if (v > 0) != (self.det_sign > 0):
-            raise MetricValidationError(
-                f"declared det_sign {self.det_sign} contradicts det at sample"
-            )
+        raise MetricValidationError("could not sample a nonsingular point")
 
 
 def euclidean_metric(chart: Chart) -> Metric:

@@ -121,9 +121,23 @@ class TestHamiltonianVerifier:
 
 class TestEinsteinVerifier:
     def test_minkowski_vacuum(self):
-        rep = reference_report("einstein")
+        zero_T = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
+        rep = verify_einstein(minkowski_metric(CH4), zero_T)
         assert rep.verdict is Verdict.PASS
         assert rep.values["G_nonzero"] == "0"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_schwarzschild_reference_passes_dust_control_fails(self, seed):
+        policy = SamplingPolicy(seed=seed)
+        rep = reference_report("einstein", policy)
+        assert rep.scenario == "einstein/schwarzschild-vacuum"
+        assert rep.verdict is Verdict.PASS
+        assert all(c.verdict is Verdict.PASS for c in rep.checks)
+        # the Einstein tensor cancels to exact zeros, no sampling needed
+        assert rep.values["G_nonzero"] == "0"
+        control = control_report("einstein", policy)
+        assert control.scenario == "einstein/minkowski-with-dust-T"
+        assert control.verdict is Verdict.FAIL
 
     def test_dust_control_fails(self):
         rep = control_report("einstein")

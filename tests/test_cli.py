@@ -334,6 +334,11 @@ class TestSubcommands:
                         r"nested too deeply", err)
         assert "Traceback" not in err
 
+    def test_check_expr_large_negative_power_of_a_sum(self):
+        code, out, err = run_cli("check-expr", "1 + (x+1)^-1200",
+                                 "--chart", "x")
+        assert (code, out, err) == (0, "1 + 1/(1 + x)^1200\n", "")
+
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(
             "run", scenario_path("reference.json"), "--strict"
@@ -449,6 +454,21 @@ class TestRejectedInputs:
         assert captured.err.endswith(
             f"form 'w': component keys {first!r} and {second!r} "
             "name the same index\n")
+
+    @pytest.mark.parametrize("det_sign, code", [(1, 0), (-1, 2)])
+    def test_constant_det_past_float_range_signed_exactly(
+            self, det_sign, code, tmp_path, capsys):
+        # det = 10^400 cannot be evaluated in floats, but its sign is exact
+        scenario = {"chart": ["x", "y"],
+                    "metric": {"matrix": [["10^400", "0"], ["0", "1"]],
+                               "det_sign": det_sign},
+                    "tasks": [{"op": "christoffel"}]}
+        assert run_in_process(tmp_path, scenario) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "contradicts" in err
+        else:
+            assert err == ""
 
     def test_json_number_past_digit_limit(self, tmp_path):
         p = tmp_path / "long.json"

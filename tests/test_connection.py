@@ -19,6 +19,7 @@ import weakref
 import pytest
 
 import exformal.connection
+from exformal.catalog import verify_einstein
 from exformal.cli import run_scenario
 from exformal.connection import (
     Connection,
@@ -37,9 +38,12 @@ from exformal.geometry import Metric, minkowski_metric
 from exformal.symbolic import (
     Chart,
     Rat,
+    SamplingPolicy,
     Sym,
+    Verdict,
     ZERO,
     ZeroVerdict,
+    _fold_verdicts,
     add,
     eval_at,
     is_zero,
@@ -337,6 +341,64 @@ class TestBianchi:
             for _ in range(10):
                 env = {n: rng.uniform(0.5, 2.0) for n in CH4.names}
                 assert abs(eval_at(concrete, env)) < 1e-8
+
+
+SPHERICAL = Chart(("t", "r", "th", "ph"))
+
+
+def spherical_metric(f, g_thth="r^2", params=("m",)):
+    """diag(-f, 1/f, g_thth, r^2 sin(th)^2) with f given as text."""
+    rows = [[f"-({f})", "0", "0", "0"], ["0", f"1/({f})", "0", "0"],
+            ["0", "0", g_thth, "0"], ["0", "0", "0", "r^2*sin(th)^2"]]
+    return Metric(SPHERICAL, [[parse_expr(e, SPHERICAL, params) for e in row]
+                              for row in rows], det_sign=-1)
+
+
+def matrix(rows, params):
+    return tuple(tuple(parse_expr(e, SPHERICAL, params) for e in row)
+                 for row in rows)
+
+
+class TestCurvedVacuum:
+    """Schwarzschild and de Sitter, as the curvature benchmark states them:
+    the Einstein equations and the contracted Bianchi identity are true, so
+    they must Pass for every engine seed; a perturbed Schwarzschild breaks
+    the vacuum equations but, like every Levi-Civita metric, still has
+    div G = 0."""
+
+    SEEDS = range(10)
+    ZERO_T = (("0",) * 4,) * 4
+    DE_SITTER_T = (("3*L*(1 - L*r^2)/kappa", "0", "0", "0"),
+                   ("0", "-3*L/(kappa*(1 - L*r^2))", "0", "0"),
+                   ("0", "0", "-3*L*r^2/kappa", "0"),
+                   ("0", "0", "0", "-3*L*r^2*sin(th)^2/kappa"))
+
+    @staticmethod
+    def verdicts(g, T, seed):
+        policy = SamplingPolicy(seed=seed)
+        einstein = verify_einstein(g, T, policy=policy).verdict
+        bianchi = _fold_verdicts(is_zero(e, policy) for e in bianchi_residual(g))
+        return einstein, bianchi
+
+    @pytest.mark.parametrize("f, params, T", [
+        ("1 - 2*m/r", ("m", "kappa"), ZERO_T),
+        ("1 - L*r^2", ("L", "kappa"), DE_SITTER_T),
+    ], ids=["schwarzschild", "de_sitter"])
+    def test_true_identities_pass_on_every_seed(self, f, params, T):
+        g = spherical_metric(f, params=params)
+        T = matrix(T, params)
+        for seed in self.SEEDS:
+            assert self.verdicts(g, T, seed) == (Verdict.PASS, Verdict.PASS)
+
+    def test_schwarzschild_einstein_tensor_cancels(self):
+        assert einstein_tensor(spherical_metric("1 - 2*m/r")).nonzero() == {}
+
+    def test_perturbed_schwarzschild_fails_vacuum_keeps_bianchi(self):
+        g = spherical_metric("1 - 2*m/r", g_thth="r^2 + m^2",
+                             params=("m", "kappa"))
+        T = matrix(self.ZERO_T, ("m", "kappa"))
+        for seed in self.SEEDS:
+            assert self.verdicts(g, T, seed) == (Verdict.FAIL, Verdict.PASS)
 
 
 class TestSharedStack:

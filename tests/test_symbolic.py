@@ -211,6 +211,134 @@ class TestSimplify:
         e = parse_expr("(x + y)^2", CH)
         assert simplify(e) == parse_expr("x^2 + 2*x*y + y^2", CH)
 
+    # (input, its normal form as printed); r and m are parameters
+    NORMAL_FORMS = [
+        ("(r^2 - 4*m^2)/(r - 2*m)", "r + 2*m"),
+        ("1/(1 - 2*m/r)", "r/(r - 2*m)"),
+        ("cos(t)^2 + 3*sin(t)", "1 - sin(t)^2 + 3*sin(t)"),
+        ("1/(1 - L*r^2)", "1/(1 - L*r^2)"),
+        ("1/(x + y/2)", "2/(y + 2*x)"),
+        ("1/r + 1/(r - 2*m)", "-2*m/r/(r - 2*m) + 2/(r - 2*m)"),
+        ("cos(x)^3/(1 - sin(x))", "cos(x) + cos(x)*sin(x)"),
+        ("(sin(t)^2 - 1)/(sin(t) - 1) - sin(t) - 1", "0"),
+        # cos(1)^2 shows up only once the arguments are simplified
+        ("cos(sin(y)^2 + cos(y)^2)*cos(1)", "1 - sin(1)^2"),
+    ]
+
+    @pytest.mark.parametrize("text, expected", NORMAL_FORMS)
+    def test_rational_normal_form(self, text, expected):
+        params = ("m", "r", "L")
+        s = simplify(parse_expr(text, CH, params))
+        assert to_text(s) == expected
+        assert parse_expr(expected, CH, params) == s
+        assert simplify(s) is s
+        assert simplify(parse_expr(to_text(s), CH, params)) == s
+
+    def test_rational_normal_form_on_random(self):
+        # sums of products with sum denominators and powers of sin and cos,
+        # negative ones too: the normal form is a fixed point, also of a
+        # memo-free copy, and keeps the value
+        rng = random.Random(11)
+        atoms = [Sym("t"), Sym("x"), Sym("y"), Rat(2), func("exp", Sym("x"))] + [
+            func(f, Sym(v)) for f in ("sin", "cos") for v in ("t", "x")]
+
+        def poly():
+            return add(*(mul(*(pow_(a, rng.choice((1, 1, 2, 3, -1)))
+                               for a in rng.sample(atoms, rng.randint(1, 3))))
+                         for _ in range(rng.randint(1, 3))))
+
+        def tree(depth=0):
+            pick = rng.random()
+            if depth > 1 or pick < 0.3:
+                return poly()
+            if pick < 0.55:
+                return add(tree(depth + 1), tree(depth + 1))
+            if pick < 0.8:
+                return mul(tree(depth + 1), tree(depth + 1))
+            base = tree(depth + 1)
+            return base if base == ZERO else pow_(base, rng.choice((-1, -2)))
+
+        for _ in range(150):
+            e = tree()
+            s = simplify(e)
+            assert simplify(s) is s
+            assert simplify(substitute(s, {})) == s
+            env = {v: rng.uniform(0.3, 1.7) for v in ("t", "x", "y")}
+            try:
+                want = eval_at(e, env)
+            except DomainError:
+                continue
+            assert eval_at(s, env) == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    def test_cos_power_reduces_in_one_step(self):
+        # cos(x)^60 becomes (1 - sin(x)^2)^30, expanded: 31 terms
+        s = simplify(parse_expr("cos(x)^60", CH))
+        assert s == pow_(parse_expr("1 - sin(x)^2", CH), 30)
+        assert simplify(s) is s
+
+    @pytest.mark.parametrize("text", [
+        "1 + (x + 1)^-1200", "1 + (x + y + z)^-300", "(x + 1)^-1000000 + 1",
+        "(x + 1)^-200 + (y + 1)^-200", "cos(x)^100000",
+        # each term alone fits in the budget, the sum does not
+        "cos(y)^140 + x*cos(y)^142"])
+    def test_expansion_past_budget_keeps_the_constructors_form(self, text):
+        # the normal form would cost more than _EXPANSION_BUDGET, so the
+        # tree stays as the constructors built it
+        e = parse_expr(text, CH)
+        assert simplify(e) is e
+
+    def test_failed_division_stops_at_the_degree_bound(self):
+        # dividing x^200 by x + y + z under lex order would run through the
+        # degree-199 monomials in x, y, z, past the budget; x^200 has degree
+        # 0 in y and z, so the first quotient term already breaks the bound
+        # deg(p) - deg(b) < 0 and proves that the division fails
+        s = simplify(parse_expr("x^200/(2*x + 2*y + 2*z)", CH))
+        assert s == parse_expr("x^200/2/(x + y + z)", CH)
+
+    @staticmethod
+    def rational_trigger(e):
+        """Some node is a sum to a negative power or cos(u)^k, k >= 2."""
+        stack = [e]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, symbolic.Pow) and (
+                    (n.exp < 0 and isinstance(n.base, symbolic.Add))
+                    or (n.exp >= 2 and isinstance(n.base, symbolic.Func)
+                        and n.base.name == "cos")):
+                return True
+            stack.extend(symbolic._children(n))
+        return False
+
+    def test_polynomial_trees_are_fixed_points(self, monkeypatch):
+        # Laurent polynomials over kernels, products of them expanded by
+        # the constructors: without a sum denominator or cos(u)^k, k >= 2,
+        # simplify leaves the tree as it is and never takes the rational
+        # path, so reports of such trees keep their bytes and their cost
+        calls = []
+        monkeypatch.setattr(symbolic, "_rational_form",
+                            lambda e: calls.append(e))
+        rng = random.Random(2024)
+        kernels = [Sym(n) for n in CH.names] + [
+            func("sin", Sym("t")), func("cos", Sym("x")),
+            func("exp", parse_expr("x + y", CH)), opaque("a", Sym("t"))]
+        checked = 0
+        while checked < 200:
+            polys = []
+            for _ in range(rng.randint(1, 2)):
+                terms = []
+                for _ in range(rng.randint(1, 4)):
+                    factors = [Rat(rng.choice((-3, -1, 1, 2, 5)))]
+                    for k in rng.sample(kernels, rng.randint(0, 3)):
+                        factors.append(pow_(k, rng.choice((-2, -1, 1, 2, 3))))
+                    terms.append(mul(*factors))
+                polys.append(add(*terms))
+            e = mul(*polys)
+            if self.rational_trigger(e):
+                continue
+            assert simplify(e) is e
+            checked += 1
+        assert calls == []
+
     def test_zero_and_one_powers(self):
         assert pow_(Sym("x"), 0) == Rat(1)
         assert pow_(Sym("x"), 1) == Sym("x")
@@ -227,13 +355,16 @@ class TestPrintRoundTrip:
         "-x^3*y + 2/7",
         "exp(x)*ln(y) + sqrt(z)",
         "tan(x)^2/(1 + x^2)",
+        "(r^2 - 4*m^2)/(r - 2*m)",
+        "1/(1 - 2*m/r)",
+        "cos(t)^2 + 3*sin(t)",
     ]
 
     @pytest.mark.parametrize("text", CASES)
     def test_fixpoint(self, text):
-        e = parse_expr(text, CH)
+        e = parse_expr(text, CH, ("m", "r"))
         printed = to_text(e)
-        assert parse_expr(printed, CH) == e
+        assert parse_expr(printed, CH, ("m", "r")) == e
 
     def test_integer_past_digit_limit_is_an_engine_error(self):
         # 2^99999 has 30103 digits, past the interpreter's 4300-digit limit
