@@ -22,6 +22,7 @@ from exformal.symbolic import (
     mul,
     pow_,
     DEFAULT_POLICY,
+    _children,
 )
 from exformal.exterior import Form, SubmanifoldMap
 from exformal.geometry import Metric
@@ -118,6 +119,24 @@ def rand_poly_map(rng: random.Random, source: Chart, target: Chart
         for _ in range(target.dim)
     )
     return SubmanifoldMap(source, target, exprs)
+
+
+def off_domain_constants(obj) -> list:
+    """The constants in `obj` (an expression, or a nested tuple/list of
+    them) whose value is neither an int nor a Fraction with denominator
+    above 1: an integral constant is always a Python int."""
+    stack, out = [obj], []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (tuple, list)):
+            stack.extend(n)
+        elif isinstance(n, Rat):
+            v = n.value
+            if not (type(v) is int or (type(v) is Fraction and v.denominator > 1)):
+                out.append(v)
+        else:
+            stack.extend(_children(n))
+    return out
 
 
 def numeric_env(rng: random.Random, names, lo=-1.5, hi=1.5):

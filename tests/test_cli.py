@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -338,6 +339,19 @@ class TestSubcommands:
         code, out, err = run_cli("check-expr", "1 + (x+1)^-1200",
                                  "--chart", "x")
         assert (code, out, err) == (0, "1 + 1/(1 + x)^1200\n", "")
+
+    def test_check_expr_power_of_a_sum_past_the_budget(self, capsys):
+        # expanding (x+1)^5000 would take about 25 million term products;
+        # it stops at the expansion budget instead
+        code, out, err = run_cli("check-expr", "(x+1)^5000", "--chart", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: expanding a sum of 2 terms to the power "
+                              "5000 takes more than ")
+        assert "Traceback" not in err
+        start = time.perf_counter()
+        assert main(["check-expr", "(x+1)^5000", "--chart", "x"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == err
 
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(

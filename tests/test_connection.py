@@ -56,6 +56,7 @@ from exformal.symbolic import (
 
 from helpers import (
     CHARTS,
+    off_domain_constants,
     rand_connection,
     rand_diag_metric,
     rand_form,
@@ -389,6 +390,22 @@ class TestCurvedVacuum:
         T = matrix(T, params)
         for seed in self.SEEDS:
             assert self.verdicts(g, T, seed) == (Verdict.PASS, Verdict.PASS)
+
+    @pytest.mark.parametrize("f, g_thth, params", [
+        ("1 - 2*m/r", "r^2", ("m",)),
+        ("1 - L*r^2", "r^2", ("L",)),
+        ("1 - 2*m/r", "r^2 + m^2", ("m",)),
+    ], ids=["schwarzschild", "de_sitter", "perturbed"])
+    def test_integral_constants_are_ints(self, f, g_thth, params):
+        # every constant of the curvature stack is an int when integral and
+        # a Fraction only with a denominator above 1
+        g = spherical_metric(f, g_thth=g_thth, params=params)
+        gamma = christoffel(g)
+        R4 = riemann(gamma)
+        ricci, scalar = ricci_and_scalar(R4, g)
+        stages = [gamma.comps, R4.comps, ricci.comps, scalar,
+                  einstein_tensor(g).comps]
+        assert off_domain_constants(stages) == []
 
     def test_schwarzschild_einstein_tensor_cancels(self):
         assert einstein_tensor(spherical_metric("1 - 2*m/r")).nonzero() == {}

@@ -1,6 +1,7 @@
 """Package hygiene: every exported name exists, the runtime imports
 nothing outside the standard library, each module imports only the layers
-below it, and no import sits inside a function."""
+below it, no import sits inside a function, and `symbolic` divides with
+`/` only where a float is meant."""
 
 import ast
 import importlib
@@ -102,3 +103,22 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not inside, f"{path} imports inside {inside}"
+
+
+# The definitions of symbolic.py that may use `/`: the float evaluators and
+# the exact quotient helper.  Constants are ints when integral, and `/` on
+# two ints is a float, so anywhere else it would slip an inexact constant
+# into a tree.
+DIVIDING = {"_eval_plan", "_eval_func", "_OpaqueInterp", "_quotient"}
+
+
+def test_symbolic_divides_only_in_float_code():
+    tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
+    dividing = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Div)
+    }
+    assert dividing <= DIVIDING, (
+        f"symbolic.py divides with '/' in {sorted(dividing - DIVIDING)}")

@@ -3,6 +3,7 @@ evaluation, and the tri-state zero test."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +35,7 @@ from exformal.symbolic import (
     opaque,
     parse_expr,
     pow_,
+    rational,
     simplify,
     sub,
     substitute,
@@ -41,7 +43,7 @@ from exformal.symbolic import (
     to_text,
 )
 
-from helpers import rand_expr
+from helpers import off_domain_constants, rand_expr
 
 CH = Chart(("t", "x", "y", "z"))
 
@@ -90,8 +92,6 @@ class TestParse:
         assert e == mul(Sym("m"), Sym("x"))
 
     def test_decimal_is_exact(self):
-        from fractions import Fraction
-
         e = parse_expr("0.5*x", CH)
         assert e == mul(Rat(Fraction(1, 2)), Sym("x"))
 
@@ -344,6 +344,51 @@ class TestSimplify:
         assert pow_(Sym("x"), 1) == Sym("x")
         assert mul(Sym("x"), Rat(0)) == ZERO
         assert mul(Sym("x"), Rat(1)) == Sym("x")
+
+
+class TestCoefficientDomain:
+    """An integral constant is a Python int, any other a Fraction."""
+
+    def test_float_is_refused(self):
+        # Fraction(0.1) would be 3602879701896397/36028797018963968
+        for make in (Rat, rational):
+            with pytest.raises(TypeError):
+                make(0.5)
+        half = rational("0.5")
+        assert half == Rat(Fraction(1, 2)) and type(half.value) is Fraction
+
+    def test_integral_results_are_ints(self):
+        half = Rat(Fraction(1, 2))
+        assert type(mul(half, Rat(2)).value) is int
+        assert type(add(half, half).value) is int
+        assert type(pow_(half, -2).value) is int
+        assert pow_(Rat(2), -1) == half
+        assert type(Rat(Fraction(6, 3)).value) is int
+        assert type(parse_expr("2.0", CH).value) is int
+        assert type(parse_expr("7", CH).value) is int
+
+    def test_random_trees_keep_the_domain(self):
+        # sums, products, powers (negative ones too), derivatives and
+        # normal forms of seeded random trees with coefficients such as
+        # 1/2 and -4/3
+        rng = random.Random(29)
+        for _ in range(120):
+            a, b = rand_expr(rng, CH.names), rand_expr(rng, CH.names)
+            k = rng.choice((-2, -1, 2, 3))
+            trees = [add(a, b), mul(a, b), sub(a, mul(Rat(Fraction(1, 3)), b)),
+                     diff(mul(a, b), "x"), simplify(add(a, pow_(b, -1)))]
+            if a != ZERO:
+                trees += [pow_(a, k), simplify(pow_(a, k)),
+                          simplify(mul(b, pow_(a, -1)))]
+            assert off_domain_constants(trees) == []
+
+    def test_power_of_a_sum_past_the_budget_is_an_engine_error(self):
+        # (x + 1)^99 spends 9898 term products of _EXPANSION_BUDGET, the
+        # next power more than all of it
+        assert len(pow_(parse_expr("x + 1", CH), 99).terms) == 100
+        for text in ("(x + 1)^100", "(x + 1)^5000", "(x + y + z)^40"):
+            with pytest.raises(ExformalError, match="term products"):
+                parse_expr(text, CH)
 
 
 class TestPrintRoundTrip:
