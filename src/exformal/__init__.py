@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 from .symbolic import (  # noqa: F401
     Chart,
     Expr,
-    SamplingPolicy,
-    DEFAULT_POLICY,
     ZeroVerdict,
     diff,
     eval_at,

@@ -19,12 +19,10 @@ from .errors import ChartError
 from .exterior import Form, ext_d, form_to_text
 from .geometry import Metric, build_em_form, maxwell_residual, minkowski_metric
 from .symbolic import (
-    DEFAULT_POLICY,
     Chart,
     Expr,
     ONE,
     Rat,
-    SamplingPolicy,
     Sym,
     Verdict,
     ZERO,
@@ -90,7 +88,6 @@ class CheckResult:
 class VerificationReport:
     scenario: str
     checks: list[CheckResult] = field(default_factory=list)
-    conventions: dict = field(default_factory=lambda: dict(ENGINE_CONVENTIONS))
     values: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -99,15 +96,14 @@ class VerificationReport:
         return _fold_verdicts(c.verdict for c in self.checks)
 
 
-def _residual_check(name: str, residuals: dict, policy: SamplingPolicy
-                    ) -> CheckResult:
+def _residual_check(name: str, residuals: dict, seed: int) -> CheckResult:
     """Verdict from a {label: Expr} residual map: Pass iff all ZERO.  The
     summary lists each NonZero residual, and each Unknown one that comes
     before the first NonZero label."""
     bad = []
     verdicts = []
     for label in sorted(residuals, key=str):
-        v = is_zero(residuals[label], policy)
+        v = is_zero(residuals[label], seed)
         if v is ZeroVerdict.NONZERO:
             bad.append(f"{label}={to_text(simplify(residuals[label]))}")
         elif v is ZeroVerdict.UNKNOWN and ZeroVerdict.NONZERO not in verdicts:
@@ -123,7 +119,7 @@ def _residual_check(name: str, residuals: dict, policy: SamplingPolicy
 
 
 def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
-                   metric: Metric, policy: SamplingPolicy = DEFAULT_POLICY,
+                   metric: Metric, seed: int = 0,
                    scenario: str = "maxwell") -> VerificationReport:
     """Check dF = 0, d*F = *J, and the Poynting energy balance.
 
@@ -160,14 +156,14 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
 
     report = VerificationReport(scenario=scenario)
     report.checks.append(
-        _residual_check("dF = 0 (Faraday + no monopoles)", r1.components, policy)
+        _residual_check("dF = 0 (Faraday + no monopoles)", r1.components, seed)
     )
     report.checks.append(
-        _residual_check("d*F = *J (Gauss + Ampere)", r2.components, policy)
+        _residual_check("d*F = *J (Gauss + Ampere)", r2.components, seed)
     )
     report.checks.append(
         _residual_check("energy balance d_t u + div(ExB) + E.J = 0",
-                        {"scalar": balance}, policy)
+                        {"scalar": balance}, seed)
     )
     report.values["F"] = form_to_text(F)
     return report
@@ -190,7 +186,7 @@ def _canonical_chart(k: int) -> Chart:
 
 def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
                        corrupted: bool = False,
-                       policy: SamplingPolicy = DEFAULT_POLICY,
+                       seed: int = 0,
                        scenario: str = "hamiltonian") -> VerificationReport:
     """Flow-kernel check for the canonical 1-form, plus d(d theta) = 0
     and {H, H} = 0 sanity.
@@ -208,15 +204,15 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
     report = VerificationReport(scenario=scenario)
     report.checks.append(
         _residual_check("flow field lies in ker(d theta)", residual.components,
-                        policy)
+                        seed)
     )
     dd = ext_d(dtheta)
     report.checks.append(
-        _residual_check("d(d theta) = 0", dd.components, policy)
+        _residual_check("d(d theta) = 0", dd.components, seed)
     )
     hh = poisson_bracket(sys.hamiltonian, sys.hamiltonian, sys.chart)
     report.checks.append(
-        _residual_check("{H, H} = 0", {"bracket": hh}, policy)
+        _residual_check("{H, H} = 0", {"bracket": hh}, seed)
     )
     report.values["theta"] = form_to_text(theta)
     return report
@@ -228,7 +224,7 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
 
 
 def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
-                    policy: SamplingPolicy = DEFAULT_POLICY,
+                    seed: int = 0,
                     scenario: str = "einstein") -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
     Levi-Civita connection, and optionally G - kappa*T."""
@@ -238,12 +234,11 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
 
     bianchi = {g.chart.names[v]: e for v, e in enumerate(bianchi_residual(g))}
     report.checks.append(
-        _residual_check("contracted Bianchi identity div G = 0",
-                        bianchi, policy)
+        _residual_check("contracted Bianchi identity div G = 0", bianchi, seed)
     )
     tors = torsion(christoffel(g))
     report.checks.append(
-        _residual_check("torsion(christoffel(g)) = 0", tors.nonzero(), policy)
+        _residual_check("torsion(christoffel(g)) = 0", tors.nonzero(), seed)
     )
     sym_residuals = {
         (m, v): sub(G.comp(m, v), G.comp(v, m))
@@ -251,7 +246,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
         for v in range(m + 1, n)
     }
     report.checks.append(
-        _residual_check("G symmetry", sym_residuals, policy)
+        _residual_check("G symmetry", sym_residuals, seed)
     )
     if T is not None:
         comps = T.comps if hasattr(T, "comps") else T
@@ -262,7 +257,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
             for v in range(n)
         }
         report.checks.append(
-            _residual_check(f"G - {kappa_name}*T = 0", residuals, policy)
+            _residual_check(f"G - {kappa_name}*T = 0", residuals, seed)
         )
     gn = G.nonzero()
     report.values["G_nonzero"] = (
@@ -336,8 +331,7 @@ def correspondence_table() -> list[CorrespondenceEntry]:
     ]
 
 
-def _maxwell_scenario(control: bool, policy: SamplingPolicy
-                      ) -> VerificationReport:
+def _maxwell_scenario(control: bool, seed: int) -> VerificationReport:
     chart = Chart(("t", "x", "y", "z"))
     g = minkowski_metric(chart)
     zero = ZERO
@@ -350,11 +344,10 @@ def _maxwell_scenario(control: bool, policy: SamplingPolicy
         E = (f, zero, zero)
         B = (zero, f, zero)
         name = "maxwell/vacuum-plane-wave"
-    return verify_maxwell(E, B, (zero, zero, zero, zero), g, policy, name)
+    return verify_maxwell(E, B, (zero, zero, zero, zero), g, seed, name)
 
 
-def _hamiltonian_scenario(control: bool, policy: SamplingPolicy
-                          ) -> VerificationReport:
+def _hamiltonian_scenario(control: bool, seed: int) -> VerificationReport:
     chart = _canonical_chart(1)
     H = parse_expr("(p^2 + q^2)/2", chart)
     name = (
@@ -362,17 +355,16 @@ def _hamiltonian_scenario(control: bool, policy: SamplingPolicy
         if control
         else "hamiltonian/harmonic-oscillator"
     )
-    return verify_hamiltonian(H, 1, corrupted=control, policy=policy,
+    return verify_hamiltonian(H, 1, corrupted=control, seed=seed,
                               scenario=name)
 
 
-def _einstein_scenario(control: bool, policy: SamplingPolicy
-                       ) -> VerificationReport:
+def _einstein_scenario(control: bool, seed: int) -> VerificationReport:
     if control:
         g = minkowski_metric(Chart(("t", "x", "y", "z")))
         T = [[ZERO] * 4 for _ in range(4)]
         T[0][0] = ONE
-        return verify_einstein(g, tuple(tuple(r) for r in T), policy=policy,
+        return verify_einstein(g, tuple(tuple(r) for r in T), seed=seed,
                                scenario="einstein/minkowski-with-dust-T")
     zeroT = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
     chart = Chart(("t", "r", "th", "ph"))
@@ -380,7 +372,7 @@ def _einstein_scenario(control: bool, policy: SamplingPolicy
             ["0", "0", "r^2", "0"], ["0", "0", "0", "r^2*sin(th)^2"]]
     g = Metric(chart, [[parse_expr(e, chart, ("m",)) for e in row]
                        for row in rows], det_sign=-1)
-    return verify_einstein(g, zeroT, policy=policy,
+    return verify_einstein(g, zeroT, seed=seed,
                            scenario="einstein/schwarzschild-vacuum")
 
 
@@ -391,15 +383,11 @@ _SCENARIOS = {
 }
 
 
-def reference_report(verifier_id: str,
-                     policy: SamplingPolicy = DEFAULT_POLICY
-                     ) -> VerificationReport:
+def reference_report(verifier_id: str, seed: int = 0) -> VerificationReport:
     """Bundled scenario expected to Pass for the named verifier."""
-    return _SCENARIOS[verifier_id](False, policy)
+    return _SCENARIOS[verifier_id](False, seed)
 
 
-def control_report(verifier_id: str,
-                   policy: SamplingPolicy = DEFAULT_POLICY
-                   ) -> VerificationReport:
+def control_report(verifier_id: str, seed: int = 0) -> VerificationReport:
     """Bundled falsification control expected to Fail."""
-    return _SCENARIOS[verifier_id](True, policy)
+    return _SCENARIOS[verifier_id](True, seed)

@@ -31,8 +31,8 @@ from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
 from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_d,
                        form_to_text, interior_product, linear_combine, pullback, wedge)
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
-from .symbolic import (DEFAULT_POLICY, Chart, ZERO, _fold_verdicts, diff, eval_at,
-                       is_zero, parse_expr, simplify, to_text)
+from .symbolic import (Chart, ZERO, _fold_verdicts, diff, eval_at, is_zero,
+                       parse_expr, simplify, to_text)
 from .transform import (HamiltonianSystem, QuadraticLagrangian, hamilton_flow_check,
                         integrating_factor, inverse_legendre, jacobian_degeneracy,
                         legendre, poincare_cartan, poisson_bracket)
@@ -319,7 +319,7 @@ def _bind(ctx: ScenarioContext, spec: OpSpec, task: dict, where: str):
 
 
 # ---------------------------------------------------------------------------
-# Task handlers: each takes the scenario, the task's sampling policy and its
+# Task handlers: each takes the scenario, the task's zero-test seed and its
 # decoded arguments, calls the engine and formats the outcome.
 # ---------------------------------------------------------------------------
 
@@ -352,59 +352,59 @@ def _nonzero_value(t) -> TaskOutcome:
 
 
 @_op("parse_expr", expr=_expr)
-def _op_parse_expr(ctx, policy, expr):
+def _op_parse_expr(ctx, seed, expr):
     return _value({"result": to_text(expr)})
 
 
 @_op("diff", expr=_expr, by=_coordinate)
-def _op_diff(ctx, policy, expr, by):
+def _op_diff(ctx, seed, expr, by):
     return _value({"result": to_text(diff(expr, by))})
 
 
 @_op("simplify", expr=_expr)
-def _op_simplify(ctx, policy, expr):
+def _op_simplify(ctx, seed, expr):
     return _value({"result": to_text(simplify(expr))})
 
 
 @_op("eval_at", expr=_expr, at=_point)
-def _op_eval_at(ctx, policy, expr, at):
+def _op_eval_at(ctx, seed, expr, at):
     return _value({"result": repr(eval_at(expr, at))})
 
 
 @_op("is_zero", expr=_expr)
-def _op_is_zero(ctx, policy, expr):
-    v = is_zero(expr, policy)
+def _op_is_zero(ctx, seed, expr):
+    v = is_zero(expr, seed)
     return _value({"verdict": v.value}, expectable=v.value)
 
 
 @_op("wedge", a=_form, b=_form)
-def _op_wedge(ctx, policy, a, b):
+def _op_wedge(ctx, seed, a, b):
     return _form_value(wedge(a, b))
 
 
 @_op("ext_d", form=_form)
-def _op_ext_d(ctx, policy, form):
+def _op_ext_d(ctx, seed, form):
     return _form_value(ext_d(form))
 
 
 @_op("linear_combine", coeffs=_exprs, forms=_form_list)
-def _op_linear_combine(ctx, policy, coeffs, forms):
+def _op_linear_combine(ctx, seed, coeffs, forms):
     return _form_value(linear_combine(coeffs, forms))
 
 
 @_op("pullback", map=_map, form=_form)
-def _op_pullback(ctx, policy, map, form):
+def _op_pullback(ctx, seed, map, form):
     return _form_value(pullback(map, form))
 
 
 @_op("interior_product", vector=_vector, form=_form)
-def _op_interior_product(ctx, policy, vector, form):
+def _op_interior_product(ctx, seed, vector, form):
     return _form_value(interior_product(vector, form))
 
 
 @_op("classify_closure", form=_form)
-def _op_classify_closure(ctx, policy, form):
-    rep = classify_closure(form, policy)
+def _op_classify_closure(ctx, seed, form):
+    rep = classify_closure(form, seed)
     values = {"status": rep.status.value}
     if rep.potential is not None:
         values["potential"] = form_to_text(rep.potential)
@@ -418,60 +418,60 @@ def _op_classify_closure(ctx, policy, form):
 
 
 @_op("hodge", needs=("metric",), form=_form)
-def _op_hodge(ctx, policy, form):
+def _op_hodge(ctx, seed, form):
     return _form_value(hodge(form, ctx.metric))
 
 
 @_op("codifferential", needs=("metric",), form=_form)
-def _op_codifferential(ctx, policy, form):
+def _op_codifferential(ctx, seed, form):
     return _form_value(codifferential(form, ctx.metric))
 
 
 @_op("build_em_form", E=_exprs_of(3), B=_exprs_of(3))
-def _op_build_em_form(ctx, policy, E, B):
+def _op_build_em_form(ctx, seed, E, B):
     text = form_to_text(build_em_form(E, B, ctx.chart))
     return _value({"F": text}, expectable=text)
 
 
 @_op("maxwell_residual", needs=("metric",), form=_form, current=_Opt(_form))
-def _op_maxwell_residual(ctx, policy, form, current=None):
+def _op_maxwell_residual(ctx, seed, form, current=None):
     if current is None:
         current = Form.zero(ctx.chart, 1)
     r1, r2 = maxwell_residual(form, current, ctx.metric)
-    out = _fold_verdicts([is_zero(c, policy) for r in (r1, r2)
+    out = _fold_verdicts([is_zero(c, seed) for r in (r1, r2)
                           for c in r.components.values()]).value
     return TaskOutcome(out, out, {"dF": form_to_text(r1),
                                   "dstarF_minus_starJ": form_to_text(r2)})
 
 
 @_op("christoffel", needs=("metric",))
-def _op_christoffel(ctx, policy):
+def _op_christoffel(ctx, seed):
     return _nonzero_value(christoffel(ctx.metric))
 
 
 @_op("torsion", needs=("connection",))
-def _op_torsion(ctx, policy):
+def _op_torsion(ctx, seed):
     return _nonzero_value(torsion(ctx.connection))
 
 
 @_op("covariant_derivative_1form", needs=("connection",), form=_form)
-def _op_covariant_derivative_1form(ctx, policy, form):
+def _op_covariant_derivative_1form(ctx, seed, form):
     return _nonzero_value(covariant_derivative_1form(form, ctx.connection))
 
 
 @_op("evolutionary_commutator", needs=("connection",), form=_form)
-def _op_evolutionary_commutator(ctx, policy, form):
+def _op_evolutionary_commutator(ctx, seed, form):
     return _form_value(evolutionary_commutator(form, ctx.connection))
 
 
 @_op("riemann", needs=("connection", "metric"))
-def _op_riemann(ctx, policy):
+def _op_riemann(ctx, seed):
     c = ctx.connection if ctx.connection is not None else christoffel(ctx.metric)
     return _nonzero_value(riemann(c))
 
 
 @_op("ricci_and_scalar", needs=("metric",))
-def _op_ricci_and_scalar(ctx, policy):
+def _op_ricci_and_scalar(ctx, seed):
     ric, scal = _levi_civita_ricci(ctx.metric)
     return _value(
         {"ricci_nonzero": _nonzero_text(ric), "scalar": to_text(scal)},
@@ -480,14 +480,14 @@ def _op_ricci_and_scalar(ctx, policy):
 
 
 @_op("einstein_tensor", needs=("metric",))
-def _op_einstein_tensor(ctx, policy):
+def _op_einstein_tensor(ctx, seed):
     return _nonzero_value(einstein_tensor(ctx.metric))
 
 
 @_op("bianchi_residual", needs=("metric",))
-def _op_bianchi_residual(ctx, policy):
+def _op_bianchi_residual(ctx, seed):
     res = bianchi_residual(ctx.metric)
-    out = _fold_verdicts([is_zero(e, policy) for e in res]).value
+    out = _fold_verdicts([is_zero(e, seed) for e in res]).value
     text = "; ".join(
         f"{ctx.chart.names[i]}={to_text(e)}" for i, e in enumerate(res)
     )
@@ -496,12 +496,11 @@ def _op_bianchi_residual(ctx, policy):
 
 @_op("legendre", q=_names, v=_names, chart=lambda a: Chart(a["q"]),
      charted={"mass": _matrix, "linear": _Opt(_row), "potential": _Opt(_expr)})
-def _op_legendre(ctx, policy, q, v, mass, linear=None, potential=ZERO):
+def _op_legendre(ctx, seed, q, v, mass, linear=None, potential=ZERO):
     if linear is None:
         linear = [ZERO] * len(q)
     try:
-        H, rep = legendre(QuadraticLagrangian(q, v, mass, linear, potential),
-                          policy)
+        H, rep = legendre(QuadraticLagrangian(q, v, mass, linear, potential), seed)
     except DegenerateLagrangianError as e:
         cls = e.report.classification.value
         return TaskOutcome("Value", cls,
@@ -520,10 +519,9 @@ def _op_legendre(ctx, policy, q, v, mass, linear=None, potential=ZERO):
 
 @_op("inverse_legendre", q=_names, p=_names,
      chart=lambda a: Chart(a["q"] + a["p"]), charted={"hamiltonian": _expr})
-def _op_inverse_legendre(ctx, policy, q, p, hamiltonian):
+def _op_inverse_legendre(ctx, seed, q, p, hamiltonian):
     try:
-        L = inverse_legendre(HamiltonianSystem(ctx.chart, hamiltonian),
-                             policy=policy)
+        L = inverse_legendre(HamiltonianSystem(ctx.chart, hamiltonian), seed)
     except PatternMismatchError:
         return TaskOutcome("Value", "PatternMismatch",
                            {"result": "PatternMismatch"})
@@ -543,13 +541,13 @@ def _op_inverse_legendre(ctx, policy, q, p, hamiltonian):
 
 
 @_op("poisson_bracket", f=_expr, g=_expr)
-def _op_poisson_bracket(ctx, policy, f, g):
+def _op_poisson_bracket(ctx, seed, f, g):
     return _value({"result": to_text(poisson_bracket(f, g, ctx.chart))})
 
 
 @_op("jacobian_degeneracy", map=_map)
-def _op_jacobian_degeneracy(ctx, policy, map):
-    rep = jacobian_degeneracy(map, policy)
+def _op_jacobian_degeneracy(ctx, seed, map):
+    rep = jacobian_degeneracy(map, seed)
     cls = rep.classification.value
     return _value(
         {"determinant": to_text(rep.determinant), "classification": cls},
@@ -558,9 +556,9 @@ def _op_jacobian_degeneracy(ctx, policy, map):
 
 
 @_op("integrating_factor", form=_form)
-def _op_integrating_factor(ctx, policy, form):
+def _op_integrating_factor(ctx, seed, form):
     try:
-        out = integrating_factor(form, policy)
+        out = integrating_factor(form, seed)
     except NotVerifiableError as e:
         return TaskOutcome("Value", "not-verifiable",
                            {"found": "not-verifiable", "error": str(e)})
@@ -573,14 +571,14 @@ def _op_integrating_factor(ctx, policy, form):
 
 
 @_op("poincare_cartan", hamiltonian=_expr)
-def _op_poincare_cartan(ctx, policy, hamiltonian):
+def _op_poincare_cartan(ctx, seed, hamiltonian):
     theta = form_to_text(poincare_cartan(HamiltonianSystem(ctx.chart, hamiltonian)))
     return _value({"theta": theta}, expectable=theta)
 
 
 @_op("hamilton_flow_check", hamiltonian=_expr)
-def _op_hamilton_flow_check(ctx, policy, hamiltonian):
-    fc = hamilton_flow_check(HamiltonianSystem(ctx.chart, hamiltonian), policy)
+def _op_hamilton_flow_check(ctx, seed, hamiltonian):
+    fc = hamilton_flow_check(HamiltonianSystem(ctx.chart, hamiltonian), seed)
     out = fc.verdict.value
     return TaskOutcome(out, out, {"residual": form_to_text(fc.residual)})
 
@@ -598,26 +596,26 @@ def _report_outcome(report) -> TaskOutcome:
 
 @_op("verify_maxwell", needs=("metric",), E=_exprs_of(3), B=_exprs_of(3),
      J=_Opt(_exprs_of(4)))
-def _op_verify_maxwell(ctx, policy, E, B, J=(ZERO,) * 4):
-    return _report_outcome(verify_maxwell(E, B, J, ctx.metric, policy))
+def _op_verify_maxwell(ctx, seed, E, B, J=(ZERO,) * 4):
+    return _report_outcome(verify_maxwell(E, B, J, ctx.metric, seed))
 
 
 @_op("verify_hamiltonian", k=_Opt(_int), corrupted=_Opt(_bool),
      chart=lambda a: _canonical_chart(a.get("k", 1)),
      charted={"hamiltonian": _expr})
-def _op_verify_hamiltonian(ctx, policy, hamiltonian, k=1, corrupted=False):
+def _op_verify_hamiltonian(ctx, seed, hamiltonian, k=1, corrupted=False):
     return _report_outcome(
-        verify_hamiltonian(hamiltonian, k, corrupted=corrupted, policy=policy)
+        verify_hamiltonian(hamiltonian, k, corrupted=corrupted, seed=seed)
     )
 
 
 @_op("verify_einstein", needs=("metric",), T=_Opt(_matrix), kappa=_Opt(_name))
-def _op_verify_einstein(ctx, policy, T=None, kappa="kappa"):
-    return _report_outcome(verify_einstein(ctx.metric, T, kappa, policy))
+def _op_verify_einstein(ctx, seed, T=None, kappa="kappa"):
+    return _report_outcome(verify_einstein(ctx.metric, T, kappa, seed))
 
 
 @_op("correspondence_table")
-def _op_correspondence_table(ctx, policy):
+def _op_correspondence_table(ctx, seed):
     rows = correspondence_table()
     values = {
         f"k={e.degree}": f"{e.family} | {e.interaction} | "
@@ -647,9 +645,8 @@ def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
     if spec is None:
         raise ScenarioError(f"{where}: unknown op {op!r}")
     scope, args = _bind(ctx, spec, task, f"{where} op '{op}'")
-    policy = replace(DEFAULT_POLICY, seed=seed + index)
     try:
-        out = spec.handler(scope, policy, **args)
+        out = spec.handler(scope, seed + index, **args)
     except ExformalError as e:
         out = TaskOutcome("Error", "", {"error": f"{type(e).__name__}: {e}"})
     verdict, failed, unknown = out.outcome, False, False

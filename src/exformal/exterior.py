@@ -16,11 +16,9 @@ from typing import Mapping, Sequence
 
 from .errors import ChartMismatchError, DegreeError, DomainError
 from .symbolic import (
-    DEFAULT_POLICY,
     Chart,
     Expr,
     Rat,
-    SamplingPolicy,
     Sym,
     ZERO,
     ZeroVerdict,
@@ -287,7 +285,6 @@ class ClosureStatus(Enum):
 @dataclass(frozen=True)
 class ClosureReport:
     status: ClosureStatus
-    d_form: Form
     potential: Form | None = None
     commutator: dict | None = None
     uncertain: bool = False
@@ -356,14 +353,14 @@ def _homotopy_potential(a: Form) -> Form | None:
     return Form(chart, p - 1, comps)
 
 
-def _verified(potential: Form, a: Form, policy: SamplingPolicy) -> bool:
+def _verified(potential: Form, a: Form, seed: int) -> bool:
     residual = linear_combine([Rat(1), Rat(-1)], [ext_d(potential), a])
     return all(
-        is_zero(c, policy) is ZeroVerdict.ZERO for c in residual.components.values()
+        is_zero(c, seed) is ZeroVerdict.ZERO for c in residual.components.values()
     )
 
 
-def _find_potential(a: Form, policy: SamplingPolicy) -> Form | None:
+def _find_potential(a: Form, seed: int) -> Form | None:
     p = a.degree
     if p == 0:
         return None
@@ -375,16 +372,16 @@ def _find_potential(a: Form, policy: SamplingPolicy) -> Form | None:
             if psi is None:
                 continue
             candidate = Form.scalar(a.chart, psi)
-            if _verified(candidate, a, policy):
+            if _verified(candidate, a, seed):
                 return candidate
         return None
     candidate = _homotopy_potential(a)
-    if candidate is not None and _verified(candidate, a, policy):
+    if candidate is not None and _verified(candidate, a, seed):
         return candidate
     return None
 
 
-def classify_closure(a: Form, policy: SamplingPolicy = DEFAULT_POLICY) -> ClosureReport:
+def classify_closure(a: Form, seed: int = 0) -> ClosureReport:
     """Closed / Exact / NonClosed classification of a form.
 
     Exactness is only reported with a potential that has been rebuilt
@@ -393,15 +390,14 @@ def classify_closure(a: Form, policy: SamplingPolicy = DEFAULT_POLICY) -> Closur
     zero-tests degrade the verdict to NonClosed with `uncertain` set.
     """
     d = ext_d(a)
-    verdicts = {idx: is_zero(c, policy) for idx, c in d.components.items()}
+    verdicts = {idx: is_zero(c, seed) for idx, c in d.components.items()}
     nonzero = {idx: d.components[idx] for idx, v in verdicts.items()
                if v is not ZeroVerdict.ZERO}
     uncertain = any(v is ZeroVerdict.UNKNOWN for v in verdicts.values())
     if nonzero:
-        return ClosureReport(
-            ClosureStatus.NONCLOSED, d, commutator=nonzero, uncertain=uncertain
-        )
-    potential = _find_potential(a, policy)
+        return ClosureReport(ClosureStatus.NONCLOSED, commutator=nonzero,
+                             uncertain=uncertain)
+    potential = _find_potential(a, seed)
     if potential is not None:
-        return ClosureReport(ClosureStatus.EXACT, d, potential=potential)
-    return ClosureReport(ClosureStatus.CLOSED, d)
+        return ClosureReport(ClosureStatus.EXACT, potential=potential)
+    return ClosureReport(ClosureStatus.CLOSED)

@@ -5,7 +5,8 @@ Conventions (also echoed in every CLI report):
 * Minkowski scenarios use the mostly-plus signature diag(-1, 1, 1, 1)
   with time first; the determinant sign is declared, then checked:
   exactly when det g simplifies to a constant, otherwise numerically at
-  the sampling box center; it is never inferred.
+  the sampling box center (or, where det g is singular there, at the
+  first point of seed 0 where it is not); it is never inferred.
 * hodge raises all indices with g^{-1}, contracts against the
   Levi-Civita symbol, and scales by sqrt|det g|; the involution
   **a = s * (-1)^(p(n-p)) a fixes every sign (s = declared det sign).
@@ -17,9 +18,8 @@ Conventions (also echoed in every CLI report):
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt
 from typing import Sequence
 
@@ -34,7 +34,8 @@ from .errors import (
 from ._linalg import as_matrix, mat_det, mat_inverse
 from .exterior import Form, _merge_sign, ext_d, linear_combine
 from .symbolic import (
-    DEFAULT_POLICY,
+    _MAX_REDRAWS,
+    _SINGULAR_GUARD,
     Chart,
     Expr,
     Rat,
@@ -42,6 +43,7 @@ from .symbolic import (
     ZeroVerdict,
     _coeff_monomial,
     _mono_factors,
+    _sample_points,
     add,
     eval_at,
     free_symbols,
@@ -90,8 +92,8 @@ class Metric:
     Construction simplifies entries, checks symmetry structurally,
     computes and caches the inverse, rejects identically singular
     matrices, and confirms g*g^-1 = I and the declared sign of det g
-    (exactly for a constant det g, else at the sampling box center),
-    zero-testing under DEFAULT_POLICY.
+    (exactly for a constant det g, else by `_sample_det`); its zero tests
+    use seed 0.
     """
 
     def __init__(self, chart: Chart, g: Sequence[Sequence[Expr]], det_sign: int):
@@ -141,24 +143,19 @@ class Metric:
             )
 
     def _sample_det(self) -> float:
-        """det g at the sampling box center, or at the first seeded point
-        where it is not within the singular guard of zero."""
-        policy = DEFAULT_POLICY
-        lo, hi = policy.box
-        center = (lo + hi) / 2.0
+        """det g at the sampling box center, or at the first point of seed 0
+        after it where det g is defined and not within the singular guard
+        of zero; the points have a coordinate for each symbol of g."""
         names = sorted(set().union(*(free_symbols(e) for row in self.g
                                      for e in row)))
-        fns = interpretation_table(self.det, policy)
-        rng = random.Random(policy.seed)
-        env = {n: center for n in names}
-        for attempt in range(policy.max_redraws + 1):
+        fns = interpretation_table(self.det)
+        for env in islice(_sample_points(names, 0, center=True), _MAX_REDRAWS + 1):
             try:
                 v = eval_at(self.det, env, fns)
             except DomainError:
-                v = 0.0
-            if abs(v) > policy.singular_guard:
+                continue
+            if abs(v) > _SINGULAR_GUARD:
                 return v
-            env = {n: rng.uniform(lo, hi) for n in names}
         raise MetricValidationError("could not sample a nonsingular point")
 
 

@@ -11,8 +11,10 @@ over the expression trees defined here.  Design points:
 * trees are immutable and built through canonicalizing constructors, so
   `simplify` is idempotent by construction; it keeps its result on the
   node it simplified, so no tree is simplified twice;
-* zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`) backed by a
-  documented, seeded sampling policy;
+* zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`): symbolic
+  first, then the value at points drawn from one seeded generator
+  (`_sample_points`), with fixed point count, box and tolerance; the seed
+  is its only setting;
 * unspecified profiles like a(t) or f(z - t) are opaque function symbols
   with formal derivatives a', a'', ...
 
@@ -20,9 +22,10 @@ The rewrite set applied by the constructors is deliberately bounded:
 rational folding, flatten/sort of commutative operands under a fixed total
 order, like-term and like-factor collection, integer-power rules,
 distribution of products over sums (expanded normal form), and special
-values at 0/1 for the built-in functions.  Nothing else.  A positive power
-of a sum is expanded only within `_EXPANSION_BUDGET` term products; past
-it `pow_` raises an ExformalError.
+values at 0/1 for the built-in functions.  Nothing else.  A product of
+sums, a positive power of a sum included, is expanded only within
+`_EXPANSION_BUDGET` term products; past it `mul` and `pow_` raise an
+ExformalError.
 
 `simplify` rebuilds a tree through those constructors, except a tree with
 a sum raised to a negative power or with a factor cos(u)^k, k >= 2, which
@@ -55,7 +58,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -97,8 +100,6 @@ __all__ = [
     "parse_expr",
     "eval_at",
     "fn_key",
-    "SamplingPolicy",
-    "DEFAULT_POLICY",
     "ZeroVerdict",
     "Verdict",
     "is_zero",
@@ -362,7 +363,12 @@ def _as_base_exp(f: Expr) -> tuple[Expr, int]:
 
 def mul(*args: Expr) -> Expr:
     """Canonical product: flatten, fold coefficient, merge exponents of
-    equal bases, distribute over sums, sort."""
+    equal bases, distribute over sums, sort.
+
+    The sum factors are distributed by `_expand`, which raises an
+    ExformalError past `_EXPANSION_BUDGET` term products, so a short input
+    such as (x + 1)^5000 is refused instead of stalling.
+    """
     coeff = 1
     bases: dict[tuple, list] = {}
     stack = list(args)
@@ -383,12 +389,12 @@ def mul(*args: Expr) -> Expr:
         return ZERO
 
     factors: list[Expr] = []
-    expand: list[Expr] = []  # copies of Add factors to distribute
+    expand: list[tuple[Add, int]] = []  # Add factors to distribute, with powers
     for b, e in bases.values():
         if e == 0:
             continue
         if isinstance(b, Add) and e > 0:
-            expand.extend([b] * e)
+            expand.append((b, e))
         else:
             piece = pow_(b, e)
             if isinstance(piece, Rat):
@@ -406,20 +412,37 @@ def mul(*args: Expr) -> Expr:
             factors.insert(0, Rat(coeff))
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
-    base = Rat(coeff) if not factors else _scale(coeff, mul(*factors))
-    terms = [base]
-    for a in expand:
-        terms = [mul(t, u) for t in terms for u in a.terms]
+    return _expand(Rat(coeff) if not factors else _scale(coeff, mul(*factors)),
+                   expand)
+
+
+def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
+    """The term `first` times each sum to its positive power, distributed
+    one sum factor at a time with like terms merged before the next; the
+    term products are charged against `_EXPANSION_BUDGET`."""
+    terms = [first]
+    merged = True  # no two of `terms` are like terms
+    spent = 0
+    for a, k in sums:
+        for _ in range(k):
+            if not merged:
+                out = add(*terms)
+                terms = out.terms if isinstance(out, Add) else [out]
+            spent += len(terms) * len(a.terms)
+            if spent > _EXPANSION_BUDGET:
+                what = (f"a sum of {len(a.terms)} terms to the power {k}"
+                        if len(sums) == 1
+                        else f"a product of {sum(n for _, n in sums)} sums")
+                raise ExformalError(f"expanding {what} takes more than "
+                                    f"{_EXPANSION_BUDGET} term products")
+            merged = len(terms) == 1  # one term times a sum has no like terms
+            terms = [mul(t, u) for t in terms for u in a.terms]
     return add(*terms)
 
 
 def pow_(base: Expr, exp: int) -> Expr:
-    """Integer power with folding, merging, and expansion of sum bases.
-
-    The expansion of a sum to a positive power is charged its term products
-    against `_EXPANSION_BUDGET` and raises an ExformalError past it, so a
-    short input such as (x + 1)^5000 is refused instead of stalling.
-    """
+    """Integer power with folding, merging, and expansion of sum bases; a
+    positive power of a sum is expanded by `_expand`, within its budget."""
     if not isinstance(exp, int):
         raise TypeError("exponents must be Python ints")
     if exp == 0:
@@ -435,16 +458,7 @@ def pow_(base: Expr, exp: int) -> Expr:
     if isinstance(base, Pow):
         return pow_(base.base, base.exp * exp)
     if isinstance(base, Add) and exp > 0:
-        out = base
-        spent = 0
-        for _ in range(exp - 1):
-            spent += len(out.terms) * len(base.terms)  # a power of a sum is a sum
-            if spent > _EXPANSION_BUDGET:
-                raise ExformalError(
-                    f"expanding a sum of {len(base.terms)} terms to the power "
-                    f"{exp} takes more than {_EXPANSION_BUDGET} term products")
-            out = mul(out, base)
-        return out
+        return _expand(ONE, [(base, exp)])
     return Pow(base, exp)
 
 
@@ -746,15 +760,16 @@ def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None
 
 # Term products, division steps and terms of expanded powers of
 # 1 - sin(u)^2 that one simplification may spend in the rational normal
-# form, and term products that `pow_` may spend expanding one positive
-# power of a sum.  The constructors keep Pow(sum, -k) and cos(u)^k
-# unexpanded, and the normal form expands them; past this budget the tree
-# keeps the constructors' form instead, so neither a short input such as
-# 1 + (x + 1)^-1200 nor a long sum of terms with cos(u)^140 swells or
-# stalls.  No simplification in the benchmark corpora spends more than 43,
-# none in the tests more than 961 (cos(x)^60); no power of a sum in the
-# corpora spends more than 4, none in the tests more than 928 but those
-# that probe this budget.
+# form, and term products that one `_expand` may spend distributing a
+# product over its sum factors (a positive power of a sum included).  The
+# constructors keep Pow(sum, -k) and cos(u)^k unexpanded, and the normal
+# form expands them; past this budget the tree keeps the constructors' form
+# instead, so neither a short input such as 1 + (x + 1)^-1200 nor a long
+# sum of terms with cos(u)^140 swells or stalls.  No simplification in the
+# benchmark corpora spends more than 43, none in the tests more than 961
+# (cos(x)^60); no `_expand` in the corpora spends more than 12, none in
+# the tests more than 930 ((1 - sin(x)^2)^30) but those that probe this
+# budget.
 _EXPANSION_BUDGET = 10_000
 
 
@@ -1225,15 +1240,19 @@ class _Parser:
         e = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.take()
-            rhs = self.factor()
-            e = mul(e, rhs) if op.kind == "*" else div(e, rhs)
+            e = mul(e, self.factor(invert=op.kind == "/"))
         return e
 
-    def factor(self) -> Expr:
+    def factor(self, invert: bool = False) -> Expr:
+        """The next factor, or with `invert` its reciprocal; a power b^k is
+        inverted as b^-k, so a/(s)^k reads back as the tree a*s^-k that
+        `to_text` prints that way, without expanding s^k."""
         if self.peek().kind == "-":
             self.take()
-            return neg(self.factor())
+            f = neg(self.factor())
+            return pow_(f, -1) if invert else f
         base = self.atom()
+        exp = 1
         if self.peek().kind == "^":
             self.take()
             sign = 1
@@ -1246,8 +1265,8 @@ class _Parser:
                     "exponent must be an integer", tok.pos,
                     expected=("integer exponent",),
                 )
-            return pow_(base, sign * self.number(tok, int))
-        return base
+            exp = sign * self.number(tok, int)
+        return pow_(base, -exp if invert else exp)
 
     @staticmethod
     def number(tok: _Token, convert: Callable[[str], object]):
@@ -1458,27 +1477,28 @@ def _fold_verdicts(verdicts: Iterable[ZeroVerdict | Verdict]) -> Verdict:
                 Verdict.PASS)
 
 
-@dataclass(frozen=True)
-class SamplingPolicy:
-    """Deterministic numeric fallback for zero-equivalence.
-
-    `n_points` samples are drawn uniformly from `box` per free symbol with
-    a fixed `seed`; evaluations whose denominators fall within
-    `singular_guard` (or that leave a function domain) are redrawn, up to
-    `max_redraws` in total.  |value| > tol at any point means NONZERO; all
-    points within tol means ZERO when `trust_sampling`, else UNKNOWN.
-    """
-
-    n_points: int = 20
-    seed: int = 0
-    box: tuple[float, float] = (-2.0, 2.0)
-    tol: float = 1e-9
-    trust_sampling: bool = True
-    singular_guard: float = 1e-6
-    max_redraws: int = 200
+# The sampling of `is_zero`: _POINTS points drawn uniformly from _BOX for
+# each free symbol, from random.Random(seed); a point whose evaluation
+# leaves a function domain or meets a denominator within _SINGULAR_GUARD
+# of zero is redrawn, up to _MAX_REDRAWS in all.
+_POINTS = 20
+_BOX = (-2.0, 2.0)
+_TOL = 1e-9
+_SINGULAR_GUARD = 1e-6
+_MAX_REDRAWS = 200
 
 
-DEFAULT_POLICY = SamplingPolicy()
+def _sample_points(names: Sequence[str], seed: int,
+                   center: bool = False) -> Iterator[dict[str, float]]:
+    """Endless seeded points of the sampling box, one coordinate per name
+    in the order given: the box center first when `center`, then uniform
+    draws from random.Random(seed)."""
+    lo, hi = _BOX
+    if center:
+        yield dict.fromkeys(names, (lo + hi) * 0.5)
+    rng = random.Random(seed)
+    while True:
+        yield {n: rng.uniform(lo, hi) for n in names}
 
 
 class _OpaqueInterp:
@@ -1511,27 +1531,34 @@ class _OpaqueInterp:
         return value
 
 
-def interpretation_table(e: Expr, policy: SamplingPolicy) -> dict[str, Callable[[float], float]]:
-    """fn_table for every opaque call in `e`, derived from the policy seed.
+def interpretation_table(e: Expr, seed: int = 0) -> dict[str, Callable[[float], float]]:
+    """fn_table for every opaque call in `e`, derived from `seed`.
 
     The interpretation of a name depends only on (seed, name), so the same
     profile backs a(t) and a'(t) consistently across expressions.
     """
-    return _interpretations(opaque_calls(e), policy)
+    return _interpretations(opaque_calls(e), seed)
 
 
 def _interpretations(calls: Mapping[str, int],
-                     policy: SamplingPolicy) -> dict[str, Callable[[float], float]]:
+                     seed: int) -> dict[str, Callable[[float], float]]:
     table: dict[str, Callable[[float], float]] = {}
     for name, max_order in sorted(calls.items()):
-        interp = _OpaqueInterp(random.Random(f"{policy.seed}:{name}"))
+        interp = _OpaqueInterp(random.Random(f"{seed}:{name}"))
         for order in range(max_order + 1):
             table[fn_key(name, order)] = interp.derivative(order)
     return table
 
 
-def is_zero(e: Expr, policy: SamplingPolicy = DEFAULT_POLICY) -> ZeroVerdict:
-    """Tri-state zero test: symbolic first, seeded sampling as fallback."""
+def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:
+    """Tri-state zero test: symbolic first, then seeded sampling.
+
+    A tree that `simplify` does not bring to a constant is evaluated at
+    _POINTS points of `_sample_points(seed)`, with opaque profiles bound to
+    the interpretations of the same seed: a value past _TOL at any point is
+    NONZERO and all points within it ZERO; the result is UNKNOWN once more
+    than _MAX_REDRAWS points had to be redrawn.
+    """
     s = simplify(e)
     if isinstance(s, Rat):
         return ZeroVerdict.ZERO if s.value == 0 else ZeroVerdict.NONZERO
@@ -1542,21 +1569,19 @@ def is_zero(e: Expr, policy: SamplingPolicy = DEFAULT_POLICY) -> ZeroVerdict:
     for node, _ in plan:
         if isinstance(node, OpaqueFunc):
             calls[node.name] = max(calls.get(node.name, 0), node.order)
-    fns = _interpretations(calls, policy)
-    rng = random.Random(policy.seed)
-    lo, hi = policy.box
+    fns = _interpretations(calls, seed)
+    points = _sample_points(names, seed)
     redraws = 0
     done = 0
-    while done < policy.n_points:
-        env = {n: rng.uniform(lo, hi) for n in names}
+    while done < _POINTS:
         try:
-            v = _eval_plan(plan, env, fns, policy.singular_guard)
+            v = _eval_plan(plan, next(points), fns, _SINGULAR_GUARD)
         except DomainError:
             redraws += 1
-            if redraws > policy.max_redraws:
+            if redraws > _MAX_REDRAWS:
                 return ZeroVerdict.UNKNOWN
             continue
-        if abs(v) > policy.tol:
+        if abs(v) > _TOL:
             return ZeroVerdict.NONZERO
         done += 1
-    return ZeroVerdict.ZERO if policy.trust_sampling else ZeroVerdict.UNKNOWN
+    return ZeroVerdict.ZERO

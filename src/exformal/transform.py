@@ -31,14 +31,12 @@ from .exterior import (
     linear_combine,
 )
 from .symbolic import (
-    DEFAULT_POLICY,
     Add,
     Chart,
     Expr,
     Func,
     ONE,
     Rat,
-    SamplingPolicy,
     Sym,
     Verdict,
     ZERO,
@@ -91,9 +89,9 @@ class DegeneracyReport:
     classification: DegeneracyClass
 
 
-def _classify_determinant(det: Expr, policy: SamplingPolicy) -> DegeneracyReport:
+def _classify_determinant(det: Expr, seed: int) -> DegeneracyReport:
     det = simplify(det)
-    status = is_zero(det, policy)
+    status = is_zero(det, seed)
     if status is ZeroVerdict.ZERO:
         cls = DegeneracyClass.DEGENERATE_EVERYWHERE
     elif isinstance(det, Rat):
@@ -210,8 +208,7 @@ def canonical_split(chart: Chart):
     return time, rest[:k], rest[k:]
 
 
-def legendre(L: QuadraticLagrangian,
-             policy: SamplingPolicy = DEFAULT_POLICY
+def legendre(L: QuadraticLagrangian, seed: int = 0
              ) -> tuple[HamiltonianSystem, DegeneracyReport]:
     """p = Mv + b inverted to H = (1/2)(p-b)^T M^-1 (p-b) + V.
 
@@ -219,7 +216,7 @@ def legendre(L: QuadraticLagrangian,
     the transform does not exist anywhere on that locus.
     """
     det = mat_det(L.mass)
-    report = _classify_determinant(det, policy)
+    report = _classify_determinant(det, seed)
     if report.classification is DegeneracyClass.DEGENERATE_EVERYWHERE:
         raise DegenerateLagrangianError(
             "velocity Hessian is identically singular", report
@@ -239,9 +236,7 @@ def legendre(L: QuadraticLagrangian,
     return HamiltonianSystem(chart, H), report
 
 
-def inverse_legendre(H: HamiltonianSystem,
-                     v_names: Sequence[str] | None = None,
-                     policy: SamplingPolicy = DEFAULT_POLICY) -> QuadraticLagrangian:
+def inverse_legendre(H: HamiltonianSystem, seed: int = 0) -> QuadraticLagrangian:
     """Recover the quadratic Lagrangian from a quadratic-in-p Hamiltonian.
 
     Pattern-matches H = (1/2)(p-b)^T W (p-b) + V with W symmetric and
@@ -263,7 +258,7 @@ def inverse_legendre(H: HamiltonianSystem,
         W.append(tuple(row))
     W = tuple(W)
     detW = mat_det(W)
-    if is_zero(detW, policy) is ZeroVerdict.ZERO:
+    if is_zero(detW, seed) is ZeroVerdict.ZERO:
         raise PatternMismatchError("momentum quadratic form is singular")
     M = mat_inverse(W, detW)
     zero_p = {n: ZERO for n in H.p_names}
@@ -282,18 +277,15 @@ def inverse_legendre(H: HamiltonianSystem,
         ),
         V,
     )
-    if is_zero(sub(H.hamiltonian, rebuilt), policy) is not ZeroVerdict.ZERO:
+    if is_zero(sub(H.hamiltonian, rebuilt), seed) is not ZeroVerdict.ZERO:
         raise PatternMismatchError(
             "Hamiltonian does not match the quadratic family"
         )
-    if v_names is None:
-        v_names = tuple(
-            "v" + p[1:] if p.startswith("p") and len(p) > 0 else "v_" + p
-            for p in H.p_names
-        )
-        v_names = tuple(
-            v if v not in H.chart.names else v + "_" for v in v_names
-        )
+    v_names = tuple(
+        "v" + p[1:] if p.startswith("p") else "v_" + p
+        for p in H.p_names
+    )
+    v_names = tuple(v if v not in H.chart.names else v + "_" for v in v_names)
     return QuadraticLagrangian(H.q_names, v_names, M, b, V,
                                p_names=H.p_names)
 
@@ -308,8 +300,7 @@ def poisson_bracket(f: Expr, g: Expr, sys_chart: Chart) -> Expr:
     return simplify(add(*parts))
 
 
-def jacobian_degeneracy(phi, policy: SamplingPolicy = DEFAULT_POLICY
-                        ) -> DegeneracyReport:
+def jacobian_degeneracy(phi, seed: int = 0) -> DegeneracyReport:
     """Determinant of the Jacobian of a square map, classified."""
     if phi.source.dim != phi.target.dim:
         raise ChartError("jacobian degeneracy needs a square map")
@@ -318,7 +309,7 @@ def jacobian_degeneracy(phi, policy: SamplingPolicy = DEFAULT_POLICY
         tuple(diff(phi.exprs[i], phi.source.names[j]) for j in range(n))
         for i in range(n)
     )
-    return _classify_determinant(mat_det(J), policy)
+    return _classify_determinant(mat_det(J), seed)
 
 
 def _exp_of(e: Expr) -> Expr:
@@ -341,15 +332,14 @@ def _exp_of(e: Expr) -> Expr:
     return simplify(out)
 
 
-def _potential_of_exact(w: Form, policy: SamplingPolicy) -> Expr | None:
-    report = classify_closure(w, policy)
+def _potential_of_exact(w: Form, seed: int) -> Expr | None:
+    report = classify_closure(w, seed)
     if report.status is ClosureStatus.EXACT:
         return report.potential.get(())
     return None
 
 
-def integrating_factor(w: Form, policy: SamplingPolicy = DEFAULT_POLICY
-                       ) -> tuple[Expr, Expr] | None:
+def integrating_factor(w: Form, seed: int = 0) -> tuple[Expr, Expr] | None:
     """mu and psi with d(psi) = mu * w for a 1-form on a 2-dim chart.
 
     Searches mu depending on the first coordinate only, then on the
@@ -365,8 +355,8 @@ def integrating_factor(w: Form, policy: SamplingPolicy = DEFAULT_POLICY
     M, N = w.get((0,)), w.get((1,))
 
     curl = simplify(sub(diff(M, yname), diff(N, xname)))
-    if is_zero(curl, policy) is ZeroVerdict.ZERO:
-        psi = _potential_of_exact(w, policy)
+    if is_zero(curl, seed) is ZeroVerdict.ZERO:
+        psi = _potential_of_exact(w, seed)
         if psi is None:
             raise NotVerifiableError(
                 "form is closed but no table potential exists"
@@ -389,7 +379,7 @@ def integrating_factor(w: Form, policy: SamplingPolicy = DEFAULT_POLICY
         mu = _exp_of(anti)
         had_candidate = True
         scaled = linear_combine([mu], [w])
-        report = classify_closure(scaled, policy)
+        report = classify_closure(scaled, seed)
         if report.status is ClosureStatus.EXACT:
             return simplify(mu), report.potential.get(())
     if had_candidate:
@@ -435,14 +425,12 @@ def _flow_residual(sys: HamiltonianSystem, dtheta: Form, sign: int) -> Form:
     return interior_product(VectorField(sys.chart, tuple(ordered)), dtheta)
 
 
-def hamilton_flow_check(sys: HamiltonianSystem,
-                        policy: SamplingPolicy = DEFAULT_POLICY
-                        ) -> FlowCheckReport:
+def hamilton_flow_check(sys: HamiltonianSystem, seed: int = 0) -> FlowCheckReport:
     """Verify i_X d(theta) = 0 for X = (1, dH/dp_i, -dH/dq_i): the flow
     directions span the kernel of d(theta)."""
     if sys.time is None:
         raise ChartError("the flow check needs a time coordinate")
     residual = _flow_residual(sys, ext_d(poincare_cartan(sys)), -1)
     return FlowCheckReport(residual, _fold_verdicts(
-        [is_zero(c, policy) for c in residual.components.values()]
+        [is_zero(c, seed) for c in residual.components.values()]
     ))

@@ -21,7 +21,6 @@ from exformal.symbolic import (
     interpretation_table,
     mul,
     pow_,
-    DEFAULT_POLICY,
     _children,
 )
 from exformal.exterior import Form, SubmanifoldMap
@@ -143,9 +142,9 @@ def numeric_env(rng: random.Random, names, lo=-1.5, hi=1.5):
     return {n: rng.uniform(lo, hi) for n in names}
 
 
-def eval_with_interp(e: Expr, env, policy=DEFAULT_POLICY) -> float:
-    """eval_at with opaque functions bound to their policy interpretations."""
-    return eval_at(e, env, interpretation_table(e, policy))
+def eval_with_interp(e: Expr, env) -> float:
+    """eval_at with opaque functions bound to their seed-0 interpretations."""
+    return eval_at(e, env, interpretation_table(e))
 
 
 def form_components_close(a: Form, b: Form, rng: random.Random,

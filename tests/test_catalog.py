@@ -18,7 +18,6 @@ from exformal.geometry import Metric, minkowski_metric
 from exformal.symbolic import (
     Chart,
     Rat,
-    SamplingPolicy,
     Sym,
     ZERO,
     parse_expr,
@@ -128,14 +127,13 @@ class TestEinsteinVerifier:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_schwarzschild_reference_passes_dust_control_fails(self, seed):
-        policy = SamplingPolicy(seed=seed)
-        rep = reference_report("einstein", policy)
+        rep = reference_report("einstein", seed)
         assert rep.scenario == "einstein/schwarzschild-vacuum"
         assert rep.verdict is Verdict.PASS
         assert all(c.verdict is Verdict.PASS for c in rep.checks)
         # the Einstein tensor cancels to exact zeros, no sampling needed
         assert rep.values["G_nonzero"] == "0"
-        control = control_report("einstein", policy)
+        control = control_report("einstein", seed)
         assert control.scenario == "einstein/minkowski-with-dust-T"
         assert control.verdict is Verdict.FAIL
 
@@ -183,9 +181,8 @@ class TestNoVacuousPasses:
 
 class TestDeterminism:
     def test_reports_stable_for_seed(self):
-        policy = SamplingPolicy(seed=99)
-        a = reference_report("maxwell", policy)
-        b = reference_report("maxwell", policy)
+        a = reference_report("maxwell", 99)
+        b = reference_report("maxwell", 99)
         assert [
             (c.name, c.residual_summary, c.verdict) for c in a.checks
         ] == [(c.name, c.residual_summary, c.verdict) for c in b.checks]

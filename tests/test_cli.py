@@ -340,6 +340,12 @@ class TestSubcommands:
                                  "--chart", "x")
         assert (code, out, err) == (0, "1 + 1/(1 + x)^1200\n", "")
 
+    def test_check_expr_reads_back_a_negative_power_of_a_sum(self):
+        # the text to_text prints for Pow(1 + x, -100); it used to expand
+        # (x + 1)^100 past the budget before inverting it
+        code, out, err = run_cli("check-expr", "1/(x + 1)^100", "--chart", "x")
+        assert (code, out, err) == (0, "1/(1 + x)^100\n", "")
+
     def test_check_expr_power_of_a_sum_past_the_budget(self, capsys):
         # expanding (x+1)^5000 would take about 25 million term products;
         # it stops at the expansion budget instead

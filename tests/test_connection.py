@@ -38,7 +38,6 @@ from exformal.geometry import Metric, minkowski_metric
 from exformal.symbolic import (
     Chart,
     Rat,
-    SamplingPolicy,
     Sym,
     Verdict,
     ZERO,
@@ -376,9 +375,8 @@ class TestCurvedVacuum:
 
     @staticmethod
     def verdicts(g, T, seed):
-        policy = SamplingPolicy(seed=seed)
-        einstein = verify_einstein(g, T, policy=policy).verdict
-        bianchi = _fold_verdicts(is_zero(e, policy) for e in bianchi_residual(g))
+        einstein = verify_einstein(g, T, seed=seed).verdict
+        bianchi = _fold_verdicts(is_zero(e, seed) for e in bianchi_residual(g))
         return einstein, bianchi
 
     @pytest.mark.parametrize("f, params, T", [

@@ -9,7 +9,8 @@ byte.  The scenarios are `scenarios/reference.json` and
 a text report), the three every-op scenarios of `test_fuzz`, and the
 curvature stack with zero tests and evaluations on two curved metrics:
 the unit 2-sphere and a flat FRW universe with an opaque scale factor
-a(t).
+a(t); and the same curvature ops with `verify_einstein` on the two
+heavy metrics, Schwarzschild and de Sitter.
 
 After a change that is meant to alter reports, rewrite the goldens from
 the repository root with
@@ -65,6 +66,30 @@ FRW = {
     ],
 }
 
+
+def _spherical(f: str, params: list, T: list) -> dict:
+    """diag(-f, 1/f, r^2, r^2 sin(th)^2) with f given as text: every
+    curvature op, then `verify_einstein` against the stress tensor T."""
+    return {
+        "chart": ["t", "r", "th", "ph"],
+        "params": params,
+        "metric": {"matrix": [[f"-({f})", "0", "0", "0"],
+                              ["0", f"1/({f})", "0", "0"],
+                              ["0", "0", "r^2", "0"],
+                              ["0", "0", "0", "r^2*sin(th)^2"]],
+                   "det_sign": -1},
+        "tasks": [{"op": op} for op in CURVATURE_OPS] + [
+            {"op": "verify_einstein", "T": T}],
+    }
+
+
+SCHWARZSCHILD = _spherical("1 - 2*m/r", ["m", "kappa"], [["0"] * 4] * 4)
+DE_SITTER = _spherical("1 - L*r^2", ["L", "kappa"], [
+    ["3*L*(1 - L*r^2)/kappa", "0", "0", "0"],
+    ["0", "-3*L/(kappa*(1 - L*r^2))", "0", "0"],
+    ["0", "0", "-3*L*r^2/kappa", "0"],
+    ["0", "0", "0", "-3*L*r^2*sin(th)^2/kappa"]])
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 SCENARIOS = os.path.join(HERE, "..", "scenarios")
@@ -79,6 +104,8 @@ CASES = {
     "spacetime.json": (SPACETIME, "json", 0),
     "sphere.json": (SPHERE, "json", 0),
     "frw.json": (FRW, "json", 0),
+    "schwarzschild.json": (SCHWARZSCHILD, "json", 0),
+    "de_sitter.json": (DE_SITTER, "json", 0),
 }
 
 

@@ -2,7 +2,9 @@
 evaluation, and the tri-state zero test."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,9 +19,7 @@ from exformal.errors import (
 )
 from exformal.symbolic import (
     Chart,
-    DEFAULT_POLICY,
     Rat,
-    SamplingPolicy,
     Sym,
     Verdict,
     ZERO,
@@ -390,6 +390,22 @@ class TestCoefficientDomain:
             with pytest.raises(ExformalError, match="term products"):
                 parse_expr(text, CH)
 
+    def test_product_of_sums_is_expanded_one_sum_at_a_time(self):
+        # 18 sums, each two terms, merged after every step: 342 term
+        # products, where distributing all of them at once takes 2^18
+        text = "(1/" + "/".join(f"(x + {i})" for i in range(1, 19)) + ")^-1"
+        start = time.perf_counter()
+        e = parse_expr(text, CH)
+        assert time.perf_counter() - start < 0.1
+        assert len(e.terms) == 19
+        assert substitute(e, {"x": Rat(1)}) == Rat(math.factorial(19))
+
+    def test_product_of_sums_past_the_budget_is_an_engine_error(self):
+        text = "(1/" + "/".join(f"(x + {i})" for i in range(1, 101)) + ")^-1"
+        with pytest.raises(ExformalError, match="expanding a product of 100 "
+                                                "sums takes more than 10000"):
+            parse_expr(text, CH)
+
 
 class TestPrintRoundTrip:
     CASES = [
@@ -403,6 +419,7 @@ class TestPrintRoundTrip:
         "(r^2 - 4*m^2)/(r - 2*m)",
         "1/(1 - 2*m/r)",
         "cos(t)^2 + 3*sin(t)",
+        "-2*t/(1 + t^2)^2",
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -410,6 +427,13 @@ class TestPrintRoundTrip:
         e = parse_expr(text, CH, ("m", "r"))
         printed = to_text(e)
         assert parse_expr(printed, CH, ("m", "r")) == e
+
+    def test_negative_power_of_a_sum_reads_back_unexpanded(self):
+        # a/(s)^k is a*s^-k, the tree it was printed from, not a/(s^k expanded)
+        e = simplify(diff(parse_expr("1/(1 + t^2)", CH), "t"))
+        assert to_text(e) == "-2*t/(1 + t^2)^2"
+        assert parse_expr(to_text(e), CH) == e
+        assert parse_expr("1/(x + 1)^100", CH) == pow_(parse_expr("x + 1", CH), -100)
 
     def test_integer_past_digit_limit_is_an_engine_error(self):
         # 2^99999 has 30103 digits, past the interpreter's 4300-digit limit
@@ -467,6 +491,8 @@ class TestEval:
 # recursive evaluator it replaced: the plan evaluator computes each
 # distinct subexpression once but in the same float operations and order,
 # so every value is bit-identical and the first failing node is the same.
+# The fifth tree divides by the expanded (x^2 + 1)^2, spelled out because
+# a/(s)^k now reads as a*s^-k.
 EVAL_POINTS = [
     {"x": 0.3, "y": -1.7},
     {"x": 1.25, "y": 1.25},
@@ -510,7 +536,7 @@ EVAL_PINS = [
         '6.298865277011586e+257',
         '-1.0',
     ]),
-    ('sqrt(x^2 + 1)*ln(x^2 + 1)/(x^2 + 1)^2 - 3/7*x^5*y^-3', [
+    ('sqrt(x^2 + 1)*ln(x^2 + 1)/(x^4 + 2*x^2 + 1) - 3/7*x^5*y^-3', [
         '0.0759397379707651',
         '-0.4402467068528323',
         '0.16134263497622853',
@@ -585,7 +611,7 @@ class TestFiniteDifferenceOracle:
             d = diff(e, name)
             if d == ZERO:
                 continue
-            fns = interpretation_table(e, DEFAULT_POLICY)
+            fns = interpretation_table(e)
             points_done = 0
             while points_done < 10:
                 env = {n: rng.uniform(-1.2, 1.2) for n in CH.names}
@@ -619,14 +645,8 @@ class TestIsZero:
 
     def test_deterministic_for_seed(self):
         e = parse_expr("sin(x)*cos(y) - sin(x + y)/2 - sin(x - y)/2", CH)
-        p = SamplingPolicy(seed=123)
-        assert is_zero(e, p) is is_zero(e, p)
-        assert is_zero(e, p) is ZeroVerdict.ZERO
-
-    def test_untrusted_sampling_gives_unknown(self):
-        p = SamplingPolicy(trust_sampling=False)
-        e = parse_expr("sin(x)*cos(y) - sin(x + y)/2 - sin(x - y)/2", CH)
-        assert is_zero(e, p) is ZeroVerdict.UNKNOWN
+        assert is_zero(e, 123) is is_zero(e, 123)
+        assert is_zero(e, 123) is ZeroVerdict.ZERO
 
     def test_domain_redraw(self):
         # 1/x is nonzero; points near the pole get redrawn, not crashed
@@ -635,6 +655,23 @@ class TestIsZero:
     def test_power_overflow_redraws(self):
         # 1/x^1100 overflows a float at every point with |x| < 0.52
         assert is_zero(parse_expr("1/x^1100", CH)) is ZeroVerdict.NONZERO
+
+    def test_fixed_tolerance(self):
+        # |x|/10^10 <= 2e-10 on the box (-2, 2) is within the tolerance
+        # 1e-9; |x|/10^8 is not at every one of the 20 points of seed 0
+        assert is_zero(parse_expr("x/10^10", CH)) is ZeroVerdict.ZERO
+        assert is_zero(parse_expr("x/10^8", CH)) is ZeroVerdict.NONZERO
+
+    def test_one_point_generator(self):
+        # the determinant check's points are the box center, then those of
+        # is_zero for the same seed
+        points = symbolic._sample_points(("x", "y"), 5)
+        centered = symbolic._sample_points(("x", "y"), 5, center=True)
+        assert next(centered) == {"x": 0.0, "y": 0.0}
+        for _ in range(30):
+            p = next(points)
+            assert p == next(centered)
+            assert all(-2.0 <= v <= 2.0 for v in p.values())
 
     def test_huge_constant_redraws_until_unknown(self):
         # 10^400 is past the float range, so no point can be evaluated
@@ -701,8 +738,10 @@ class TestSubstitute:
                                   parse_expr(profile, Chart(("u",))))
         assert to_text(out) == expected
 
+    # The sum under 1/ is spelled out expanded, as the constructors left
+    # (a(t) + x)^2 before a/(s)^k read as a*s^-k.
     @pytest.mark.parametrize("text, expected", [
-        ("sin(a(x)) + f(a(y)) + 1/(a(t) + x)^2",
+        ("sin(a(x)) + f(a(y)) + 1/(a(t)^2 + 2*a(t)*x + x^2)",
          "sin(x^2) + f(y^2) + 1/(t^4 + x^2 + 2*x*t^2)"),
         ("a(x + a(y))*x", "x^3 + 2*x^2*y^2 + x*y^4"),
     ])
