@@ -1,14 +1,31 @@
-"""Small symbolic matrix helpers (desk-scale: n <= 4 or so)."""
+"""Component arrays and small symbolic matrix helpers (desk-scale: n <= 4
+or so).
+
+`grid` is the one place that knows how an n^rank component array is laid
+out: nested tuples, first index outermost.  Metrics, matrices, connection
+coefficients and every curvature tensor are built through it.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
 
 __all__ = ["mat_det", "mat_inverse", "as_matrix"]
 
 Matrix = tuple[tuple[Expr, ...], ...]
+
+
+def grid(n: int, rank: int, f: Callable):
+    """Nested tuples of f(*idx) over every idx in range(n)^rank, built in
+    row-major order; grid(n, 0, f) is f() and grid(n, 2, f)[i][j] is
+    f(i, j)."""
+    def build(idx):
+        if len(idx) == rank:
+            return f(*idx)
+        return tuple(build(idx + (i,)) for i in range(n))
+    return build(())
 
 
 def as_matrix(rows: Sequence[Sequence[Expr]]) -> Matrix:
@@ -42,19 +59,13 @@ def mat_det(m: Matrix) -> Expr:
     return simplify(add(*parts))
 
 
-def mat_inverse(m: Matrix, det: Expr | None = None) -> Matrix:
-    """Inverse by adjugate over determinant; caller guards singularity."""
-    n = len(m)
-    if det is None:
-        det = mat_det(m)
+def mat_inverse(m: Matrix, det: Expr) -> Matrix:
+    """Inverse by adjugate over `det`, the determinant of `m`; caller
+    guards singularity."""
     inv_det = pow_(det, -1)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sign = Rat(-1 if (i + j) % 2 else 1)
-            cof = mat_det(_minor(m, j, i))
-            row.append(simplify(mul(sign, cof, inv_det)))
-        out.append(tuple(row))
-    return tuple(out)
 
+    def entry(i, j):
+        sign = Rat(-1 if (i + j) % 2 else 1)
+        return simplify(mul(sign, mat_det(_minor(m, j, i)), inv_det))
+
+    return grid(len(m), 2, entry)

@@ -18,6 +18,7 @@ from .connection import bianchi_residual, christoffel, einstein_tensor, torsion
 from .errors import ChartError
 from .exterior import Form, ext_d, form_to_text
 from .geometry import Metric, build_em_form, maxwell_residual, minkowski_metric
+from ._linalg import grid
 from .symbolic import (
     Chart,
     Expr,
@@ -184,7 +185,7 @@ def _canonical_chart(k: int) -> Chart:
     )
 
 
-def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
+def verify_hamiltonian(H: Expr, k: int = 1,
                        corrupted: bool = False,
                        seed: int = 0,
                        scenario: str = "hamiltonian") -> VerificationReport:
@@ -194,10 +195,7 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
     With corrupted=True the momentum equations get the wrong sign -- the
     bundled falsification control.
     """
-    if isinstance(H, HamiltonianSystem):
-        sys = H.with_time()
-    else:
-        sys = HamiltonianSystem(_canonical_chart(k), H)
+    sys = HamiltonianSystem(_canonical_chart(k), H)
     theta = poincare_cartan(sys)
     dtheta = ext_d(theta)
     residual = _flow_residual(sys, dtheta, 1 if corrupted else -1)
@@ -221,6 +219,12 @@ def verify_hamiltonian(H: Expr | HamiltonianSystem, k: int = 1,
 # ---------------------------------------------------------------------------
 # Degree 3: Einstein
 # ---------------------------------------------------------------------------
+
+
+def _nonzero_text(t) -> str:
+    """`(i, j)=text; ...` over the nonzero components of `t`, else `0`."""
+    nz = t.nonzero()
+    return "; ".join(f"{idx}={to_text(c)}" for idx, c in nz.items()) or "0"
 
 
 def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
@@ -259,10 +263,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
         report.checks.append(
             _residual_check(f"G - {kappa_name}*T = 0", residuals, seed)
         )
-    gn = G.nonzero()
-    report.values["G_nonzero"] = (
-        "; ".join(f"{idx}={to_text(c)}" for idx, c in gn.items()) or "0"
-    )
+    report.values["G_nonzero"] = _nonzero_text(G)
     if n == 2:
         report.notes.append(
             "dim-2 identity: R_{mu nu} = (1/2) g_{mu nu} R makes G vanish"
@@ -362,11 +363,10 @@ def _hamiltonian_scenario(control: bool, seed: int) -> VerificationReport:
 def _einstein_scenario(control: bool, seed: int) -> VerificationReport:
     if control:
         g = minkowski_metric(Chart(("t", "x", "y", "z")))
-        T = [[ZERO] * 4 for _ in range(4)]
-        T[0][0] = ONE
-        return verify_einstein(g, tuple(tuple(r) for r in T), seed=seed,
+        T = grid(4, 2, lambda m, v: ONE if m == v == 0 else ZERO)
+        return verify_einstein(g, T, seed=seed,
                                scenario="einstein/minkowski-with-dust-T")
-    zeroT = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
+    zeroT = grid(4, 2, lambda m, v: ZERO)
     chart = Chart(("t", "r", "th", "ph"))
     rows = [["-(1 - 2*m/r)", "0", "0", "0"], ["0", "1/(1 - 2*m/r)", "0", "0"],
             ["0", "0", "r^2", "0"], ["0", "0", "0", "r^2*sin(th)^2"]]

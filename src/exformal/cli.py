@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .catalog import (ENGINE_CONVENTIONS, _canonical_chart, correspondence_table,
-                      verify_einstein, verify_hamiltonian, verify_maxwell)
+from .catalog import (ENGINE_CONVENTIONS, _canonical_chart, _nonzero_text,
+                      correspondence_table, verify_einstein, verify_hamiltonian,
+                      verify_maxwell)
 from .connection import (Connection, _levi_civita_ricci, bianchi_residual,
                          christoffel, covariant_derivative_1form, einstein_tensor,
                          evolutionary_commutator, riemann, torsion)
@@ -339,11 +340,6 @@ def _value(values: dict, expectable: str | None = None) -> TaskOutcome:
 
 def _form_value(f: Form) -> TaskOutcome:
     return _value({"result": form_to_text(f)})
-
-
-def _nonzero_text(t) -> str:
-    nz = t.nonzero()
-    return "; ".join(f"{idx}={to_text(c)}" for idx, c in nz.items()) or "0"
 
 
 def _nonzero_value(t) -> TaskOutcome:

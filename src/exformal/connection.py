@@ -21,10 +21,11 @@ metric-compatibility constraint is imposed on user-supplied coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from typing import Callable
 
 from .errors import ChartMismatchError, DegreeError
+from ._linalg import grid
 from .exterior import Form
 from .geometry import Metric
 from .symbolic import (
@@ -128,10 +129,7 @@ class Connection(Tensor):
 
     @classmethod
     def zero(cls, chart: Chart) -> "Connection":
-        n = chart.dim
-        z = tuple(tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-                  for _ in range(n))
-        return cls(chart, z)
+        return cls(chart, grid(chart.dim, 3, lambda s, a, b: ZERO))
 
 
 def _stage(build):
@@ -156,39 +154,29 @@ def christoffel(g: Metric) -> Connection:
     n = chart.dim
     names = chart.names
     half = Rat(Fraction(1, 2))
-    gamma = []
-    for s in range(n):
-        plane = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                parts = []
-                for r in range(n):
-                    if g.inverse[s][r] == ZERO:
-                        continue
-                    bracket = add(
-                        diff(g.g[r][b], names[a]),
-                        diff(g.g[r][a], names[b]),
-                        neg(diff(g.g[a][b], names[r])),
-                    )
-                    parts.append(mul(g.inverse[s][r], bracket))
-                row.append(mul(half, add(*parts)))
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
-    return Connection(chart, tuple(gamma))
+
+    def gamma(s, a, b):
+        parts = []
+        for r in range(n):
+            if g.inverse[s][r] == ZERO:
+                continue
+            bracket = add(
+                diff(g.g[r][b], names[a]),
+                diff(g.g[r][a], names[b]),
+                neg(diff(g.g[a][b], names[r])),
+            )
+            parts.append(mul(g.inverse[s][r], bracket))
+        return mul(half, add(*parts))
+
+    return Connection(chart, grid(n, 3, gamma))
 
 
 def torsion(c: Connection) -> Tensor:
     """T^sigma_{alpha beta} = Gamma^sigma_{alpha beta}
     - Gamma^sigma_{beta alpha}; identically zero for christoffel output."""
-    n = c.chart.dim
-    comps = tuple(
-        tuple(
-            tuple(add(c.gamma[s][a][b], neg(c.gamma[s][b][a])) for b in range(n))
-            for a in range(n)
-        )
-        for s in range(n)
-    )
+    gamma = c.gamma
+    comps = grid(c.chart.dim, 3,
+                 lambda s, a, b: add(gamma[s][a][b], neg(gamma[s][b][a])))
     return Tensor(c.chart, "ull", comps)
 
 
@@ -205,17 +193,12 @@ def covariant_derivative_1form(a: Form, c: Connection) -> Tensor:
     n = a.chart.dim
     names = a.chart.names
     A = _form_components_as_vector(a)
-    comps = tuple(
-        tuple(
-            add(
-                diff(A[b], names[al]),
-                neg(add(*(mul(c.gamma[s][al][b], A[s]) for s in range(n)))),
-            )
-            for b in range(n)
-        )
-        for al in range(n)
-    )
-    return Tensor(a.chart, "ll", comps)
+
+    def entry(al, b):
+        transport = add(*(mul(c.gamma[s][al][b], A[s]) for s in range(n)))
+        return add(diff(A[b], names[al]), neg(transport))
+
+    return Tensor(a.chart, "ll", grid(n, 2, entry))
 
 
 def evolutionary_commutator(a: Form, c: Connection) -> Form:
@@ -258,19 +241,8 @@ def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
 def riemann(c: Connection) -> Tensor:
     """Curvature R^rho_{sigma mu nu} of a (possibly nonsymmetric)
     connection; antisymmetric in mu, nu."""
-    n = c.chart.dim
-    names = c.chart.names
-    comps = tuple(
-        tuple(
-            tuple(
-                tuple(_riemann_component(c.gamma, names, r, s, m, v)
-                      for v in range(n))
-                for m in range(n)
-            )
-            for s in range(n)
-        )
-        for r in range(n)
-    )
+    comps = grid(c.chart.dim, 4,
+                 partial(_riemann_component, c.gamma, c.chart.names))
     return Tensor(c.chart, "ulll", comps)
 
 
@@ -279,13 +251,11 @@ def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
     """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}, from the
     simplified Riemann components `component(rho, sigma, mu, nu)`."""
     n = g.chart.dim
-    ricci = tuple(
-        tuple(
-            add(*(component(r, m, r, v) for r in range(n))) for v in range(n)
-        )
-        for m in range(n)
-    )
-    ricci_t = Tensor(g.chart, "ll", ricci)
+
+    def contracted(m, v):
+        return add(*(component(r, m, r, v) for r in range(n)))
+
+    ricci_t = Tensor(g.chart, "ll", grid(n, 2, contracted))
     scalar = simplify(
         add(
             *(
@@ -315,6 +285,8 @@ def _levi_civita_ricci(g: Metric) -> tuple[Tensor, Expr]:
     names = g.chart.names
 
     def component(r, s, m, v):
+        if m == v:  # R^r_{s v v} = 0: the formula is antisymmetric in m, v
+            return ZERO
         return simplify(_riemann_component(gamma, names, r, s, m, v))
 
     return _ricci_contraction(component, g)
@@ -325,16 +297,12 @@ def einstein_tensor(g: Metric) -> Tensor:
     """G_{mu nu} = R_{mu nu} - (1/2) g_{mu nu} R through the full
     christoffel -> riemann -> ricci pipeline."""
     ricci, scalar = _levi_civita_ricci(g)
-    n = g.chart.dim
     half = Rat(Fraction(1, 2))
-    comps = tuple(
-        tuple(
-            add(ricci.comp(m, v), neg(mul(half, g.g[m][v], scalar)))
-            for v in range(n)
-        )
-        for m in range(n)
-    )
-    return Tensor(g.chart, "ll", comps)
+
+    def entry(m, v):
+        return add(ricci.comp(m, v), neg(mul(half, g.g[m][v], scalar)))
+
+    return Tensor(g.chart, "ll", grid(g.chart.dim, 2, entry))
 
 
 @_stage
@@ -347,8 +315,8 @@ def bianchi_residual(g: Metric) -> tuple[Expr, ...]:
     names = chart.names
     G = einstein_tensor(g)
     gamma = christoffel(g).gamma
-    out = []
-    for v in range(n):
+
+    def divergence(v):
         parts = []
         for m in range(n):
             for r in range(n):
@@ -359,5 +327,6 @@ def bianchi_residual(g: Metric) -> tuple[Expr, ...]:
                     inner.append(neg(mul(gamma[lam][r][m], G.comp(lam, v))))
                     inner.append(neg(mul(gamma[lam][r][v], G.comp(m, lam))))
                 parts.append(mul(g.inverse[m][r], add(*inner)))
-        out.append(simplify(add(*parts)))
-    return tuple(out)
+        return simplify(add(*parts))
+
+    return grid(n, 1, divergence)

@@ -1,10 +1,12 @@
 """Skew-symmetric differential forms over a single chart.
 
-Components are stored only at strictly increasing multi-indices; all sign
-bookkeeping happens when operations assemble results, so two forms are
-equal exactly when their component maps match.  The closure classifier
-separates Closed / Exact / NonClosed and, for closed forms, attempts an
-explicit potential that is re-verified before being reported.
+Components are stored only at strictly increasing multi-indices, so two
+forms are equal exactly when their component maps match.  Operations
+yield their result as (index, term) pairs that `_summed` adds up per
+index, and every sign of moving differentials into increasing order comes
+from `_merge_sign`.  The closure classifier separates Closed / Exact /
+NonClosed and, for closed forms, attempts an explicit potential that is
+re-verified before being reported.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatchError, DegreeError, DomainError
 from .symbolic import (
@@ -175,6 +177,16 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _summed(chart: Chart, degree: int,
+            terms: Iterable[tuple[tuple[int, ...], Expr]]) -> Form:
+    """The form whose component at each index is the sum of the terms
+    paired with that index; an index without terms is zero."""
+    acc: dict[tuple[int, ...], list[Expr]] = {}
+    for idx, term in terms:
+        acc.setdefault(idx, []).append(term)
+    return Form(chart, degree, {idx: add(*ts) for idx, ts in acc.items()})
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Graded-commutative exterior product."""
     _require_same_chart(a.chart, b.chart)
@@ -182,16 +194,12 @@ def wedge(a: Form, b: Form) -> Form:
     degree = a.degree + b.degree
     if degree > n:
         return Form.zero(a.chart, n, top_degree=True)
-    acc: dict[tuple[int, ...], list[Expr]] = {}
-    for idx_a, ca in a.components.items():
-        set_a = set(idx_a)
-        for idx_b, cb in b.components.items():
-            if set_a & set(idx_b):
-                continue
-            sign = _merge_sign(idx_a, idx_b)
-            key = tuple(sorted(idx_a + idx_b))
-            acc.setdefault(key, []).append(mul(Rat(sign), ca, cb))
-    return Form(a.chart, degree, {k: add(*v) for k, v in acc.items()})
+    return _summed(a.chart, degree, (
+        (tuple(sorted(ia + ib)), mul(Rat(_merge_sign(ia, ib)), ca, cb))
+        for ia, ca in a.components.items()
+        for ib, cb in b.components.items()
+        if not set(ia) & set(ib)
+    ))
 
 
 def ext_d(a: Form) -> Form:
@@ -200,19 +208,18 @@ def ext_d(a: Form) -> Form:
     if a.degree == n:
         return Form.zero(a.chart, n, top_degree=True)
     names = a.chart.names
-    acc: dict[tuple[int, ...], list[Expr]] = {}
-    for idx, c in a.components.items():
-        for j in range(n):
-            if j in idx:
-                continue
-            dc = diff(c, names[j])
-            if dc == ZERO:
-                continue
-            pos = sum(1 for i in idx if i < j)
-            sign = -1 if pos % 2 else 1
-            key = tuple(sorted(idx + (j,)))
-            acc.setdefault(key, []).append(mul(Rat(sign), dc))
-    return Form(a.chart, a.degree + 1, {k: add(*v) for k, v in acc.items()})
+
+    def terms():
+        for idx, c in a.components.items():
+            for j in range(n):
+                if j in idx:
+                    continue
+                dc = diff(c, names[j])
+                if dc != ZERO:
+                    sign = _merge_sign((j,), idx)
+                    yield tuple(sorted(idx + (j,))), mul(Rat(sign), dc)
+
+    return _summed(a.chart, a.degree + 1, terms())
 
 
 def linear_combine(coeffs: Sequence[Expr], forms: Sequence[Form]) -> Form:
@@ -226,11 +233,11 @@ def linear_combine(coeffs: Sequence[Expr], forms: Sequence[Form]) -> Form:
         _require_same_chart(chart, f.chart)
         if f.degree != degree:
             raise DegreeError("forms must share a degree")
-    acc: dict[tuple[int, ...], list[Expr]] = {}
-    for c, f in zip(coeffs, forms):
-        for idx, comp in f.components.items():
-            acc.setdefault(idx, []).append(mul(c, comp))
-    return Form(chart, degree, {k: add(*v) for k, v in acc.items()})
+    return _summed(chart, degree, (
+        (idx, mul(c, comp))
+        for c, f in zip(coeffs, forms)
+        for idx, comp in f.components.items()
+    ))
 
 
 def pullback(phi: SubmanifoldMap, a: Form) -> Form:
@@ -247,14 +254,15 @@ def pullback(phi: SubmanifoldMap, a: Form) -> Form:
         Form(src, 1, {(j,): diff(phi.exprs[i], src.names[j]) for j in range(k)})
         for i in range(phi.target.dim)
     ]
-    acc: dict[tuple[int, ...], list[Expr]] = {}
-    for idx, c in a.components.items():
-        term = Form.scalar(src, substitute(c, subs_map))
-        for i in idx:
-            term = wedge(term, pulled_d[i])
-        for key, comp in term.components.items():
-            acc.setdefault(key, []).append(comp)
-    return Form(src, a.degree, {k2: add(*v) for k2, v in acc.items()})
+
+    def terms():
+        for idx, c in a.components.items():
+            term = Form.scalar(src, substitute(c, subs_map))
+            for i in idx:
+                term = wedge(term, pulled_d[i])
+            yield from term.components.items()
+
+    return _summed(src, a.degree, terms())
 
 
 def interior_product(v: VectorField, a: Form) -> Form:
@@ -262,13 +270,12 @@ def interior_product(v: VectorField, a: Form) -> Form:
     _require_same_chart(v.chart, a.chart)
     if a.degree < 1:
         raise DegreeError("interior product needs degree >= 1")
-    acc: dict[tuple[int, ...], list[Expr]] = {}
-    for idx, c in a.components.items():
-        for pos, i in enumerate(idx):
-            sign = -1 if pos % 2 else 1
-            key = idx[:pos] + idx[pos + 1 :]
-            acc.setdefault(key, []).append(mul(Rat(sign), v.components[i], c))
-    return Form(a.chart, a.degree - 1, {k: add(*v2) for k, v2 in acc.items()})
+    return _summed(a.chart, a.degree - 1, (
+        (idx[:pos] + idx[pos + 1:],
+         mul(Rat(_merge_sign((i,), idx)), v.components[i], c))
+        for idx, c in a.components.items()
+        for pos, i in enumerate(idx)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +337,10 @@ def _homotopy_potential(a: Form) -> Form | None:
         for i in range(n):
             if i in J:
                 continue
-            K = tuple(sorted(J + (i,)))
-            comp = a.get(K)
+            comp = a.get(tuple(sorted(J + (i,))))
             if comp == ZERO:
                 continue
-            pos = K.index(i)
-            sign = -1 if pos % 2 else 1
+            sign = _merge_sign((i,), J)
             integrand = mul(pow_(Sym(t), p - 1), substitute(comp, scale))
             anti = antiderivative(integrand, t)
             if anti is None:

@@ -31,7 +31,7 @@ from .errors import (
     MetricValidationError,
     SingularMetricError,
 )
-from ._linalg import as_matrix, mat_det, mat_inverse
+from ._linalg import as_matrix, grid, mat_det, mat_inverse
 from .exterior import Form, _merge_sign, ext_d, linear_combine
 from .symbolic import (
     _MAX_REDRAWS,
@@ -160,22 +160,16 @@ class Metric:
 
 
 def euclidean_metric(chart: Chart) -> Metric:
-    n = chart.dim
-    rows = [[Rat(1) if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows = grid(chart.dim, 2, lambda i, j: Rat(1) if i == j else ZERO)
     return Metric(chart, rows, det_sign=1)
 
 
 def minkowski_metric(chart: Chart) -> Metric:
     """diag(-1, 1, ..., 1) with the first coordinate timelike."""
-    n = chart.dim
-    rows = [
-        [
-            (Rat(-1) if i == 0 else Rat(1)) if i == j else ZERO
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Metric(chart, rows, det_sign=-1)
+    def entry(i, j):
+        return Rat(-1 if i == 0 else 1) if i == j else ZERO
+
+    return Metric(chart, grid(chart.dim, 2, entry), det_sign=-1)
 
 
 def _raised_component(a: Form, idx: tuple[int, ...], ginv) -> Expr:
@@ -201,18 +195,12 @@ def hodge(a: Form, g: Metric) -> Form:
         raise ChartMismatchError("form and metric live on different charts")
     n = g.chart.dim
     p = a.degree
-    comps: dict[tuple[int, ...], list[Expr]] = {}
-    full = set(range(n))
+    comps = {}
     for idx in combinations(range(n), p):
+        dual = tuple(i for i in range(n) if i not in idx)
         up = _raised_component(a, idx, g.inverse)
-        if up == ZERO:
-            continue
-        comp_idx = tuple(sorted(full - set(idx)))
-        sign = _merge_sign(idx, comp_idx)
-        comps.setdefault(comp_idx, []).append(
-            mul(Rat(sign), g.sqrt_abs_det, up)
-        )
-    return Form(g.chart, n - p, {k: add(*v) for k, v in comps.items()})
+        comps[dual] = mul(Rat(_merge_sign(idx, dual)), g.sqrt_abs_det, up)
+    return Form(g.chart, n - p, comps)
 
 
 def codifferential(a: Form, g: Metric) -> Form:

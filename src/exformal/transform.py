@@ -20,7 +20,7 @@ from .errors import (
     PatternMismatchError,
 )
 from ._antideriv import antiderivative
-from ._linalg import as_matrix, mat_det, mat_inverse
+from ._linalg import as_matrix, grid, mat_det, mat_inverse
 from .exterior import (
     ClosureStatus,
     Form,
@@ -305,10 +305,7 @@ def jacobian_degeneracy(phi, seed: int = 0) -> DegeneracyReport:
     if phi.source.dim != phi.target.dim:
         raise ChartError("jacobian degeneracy needs a square map")
     n = phi.source.dim
-    J = tuple(
-        tuple(diff(phi.exprs[i], phi.source.names[j]) for j in range(n))
-        for i in range(n)
-    )
+    J = grid(n, 2, lambda i, j: diff(phi.exprs[i], phi.source.names[j]))
     return _classify_determinant(mat_det(J), seed)
 
 

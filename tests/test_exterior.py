@@ -11,6 +11,7 @@ from exformal.exterior import (
     Form,
     SubmanifoldMap,
     VectorField,
+    _summed,
     classify_closure,
     dcoord,
     ext_d,
@@ -147,6 +148,21 @@ class TestExtD:
                 [wedge(ext_d(a), b), wedge(a, ext_d(b))],
             )
             assert zero_residual(lhs, rhs)
+
+
+class TestSummed:
+    def test_repeated_index_is_summed(self):
+        x, y = Sym("x"), Sym("y")
+        out = _summed(CH2, 1, [((0,), x), ((1,), y), ((0,), y)])
+        assert out == Form(CH2, 1, {(0,): add(x, y), (1,): y})
+
+    def test_cancelling_terms_leave_no_component(self):
+        x = Sym("x")
+        out = _summed(CH2, 1, [((0,), x), ((1,), x), ((0,), neg(x))])
+        assert out.components == {(1,): x}
+
+    def test_no_terms_is_the_zero_form(self):
+        assert _summed(CH2, 2, []) == Form.zero(CH2, 2)
 
 
 class TestLinearCombine:

@@ -19,6 +19,11 @@ the repository root with
 
 review `git diff tests/golden`, and update an exit code in CASES by hand
 if one changed on purpose.
+
+The goldens pin a handful of reports.  To hold a refactor to every report
+of the bundled and benchmark scenarios, run `python tests/report_digest.py`
+before and after it and compare: it prints one sha256 per file, format and
+seed.
 """
 
 import contextlib
