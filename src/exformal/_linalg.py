@@ -4,11 +4,16 @@ or so).
 `grid` is the one place that knows how an n^rank component array is laid
 out: nested tuples, first index outermost.  Metrics, matrices, connection
 coefficients and every curvature tensor are built through it.
+
+`compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
+Hodge star raises a form's indices with it (m = g^-1), and `pullback`
+pulls a form back with it (m = the transposed Jacobian of the map, by
+Cauchy-Binet).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
 
@@ -57,6 +62,22 @@ def mat_det(m: Matrix) -> Expr:
         sign = Rat(-1 if j % 2 else 1)
         parts.append(mul(sign, m[0][j], mat_det(_minor(m, 0, j))))
     return simplify(add(*parts))
+
+
+def compound_sum(m: Sequence[Sequence[Expr]],
+                 comps: Mapping[tuple[int, ...], Expr],
+                 rows: tuple[int, ...]) -> Expr:
+    """Sum over the index tuples J of `comps` of det(m[rows][J]) * comps[J],
+    where m[rows][J] keeps the rows `rows` and the columns J of `m`;
+    comps[()] (zero when absent) when `rows` is empty."""
+    if not rows:
+        return comps.get((), ZERO)
+    parts = []
+    for J, c in comps.items():
+        d = mat_det(tuple(tuple(m[i][j] for j in J) for i in rows))
+        if d != ZERO:
+            parts.append(mul(d, c))
+    return add(*parts)
 
 
 def mat_inverse(m: Matrix, det: Expr) -> Matrix:

@@ -230,20 +230,31 @@ def evolutionary_commutator(a: Form, c: Connection) -> Form:
 
 
 def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
-    """R^r_{s m v} of the coefficients `gamma`, not yet simplified."""
+    """R^r_{s m v} of the coefficients `gamma`, simplified; 0 for m == v,
+    where the formula is antisymmetric in m, v."""
+    if m == v:
+        return ZERO
     parts = [diff(gamma[r][v][s], names[m]), neg(diff(gamma[r][m][s], names[v]))]
     for lam in range(len(names)):
         parts.append(mul(gamma[r][m][lam], gamma[lam][v][s]))
         parts.append(neg(mul(gamma[r][v][lam], gamma[lam][m][s])))
-    return add(*parts)
+    return simplify(add(*parts))
 
 
 def riemann(c: Connection) -> Tensor:
     """Curvature R^rho_{sigma mu nu} of a (possibly nonsymmetric)
-    connection; antisymmetric in mu, nu."""
-    comps = grid(c.chart.dim, 4,
-                 partial(_riemann_component, c.gamma, c.chart.names))
-    return Tensor(c.chart, "ulll", comps)
+    connection; antisymmetric in mu, nu.  Only the n^3(n-1)/2 components
+    with mu < nu are built; those with mu > nu are their negations."""
+    rule = partial(_riemann_component, c.gamma, c.chart.names)
+    built = {}
+
+    def component(r, s, m, v):
+        if m > v:  # grid reaches (r, s, v, m) first
+            return neg(built[r, s, v, m])
+        built[r, s, m, v] = out = rule(r, s, m, v)
+        return out
+
+    return Tensor(c.chart, "ulll", grid(c.chart.dim, 4, component))
 
 
 def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
@@ -278,18 +289,11 @@ def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
 @_stage
 def _levi_civita_ricci(g: Metric) -> tuple[Tensor, Expr]:
     """Ricci tensor and scalar of the Levi-Civita connection, contracted
-    from the n^3 Riemann components R^rho_{mu rho nu} alone; each is
-    simplified as `riemann` simplifies it, so the result equals
+    from the n^3 Riemann components R^rho_{mu rho nu} alone; each comes
+    from the one curvature rule `riemann` uses, so the result equals
     `ricci_and_scalar(riemann(christoffel(g)), g)`."""
-    gamma = christoffel(g).gamma
-    names = g.chart.names
-
-    def component(r, s, m, v):
-        if m == v:  # R^r_{s v v} = 0: the formula is antisymmetric in m, v
-            return ZERO
-        return simplify(_riemann_component(gamma, names, r, s, m, v))
-
-    return _ricci_contraction(component, g)
+    return _ricci_contraction(
+        partial(_riemann_component, christoffel(g).gamma, g.chart.names), g)
 
 
 @_stage

@@ -4,7 +4,8 @@ Components are stored only at strictly increasing multi-indices, so two
 forms are equal exactly when their component maps match.  Operations
 yield their result as (index, term) pairs that `_summed` adds up per
 index, and every sign of moving differentials into increasing order comes
-from `_merge_sign`.  The closure classifier separates Closed / Exact /
+from `_merge_sign`; `pullback` alone takes Jacobian minors through
+`_linalg.compound_sum`.  The closure classifier separates Closed / Exact /
 NonClosed and, for closed forms, attempts an explicit potential that is
 re-verified before being reported.
 """
@@ -34,6 +35,7 @@ from .symbolic import (
     to_text,
 )
 from ._antideriv import antiderivative
+from ._linalg import compound_sum
 
 __all__ = [
     "Form",
@@ -241,28 +243,21 @@ def linear_combine(coeffs: Sequence[Expr], forms: Sequence[Form]) -> Form:
 
 
 def pullback(phi: SubmanifoldMap, a: Form) -> Form:
-    """Pull a form on the target chart back along the map."""
+    """Pull a form on the target chart back along the map.  Its component
+    at a source index K is sum_I a_I(x(u)) det(dx^I/du^K), the minors of
+    the map's Jacobian (Cauchy-Binet), taken by `compound_sum`."""
     _require_same_chart(phi.target, a.chart)
     src = phi.source
     k = src.dim
     if a.degree > k:
         return Form.zero(src, k, top_degree=True)
     subs_map = {phi.target.names[i]: phi.exprs[i] for i in range(phi.target.dim)}
-    if a.degree == 0:
-        return Form.scalar(src, substitute(a.get(()), subs_map))
-    pulled_d = [
-        Form(src, 1, {(j,): diff(phi.exprs[i], src.names[j]) for j in range(k)})
-        for i in range(phi.target.dim)
-    ]
-
-    def terms():
-        for idx, c in a.components.items():
-            term = Form.scalar(src, substitute(c, subs_map))
-            for i in idx:
-                term = wedge(term, pulled_d[i])
-            yield from term.components.items()
-
-    return _summed(src, a.degree, terms())
+    jac_t = tuple(tuple(diff(x, u) for x in phi.exprs) for u in src.names)
+    pulled = {idx: substitute(c, subs_map) for idx, c in a.components.items()}
+    return Form(src, a.degree, {
+        K: compound_sum(jac_t, pulled, K)
+        for K in combinations(range(k), a.degree)
+    })
 
 
 def interior_product(v: VectorField, a: Form) -> Form:

@@ -7,9 +7,10 @@ Conventions (also echoed in every CLI report):
   exactly when det g simplifies to a constant, otherwise numerically at
   the sampling box center (or, where det g is singular there, at the
   first point of seed 0 where it is not); it is never inferred.
-* hodge raises all indices with g^{-1}, contracts against the
-  Levi-Civita symbol, and scales by sqrt|det g|; the involution
-  **a = s * (-1)^(p(n-p)) a fixes every sign (s = declared det sign).
+* hodge raises all indices with g^{-1} (by its minors, through
+  `_linalg.compound_sum`), contracts against the Levi-Civita symbol,
+  and scales by sqrt|det g|; the involution **a = s * (-1)^(p(n-p)) a
+  fixes every sign (s = declared det sign).
 * codifferential: delta a = s * (-1)^(n(p+1)+1) * d * a.
 * electromagnetic 2-form: F = (E1 dx + E2 dy + E3 dz)^dt
   + B1 dy^dz + B2 dz^dx + B3 dx^dy, units c = 1; with it dF = 0 encodes
@@ -31,7 +32,7 @@ from .errors import (
     MetricValidationError,
     SingularMetricError,
 )
-from ._linalg import as_matrix, grid, mat_det, mat_inverse
+from ._linalg import as_matrix, compound_sum, grid, mat_det, mat_inverse
 from .exterior import Form, _merge_sign, ext_d, linear_combine
 from .symbolic import (
     _MAX_REDRAWS,
@@ -172,23 +173,6 @@ def minkowski_metric(chart: Chart) -> Metric:
     return Metric(chart, grid(chart.dim, 2, entry), det_sign=-1)
 
 
-def _raised_component(a: Form, idx: tuple[int, ...], ginv) -> Expr:
-    """a^I by the compound-matrix rule: sum over increasing J of
-    det[g^{I_r J_s}] * a_J."""
-    if not idx:
-        return a.get(())
-    parts = []
-    for Jidx, comp in a.components.items():
-        sub = tuple(
-            tuple(ginv[i][j] for j in Jidx) for i in idx
-        )
-        d = mat_det(sub)
-        if d == ZERO:
-            continue
-        parts.append(mul(d, comp))
-    return add(*parts)
-
-
 def hodge(a: Form, g: Metric) -> Form:
     """Hodge dual; degree p -> n - p."""
     if a.chart != g.chart:
@@ -198,7 +182,7 @@ def hodge(a: Form, g: Metric) -> Form:
     comps = {}
     for idx in combinations(range(n), p):
         dual = tuple(i for i in range(n) if i not in idx)
-        up = _raised_component(a, idx, g.inverse)
+        up = compound_sum(g.inverse, a.components, idx)
         comps[dual] = mul(Rat(_merge_sign(idx, dual)), g.sqrt_abs_det, up)
     return Form(g.chart, n - p, comps)
 

@@ -1228,7 +1228,11 @@ class _Parser:
             )
         return e
 
-    def expr(self) -> Expr:
+    def expr(self, invert: bool = False) -> Expr:
+        """The next sum, or with `invert` the reciprocal of the single term
+        that comes next, taken factor by factor."""
+        if invert:
+            return self.term(invert)
         e = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take()
@@ -1236,21 +1240,42 @@ class _Parser:
             e = add(e, rhs) if op.kind == "+" else sub(e, rhs)
         return e
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def single_term_group(self) -> bool:
+        """Whether the parentheses that open at the next token hold a
+        single term (no '+' and no binary '-' at their own depth) and no
+        exponent follows them."""
+        depth, prev = 0, "("
+        for j in range(self.i + 1, len(self.tokens)):
+            kind = self.tokens[j].kind
+            depth += (kind == "(") - (kind == ")")
+            if depth < 0:
+                return self.tokens[j + 1].kind != "^"
+            if depth == 0 and (kind == "+" or kind == "-"
+                               and prev in ("num", "ident", ")")):
+                return False
+            prev = kind
+        return True
+
+    def term(self, invert: bool = False) -> Expr:
+        e = self.factor(invert)
         while self.peek().kind in ("*", "/"):
             op = self.take()
-            e = mul(e, self.factor(invert=op.kind == "/"))
+            f = self.factor(invert or op.kind == "/")
+            if invert and op.kind == "/":
+                f = pow_(f, -1)  # 1/(a/b) is a^-1 (b^-1)^-1, still refusing b = 0
+            e = mul(e, f)
         return e
 
     def factor(self, invert: bool = False) -> Expr:
         """The next factor, or with `invert` its reciprocal; a power b^k is
-        inverted as b^-k, so a/(s)^k reads back as the tree a*s^-k that
+        inverted as b^-k, and a single term in parentheses factor by factor
+        inside them, so a/(s)^k and a/((s)^k*t) read back as the trees that
         `to_text` prints that way, without expanding s^k."""
         if self.peek().kind == "-":
             self.take()
-            f = neg(self.factor())
-            return pow_(f, -1) if invert else f
+            return neg(self.factor(invert))
+        if invert and self.peek().kind == "(" and self.single_term_group():
+            return self.atom(invert)
         base = self.atom()
         exp = 1
         if self.peek().kind == "^":
@@ -1266,6 +1291,8 @@ class _Parser:
                     expected=("integer exponent",),
                 )
             exp = sign * self.number(tok, int)
+        if invert and exp < 0 and base == ZERO:  # 0^exp itself is undefined
+            raise DomainError("0 raised to a negative power")
         return pow_(base, -exp if invert else exp)
 
     @staticmethod
@@ -1275,14 +1302,16 @@ class _Parser:
         except ValueError:  # past the interpreter's integer string limit
             raise ExprSyntaxError("number has too many digits", tok.pos) from None
 
-    def atom(self) -> Expr:
+    def atom(self, invert: bool = False) -> Expr:
+        """The next operand; with `invert`, parentheses around a single
+        term hold its reciprocal (see `expr`)."""
         tok = self.peek()
         if tok.kind == "num":
             self.take()
             return Rat(self.number(tok, Fraction if "." in tok.text else int))
         if tok.kind == "(":
             self.take()
-            e = self.expr()
+            e = self.expr(invert)
             self.expect(")", ("')'",))
             return e
         if tok.kind == "ident":

@@ -208,6 +208,20 @@ def canonical_split(chart: Chart):
     return time, rest[:k], rest[k:]
 
 
+def _quadratic(p_names, b, W, V) -> Expr:
+    """(1/2)(p - b)^T W (p - b) + V over the momenta named `p_names`."""
+    pb = [sub(Sym(p), bi) for p, bi in zip(p_names, b)]
+    k = len(pb)
+    return add(
+        *(
+            mul(Rat(Fraction(1, 2)), pb[i], W[i][j], pb[j])
+            for i in range(k)
+            for j in range(k)
+        ),
+        V,
+    )
+
+
 def legendre(L: QuadraticLagrangian, seed: int = 0
              ) -> tuple[HamiltonianSystem, DegeneracyReport]:
     """p = Mv + b inverted to H = (1/2)(p-b)^T M^-1 (p-b) + V.
@@ -221,17 +235,7 @@ def legendre(L: QuadraticLagrangian, seed: int = 0
         raise DegenerateLagrangianError(
             "velocity Hessian is identically singular", report
         )
-    minv = mat_inverse(L.mass, det)
-    k = L.k
-    pb = [sub(Sym(L.p_names[i]), L.linear[i]) for i in range(k)]
-    H = add(
-        *(
-            mul(Rat(Fraction(1, 2)), pb[i], minv[i][j], pb[j])
-            for i in range(k)
-            for j in range(k)
-        ),
-        L.potential,
-    )
+    H = _quadratic(L.p_names, L.linear, mat_inverse(L.mass, det), L.potential)
     chart = Chart(L.q_names + L.p_names)
     return HamiltonianSystem(chart, H), report
 
@@ -243,7 +247,6 @@ def inverse_legendre(H: HamiltonianSystem, seed: int = 0) -> QuadraticLagrangian
     nonsingular; raises PatternMismatchError otherwise.
     """
     k = H.k
-    p_syms = [Sym(n) for n in H.p_names]
     grads = [simplify(diff(H.hamiltonian, n)) for n in H.p_names]
     W = []
     for i in range(k):
@@ -268,15 +271,7 @@ def inverse_legendre(H: HamiltonianSystem, seed: int = 0) -> QuadraticLagrangian
         for i in range(k)
     )
     V = simplify(substitute(H.hamiltonian, dict(zip(H.p_names, b))))
-    rebuilt = add(
-        *(
-            mul(Rat(Fraction(1, 2)), sub(p_syms[i], b[i]), W[i][j],
-                sub(p_syms[j], b[j]))
-            for i in range(k)
-            for j in range(k)
-        ),
-        V,
-    )
+    rebuilt = _quadratic(H.p_names, b, W, V)
     if is_zero(sub(H.hamiltonian, rebuilt), seed) is not ZeroVerdict.ZERO:
         raise PatternMismatchError(
             "Hamiltonian does not match the quadratic family"

@@ -117,6 +117,15 @@ class TestDeterminism:
         )
         assert seq == par
 
+    def test_package_runs_as_a_module(self):
+        argv = ["run", scenario_path("reference.json"), "--format", "json"]
+        via_cli = subprocess.run([sys.executable, "-m", "exformal.cli", *argv],
+                                 capture_output=True, text=True)
+        via_package = subprocess.run([sys.executable, "-m", "exformal", *argv],
+                                     capture_output=True, text=True)
+        assert via_package.returncode == 0, via_package.stderr
+        assert via_package.stdout == via_cli.stdout
+
     def test_env_seed_fallback(self):
         env = dict(os.environ, EXFORMAL_SEED="23")
         proc = subprocess.run(
@@ -344,6 +353,13 @@ class TestSubcommands:
         # the text to_text prints for Pow(1 + x, -100); it used to expand
         # (x + 1)^100 past the budget before inverting it
         code, out, err = run_cli("check-expr", "1/(x + 1)^100", "--chart", "x")
+        assert (code, out, err) == (0, "1/(1 + x)^100\n", "")
+
+    def test_check_expr_inverts_a_parenthesised_power_inside(self):
+        # the inversion reaches into the parentheses, so (x + 1)^100 is
+        # never expanded
+        code, out, err = run_cli("check-expr", "1/((x + 1)^100)",
+                                 "--chart", "x")
         assert (code, out, err) == (0, "1/(1 + x)^100\n", "")
 
     def test_check_expr_power_of_a_sum_past_the_budget(self, capsys):

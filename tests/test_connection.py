@@ -248,6 +248,22 @@ class TestRiemann:
                         add(R4.comp(r, s, m, v), R4.comp(r, s, v, m))
                     ) is ZeroVerdict.ZERO
 
+    def test_builds_only_mu_below_nu(self, monkeypatch):
+        """A 4D `riemann` evaluates the curvature rule for the 96 components
+        with mu < nu and fills those with mu > nu by negation."""
+        calls = []
+        rule = exformal.connection._riemann_component
+
+        def counted(gamma, names, r, s, m, v):
+            calls.append((m, v))
+            return rule(gamma, names, r, s, m, v)
+
+        monkeypatch.setattr(exformal.connection, "_riemann_component", counted)
+        R4 = riemann(christoffel(frw_metric()))
+        assert sum(m < v for m, v in calls) == 96
+        assert not [(m, v) for m, v in calls if m > v]
+        assert R4.comp(0, 1, 1, 0) == simplify(neg(R4.comp(0, 1, 0, 1))) != ZERO
+
     def test_first_bianchi_symmetric_connection(self):
         rng = random.Random(43)
         c = rand_connection(rng, CHARTS[3], symmetric=True, density=0.5)

@@ -222,6 +222,19 @@ class TestPullback:
             rhs = ext_d(pullback(phi, a))
             assert zero_residual(lhs, rhs)
 
+    @pytest.mark.parametrize("src_n, tgt_n", [(3, 2), (2, 3), (3, 3)])
+    def test_commutes_with_wedge(self, src_n, tgt_n):
+        # wedge is an independent oracle for the Jacobian-minor rule:
+        # phi*(a ^ b) = phi*a ^ phi*b
+        rng = random.Random(53 + 10 * src_n + tgt_n)
+        src, tgt = CHARTS[src_n], CHARTS[tgt_n]
+        for _ in range(4):
+            phi = rand_poly_map(rng, src, tgt)
+            a = rand_form(rng, tgt, 1)
+            b = rand_form(rng, tgt, 1)
+            assert pullback(phi, wedge(a, b)) == wedge(pullback(phi, a),
+                                                       pullback(phi, b))
+
     def test_pullback_numeric_oracle(self):
         # independent check: evaluate the pulled-back 1-form against the
         # jacobian-transport of the original at sample points

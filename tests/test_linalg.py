@@ -1,10 +1,12 @@
-"""The component-array layout: `grid` nests f(*idx) first index outermost."""
+"""The component-array layout: `grid` nests f(*idx) first index outermost;
+and the compound-minor rule `compound_sum`."""
 
 import itertools
 
 import pytest
 
-from exformal._linalg import grid
+from exformal._linalg import compound_sum, grid
+from exformal.symbolic import Rat, Sym, ZERO, mul, simplify, sub
 
 
 def test_rank_zero_is_the_value():
@@ -25,3 +27,23 @@ def test_every_index_holds_its_value(rank):
             assert isinstance(leaf, tuple) and len(leaf) == n
             leaf = leaf[i]
         assert leaf == idx
+
+
+def test_compound_sum_of_no_rows_is_the_scalar():
+    assert compound_sum(((Sym("x"),),), {(): Sym("y")}, ()) == Sym("y")
+    assert compound_sum(((Sym("x"),),), {}, ()) == ZERO
+
+
+def test_compound_sum_with_the_identity_gives_each_component_back():
+    eye = grid(3, 2, lambda i, j: Rat(1) if i == j else ZERO)
+    comps = {(0, 1): Sym("x"), (0, 2): Rat(3), (1, 2): Sym("y")}
+    for rows in itertools.combinations(range(3), 2):
+        assert compound_sum(eye, comps, rows) == comps[rows]
+
+
+def test_compound_sum_two_by_two_minor():
+    # rows (0, 1) and columns (0, 2) of m: det [[a, c], [d, f]] = a*f - c*d
+    a, b, c, d, e, f, w = (Sym(n) for n in "abcdefw")
+    m = ((a, b, c), (d, e, f))
+    got = compound_sum(m, {(0, 2): w}, (0, 1))
+    assert simplify(sub(got, mul(w, sub(mul(a, f), mul(c, d))))) == ZERO

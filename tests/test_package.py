@@ -27,7 +27,7 @@ SOURCES = sorted(
 # for `__version__`.
 LAYERS = [("errors",), ("symbolic",), ("_antideriv", "_linalg"), ("exterior",),
           ("geometry",), ("connection",), ("transform",), ("catalog",),
-          ("cli",)]
+          ("cli",), ("__main__",)]
 RANK = {m: i for i, layer in enumerate(LAYERS) for m in layer}
 
 

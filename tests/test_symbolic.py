@@ -115,6 +115,25 @@ class TestParse:
         e = parse_expr("x^-2", CH)
         assert e == pow_(Sym("x"), -2)
 
+    def test_parenthesised_term_is_inverted_factor_by_factor(self):
+        assert parse_expr("1/((x+1)^2*(y+1)^3)", CH) == parse_expr(
+            "1/(x+1)^2/(y+1)^3", CH)
+        assert parse_expr("1/(a/b)", CH, ("a", "b")) == parse_expr(
+            "b/a", CH, ("a", "b"))
+        assert parse_expr("1/-(x+1)^2", CH) == parse_expr("-1/(x+1)^2", CH)
+
+    def test_parenthesised_sum_is_inverted_whole(self):
+        assert parse_expr("1/((x+1)*(y+1) + 1)", CH) == pow_(
+            parse_expr("(x+1)*(y+1) + 1", CH), -1)
+
+    @pytest.mark.parametrize("text", ["1/(x/0)", "1/(0^-1*x)", "3/0^-1"])
+    def test_inverting_keeps_a_zero_divisor_refused(self, text):
+        with pytest.raises(DomainError, match="0 raised to a negative power"):
+            parse_expr(text, CH)
+
+    def test_parentheses_with_an_exponent_are_inverted_whole(self):
+        assert parse_expr("2/(0)^0", CH) == Rat(2)
+
     def test_deep_nesting_is_a_syntax_error(self):
         with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
             parse_expr("(" * 300 + "x" + ")" * 300, CH)
