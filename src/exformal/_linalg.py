@@ -3,7 +3,8 @@ or so).
 
 `grid` is the one place that knows how an n^rank component array is laid
 out: nested tuples, first index outermost.  Metrics, matrices, connection
-coefficients and every curvature tensor are built through it.
+coefficients and every curvature tensor are built through it (`is_grid`,
+`grid_at` and `grid_items` check, index and walk it).
 
 `compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
 Hodge star raises a form's indices with it (m = g^-1), and `pullback`
@@ -13,6 +14,7 @@ Cauchy-Binet).
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
@@ -31,6 +33,25 @@ def grid(n: int, rank: int, f: Callable):
             return f(*idx)
         return tuple(build(idx + (i,)) for i in range(n))
     return build(())
+
+
+def is_grid(data, n: int, rank: int) -> bool:
+    """Whether `data` is laid out as grid(n, rank, f) with Expr entries."""
+    if rank == 0:
+        return isinstance(data, Expr)
+    return len(data) == n and all(is_grid(d, n, rank - 1) for d in data)
+
+
+def grid_at(data, idx: Sequence[int]):
+    """data[i][j]... for idx = (i, j, ...)."""
+    for i in idx:
+        data = data[i]
+    return data
+
+
+def grid_items(data, n: int, rank: int):
+    """(idx, entry) over range(n)^rank, in the row-major order of `grid`."""
+    return ((idx, grid_at(data, idx)) for idx in product(range(n), repeat=rank))
 
 
 def as_matrix(rows: Sequence[Sequence[Expr]]) -> Matrix:

@@ -231,7 +231,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
                     seed: int = 0,
                     scenario: str = "einstein") -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
-    Levi-Civita connection, and optionally G - kappa*T."""
+    Levi-Civita connection, and optionally G - kappa*T (T as rows T[m][v])."""
     report = VerificationReport(scenario=scenario)
     n = g.chart.dim
     G = einstein_tensor(g)
@@ -253,10 +253,9 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
         _residual_check("G symmetry", sym_residuals, seed)
     )
     if T is not None:
-        comps = T.comps if hasattr(T, "comps") else T
         kappa = Sym(kappa_name)
         residuals = {
-            (m, v): sub(G.comp(m, v), mul(kappa, comps[m][v]))
+            (m, v): sub(G.comp(m, v), mul(kappa, T[m][v]))
             for m in range(n)
             for v in range(n)
         }

@@ -76,6 +76,12 @@ _object, _int = _typed(dict, "an object"), _typed(int, "an integer")
 _bool, _name = _typed(bool, "true or false"), _typed(str, "a name string")
 
 
+def _count(raw, where: str, scope=None) -> int:
+    if _int(raw, where) < 1:
+        raise ScenarioError(f"{where}: expected an integer of at least 1")
+    return raw
+
+
 def _list(raw, where: str, size: int | None = None, what: str = "entries"):
     if not isinstance(raw, list):
         raise ScenarioError(f"{where}: expected a list")
@@ -596,7 +602,7 @@ def _op_verify_maxwell(ctx, seed, E, B, J=(ZERO,) * 4):
     return _report_outcome(verify_maxwell(E, B, J, ctx.metric, seed))
 
 
-@_op("verify_hamiltonian", k=_Opt(_int), corrupted=_Opt(_bool),
+@_op("verify_hamiltonian", k=_Opt(_count), corrupted=_Opt(_bool),
      chart=lambda a: _canonical_chart(a.get("k", 1)),
      charted={"hamiltonian": _expr})
 def _op_verify_hamiltonian(ctx, seed, hamiltonian, k=1, corrupted=False):

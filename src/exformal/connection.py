@@ -25,7 +25,7 @@ from functools import partial, wraps
 from typing import Callable
 
 from .errors import ChartMismatchError, DegreeError
-from ._linalg import grid
+from ._linalg import grid, grid_at, grid_items, is_grid
 from .exterior import Form
 from .geometry import Metric
 from .symbolic import (
@@ -54,18 +54,6 @@ __all__ = [
 ]
 
 
-def _nested_shape_ok(data, dims: int, n: int) -> bool:
-    if dims == 0:
-        return isinstance(data, Expr)
-    return len(data) == n and all(_nested_shape_ok(d, dims - 1, n) for d in data)
-
-
-def _simplify_nested(data, dims: int):
-    if dims == 0:
-        return simplify(data)
-    return tuple(_simplify_nested(d, dims - 1) for d in data)
-
-
 class Tensor:
     """Componentwise tensor container with declared index variance.
 
@@ -77,23 +65,20 @@ class Tensor:
         rank = len(variance)
         if any(v not in "ul" for v in variance):
             raise ValueError("variance must use only 'u' and 'l'")
-        if not _nested_shape_ok(comps, rank, chart.dim):
+        if not is_grid(comps, chart.dim, rank):
             raise DegreeError(
                 f"component array must be {chart.dim}^{rank} of Expr"
             )
         self.chart = chart
         self.variance = variance
-        self.comps = _simplify_nested(comps, rank)
+        self.comps = grid(chart.dim, rank, lambda *idx: simplify(grid_at(comps, idx)))
 
     @property
     def rank(self) -> int:
         return len(self.variance)
 
     def comp(self, *idx: int) -> Expr:
-        out = self.comps
-        for i in idx:
-            out = out[i]
-        return out
+        return grid_at(self.comps, idx)
 
     def __eq__(self, other):
         return (
@@ -104,18 +89,9 @@ class Tensor:
         )
 
     def nonzero(self) -> dict[tuple[int, ...], Expr]:
-        """Sorted map of nonzero components (zero components omitted)."""
-        out: dict[tuple[int, ...], Expr] = {}
-
-        def walk(node, prefix):
-            if isinstance(node, tuple):
-                for i, child in enumerate(node):
-                    walk(child, prefix + (i,))
-            elif node != ZERO:
-                out[prefix] = node
-
-        walk(self.comps, ())
-        return dict(sorted(out.items()))
+        """Map of the nonzero components, in index order."""
+        return {idx: e for idx, e in grid_items(self.comps, self.chart.dim,
+                                                self.rank) if e != ZERO}
 
 
 class Connection(Tensor):

@@ -28,7 +28,6 @@ from .errors import (
     ChartError,
     ChartMismatchError,
     DegreeError,
-    DomainError,
     MetricValidationError,
     SingularMetricError,
 )
@@ -44,12 +43,10 @@ from .symbolic import (
     ZeroVerdict,
     _coeff_monomial,
     _mono_factors,
-    _sample_points,
+    _sample_values,
     add,
-    eval_at,
     free_symbols,
     func,
-    interpretation_table,
     is_zero,
     mul,
     neg,
@@ -134,9 +131,8 @@ class Metric:
                     )
 
     def _check_det_sign(self):
-        det = simplify(self.det)
-        exact = isinstance(det, Rat)
-        v = det.value if exact else self._sample_det()
+        exact = isinstance(self.det, Rat)
+        v = self.det.value if exact else self._sample_det()
         if (v > 0) != (self.det_sign > 0):
             where = "the constant det" if exact else "det at sample"
             raise MetricValidationError(
@@ -146,16 +142,11 @@ class Metric:
     def _sample_det(self) -> float:
         """det g at the sampling box center, or at the first point of seed 0
         after it where det g is defined and not within the singular guard
-        of zero; the points have a coordinate for each symbol of g."""
-        names = sorted(set().union(*(free_symbols(e) for row in self.g
-                                     for e in row)))
-        fns = interpretation_table(self.det)
-        for env in islice(_sample_points(names, 0, center=True), _MAX_REDRAWS + 1):
-            try:
-                v = eval_at(self.det, env, fns)
-            except DomainError:
-                continue
-            if abs(v) > _SINGULAR_GUARD:
+        of zero; the sampler runs unguarded on the symbols of g."""
+        names = set().union(*(free_symbols(e) for row in self.g for e in row))
+        values = _sample_values(self.det, 0, 0.0, names, center=True)
+        for v in islice(values, _MAX_REDRAWS + 1):
+            if v is not None and abs(v) > _SINGULAR_GUARD:
                 return v
         raise MetricValidationError("could not sample a nonsingular point")
 

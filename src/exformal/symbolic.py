@@ -6,15 +6,15 @@ over the expression trees defined here.  Design points:
 * constants are exact rationals: a Python `int` when integral, else a
   `fractions.Fraction`, whose every operation is a Python-level call with
   a gcd (see `Rat`); floating point enters only in numeric evaluation
-  (`eval_at` and the sampling of `is_zero`), which computes each distinct
-  subexpression once per point;
+  (`eval_at` and the one sampler, `_sample_values`), which computes each
+  distinct subexpression once per point;
 * trees are immutable and built through canonicalizing constructors, so
   `simplify` is idempotent by construction; it keeps its result on the
   node it simplified, so no tree is simplified twice;
 * zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`): symbolic
-  first, then the value at points drawn from one seeded generator
-  (`_sample_points`), with fixed point count, box and tolerance; the seed
-  is its only setting;
+  first, then the values of one sampler (`_sample_values`, which a metric's
+  det-sign check shares), with fixed point count, box and tolerance; the
+  seed is its only setting;
 * unspecified profiles like a(t) or f(z - t) are opaque function symbols
   with formal derivatives a', a'', ...
 
@@ -1506,10 +1506,7 @@ def _fold_verdicts(verdicts: Iterable[ZeroVerdict | Verdict]) -> Verdict:
                 Verdict.PASS)
 
 
-# The sampling of `is_zero`: _POINTS points drawn uniformly from _BOX for
-# each free symbol, from random.Random(seed); a point whose evaluation
-# leaves a function domain or meets a denominator within _SINGULAR_GUARD
-# of zero is redrawn, up to _MAX_REDRAWS in all.
+# The box, tolerance and limits of `_sample_values` and `is_zero`.
 _POINTS = 20
 _BOX = (-2.0, 2.0)
 _TOL = 1e-9
@@ -1579,38 +1576,47 @@ def _interpretations(calls: Mapping[str, int],
     return table
 
 
-def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:
-    """Tri-state zero test: symbolic first, then seeded sampling.
-
-    A tree that `simplify` does not bring to a constant is evaluated at
-    _POINTS points of `_sample_points(seed)`, with opaque profiles bound to
-    the interpretations of the same seed: a value past _TOL at any point is
-    NONZERO and all points within it ZERO; the result is UNKNOWN once more
-    than _MAX_REDRAWS points had to be redrawn.
-    """
-    s = simplify(e)
-    if isinstance(s, Rat):
-        return ZeroVerdict.ZERO if s.value == 0 else ZeroVerdict.NONZERO
-
-    plan = _plan(s)
-    names = sorted({node.name for node, _ in plan if isinstance(node, Sym)})
+def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
+                   center: bool = False) -> Iterator[float | None]:
+    """Values of `e` under `guard` at the points of `_sample_points(seed,
+    center)` over the symbols of `e` and `names`, None where a DomainError
+    is raised; the plan and the profiles (those of `seed`) are built once."""
+    plan = _plan(e)
+    symbols = set(names).union(n.name for n, _ in plan if isinstance(n, Sym))
     calls: dict[str, int] = {}
     for node, _ in plan:
         if isinstance(node, OpaqueFunc):
             calls[node.name] = max(calls.get(node.name, 0), node.order)
     fns = _interpretations(calls, seed)
-    points = _sample_points(names, seed)
-    redraws = 0
-    done = 0
-    while done < _POINTS:
+    for env in _sample_points(sorted(symbols), seed, center):
         try:
-            v = _eval_plan(plan, next(points), fns, _SINGULAR_GUARD)
+            yield _eval_plan(plan, env, fns, guard)
         except DomainError:
+            yield None
+
+
+def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:
+    """Tri-state zero test: symbolic first, then seeded sampling.
+
+    A tree that `simplify` does not bring to a constant is evaluated by
+    `_sample_values(seed)` with guard _SINGULAR_GUARD: a value past _TOL is
+    NONZERO and _POINTS values within it ZERO; the result is UNKNOWN once
+    more than _MAX_REDRAWS points had to be redrawn.
+    """
+    s = simplify(e)
+    if isinstance(s, Rat):
+        return ZeroVerdict.ZERO if s.value == 0 else ZeroVerdict.NONZERO
+
+    values = _sample_values(s, seed, _SINGULAR_GUARD)
+    redraws = done = 0
+    while done < _POINTS:
+        v = next(values)
+        if v is None:
             redraws += 1
             if redraws > _MAX_REDRAWS:
                 return ZeroVerdict.UNKNOWN
-            continue
-        if abs(v) > _TOL:
+        elif abs(v) > _TOL:
             return ZeroVerdict.NONZERO
-        done += 1
+        else:
+            done += 1
     return ZeroVerdict.ZERO

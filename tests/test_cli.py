@@ -447,6 +447,8 @@ MALFORMED = {
     "k_text": ({"chart": ["t"], "tasks": [
         {"op": "verify_hamiltonian", "hamiltonian": "p^2/2", "k": "two"}]},
         "k"),
+    "k_zero": ({"chart": ["t"], "tasks": [
+        {"op": "verify_hamiltonian", "hamiltonian": "t^2/2", "k": 0}]}, "k"),
     "connection_null": ({"chart": ["x", "y"], "connection": None},
                         "connection"),
     "chart_text": ({"chart": "xy"}, "chart"),

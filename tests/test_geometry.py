@@ -89,6 +89,21 @@ class TestMetric:
         )
         assert g.det == parse_expr("sin(theta)^2", ch)
 
+    @pytest.mark.parametrize("rows, det_sign, value", [
+        # y is drawn although det = x^2 does not hold it
+        ((("1", "y"), ("y", "y^2 + x^2")), 1, 1.8980225889270765),
+        # det vanishes at the box center
+        ((("1", "0"), ("0", "sin(x)^2")), 1, 0.9631701870203005),
+        # a denominator in det, evaluated with no singular guard
+        ((("-1/(1 - x)", "0"), ("0", "1")), -1, -1.0),
+        ((("1", "0"), ("0", "x^2 + 1")), 1, 1.0),
+    ])
+    def test_sampled_det_pinned(self, rows, det_sign, value):
+        ch = Chart(("x", "y"))
+        g = Metric(ch, [[parse_expr(e, ch) for e in row] for row in rows],
+                   det_sign)
+        assert g._sample_det() == value
+
 
 class TestHodge2D:
     def test_convention_on_basis(self):

@@ -1,7 +1,8 @@
 """Package hygiene: every exported name exists, the runtime imports
 nothing outside the standard library, each module imports only the layers
-below it, no import sits inside a function, and `symbolic` divides with
-`/` only where a float is meant."""
+below it, no import sits inside a function, only `symbolic` reaches its
+sampling internals, and `symbolic` divides with `/` only where a float is
+meant."""
 
 import ast
 import importlib
@@ -103,6 +104,19 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not inside, f"{path} imports inside {inside}"
+
+
+# The sampling internals of `symbolic`: every other module samples through
+# `is_zero` or `_sample_values`, so there is one sampling loop.
+SAMPLING = {"_sample_points", "_plan", "_eval_plan"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if os.path.basename(p) != "symbolic.py"],
+                         ids=os.path.basename)
+def test_only_symbolic_samples(path):
+    used = {n for _, names in _own_imports(_tree(path)) for n in names} & SAMPLING
+    assert not used, f"{path} imports {sorted(used)} from symbolic"
 
 
 # The definitions of symbolic.py that may use `/`: the float evaluators and
