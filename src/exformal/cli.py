@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -151,11 +152,26 @@ def _coordinate(raw, where: str, scope: ScenarioContext) -> str:
 
 
 def _point(raw, where: str, scope=None) -> dict:
-    """Numeric values by symbol name."""
+    """Finite numeric values by symbol name: JSON numbers only, so neither a
+    string, a bool, NaN nor a number past the float range is read."""
     try:
-        return {name: float(x) for name, x in _object(raw, where).items()}
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{where}: expected numbers, got {raw!r}") from None
+        point = {name: float(x) for name, x in _object(raw, where).items()
+                 if type(x) in (int, float)}
+    except OverflowError:
+        point = {}
+    if len(point) != len(raw) or not all(map(math.isfinite, point.values())):
+        raise ScenarioError(f"{where}: expected numbers, got {raw!r}")
+    return point
+
+
+def _new_symbol(raw, where: str, scope: ScenarioContext) -> str:
+    """The name of a symbol of its own: an identifier, not a coordinate."""
+    try:
+        Chart(scope.chart.names + (_name(raw, where),))
+    except ValueError:
+        raise ScenarioError(f"{where}: expected an identifier that is not a "
+                            f"coordinate, got {raw!r}") from None
+    return raw
 
 
 def _named(table: str):
@@ -611,7 +627,7 @@ def _op_verify_hamiltonian(ctx, seed, hamiltonian, k=1, corrupted=False):
     )
 
 
-@_op("verify_einstein", needs=("metric",), T=_Opt(_matrix), kappa=_Opt(_name))
+@_op("verify_einstein", needs=("metric",), T=_Opt(_matrix), kappa=_Opt(_new_symbol))
 def _op_verify_einstein(ctx, seed, T=None, kappa="kappa"):
     return _report_outcome(verify_einstein(ctx.metric, T, kappa, seed))
 

@@ -1149,6 +1149,30 @@ def to_text(e: Expr) -> str:
 # Identifiers: [A-Za-z][A-Za-z0-9_]*, optionally suffixed by primes (')
 # when used as a function call -- that extension carries the formal
 # derivatives a'(t), f''(u) through printing and reparsing.
+#
+# `term`, `factor` and `atom` return a term as its (base, exponent)
+# factors: '/' negates the exponent of each factor it reads, a unary '-'
+# prepends (-1, 1), and '^k' applies to its atom multiplied out.  The list
+# is multiplied out once, by `_product`, where the term is added, passed
+# as a function argument or ends the parse.  So a divisor in parentheses
+# that holds a single term is inverted factor by factor, and a/(s)^k reads
+# back as the tree `to_text` prints that way, without expanding s^k.
+
+
+def _factor(base: Expr, exp: int) -> tuple[Expr, int]:
+    """The factor base^exp of a term, refused as soon as a zero base takes
+    a negative exponent."""
+    if exp < 0 and base == ZERO:
+        raise DomainError("0 raised to a negative power")
+    return base, exp
+
+
+def _product(factors: list[tuple[Expr, int]]) -> Expr:
+    """A term's factors multiplied out in one `mul`."""
+    if len(factors) == 1:
+        return pow_(*factors[0])
+    return mul(*[pow_(b, k) for b, k in factors])
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_]*'*)|(?P<op>[-+*/^()]))"
@@ -1216,7 +1240,7 @@ class _Parser:
 
     def parse(self) -> Expr:
         try:
-            e = self.expr()
+            e = _product(self.expr())
         except RecursionError:  # each nesting level is a few parser frames
             raise ExprSyntaxError("expression nested too deeply",
                                   self.peek().pos) from None
@@ -1228,72 +1252,44 @@ class _Parser:
             )
         return e
 
-    def expr(self, invert: bool = False) -> Expr:
-        """The next sum, or with `invert` the reciprocal of the single term
-        that comes next, taken factor by factor."""
-        if invert:
-            return self.term(invert)
-        e = self.term()
+    def expr(self) -> list[tuple[Expr, int]]:
+        """The next sum; a single term comes back as its factors."""
+        factors = self.term()
         while self.peek().kind in ("+", "-"):
+            e = _product(factors)
             op = self.take()
-            rhs = self.term()
-            e = add(e, rhs) if op.kind == "+" else sub(e, rhs)
-        return e
+            rhs = _product(self.term())
+            factors = [(add(e, rhs) if op.kind == "+" else sub(e, rhs), 1)]
+        return factors
 
-    def single_term_group(self) -> bool:
-        """Whether the parentheses that open at the next token hold a
-        single term (no '+' and no binary '-' at their own depth) and no
-        exponent follows them."""
-        depth, prev = 0, "("
-        for j in range(self.i + 1, len(self.tokens)):
-            kind = self.tokens[j].kind
-            depth += (kind == "(") - (kind == ")")
-            if depth < 0:
-                return self.tokens[j + 1].kind != "^"
-            if depth == 0 and (kind == "+" or kind == "-"
-                               and prev in ("num", "ident", ")")):
-                return False
-            prev = kind
-        return True
-
-    def term(self, invert: bool = False) -> Expr:
-        e = self.factor(invert)
+    def term(self) -> list[tuple[Expr, int]]:
+        factors = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.take()
-            f = self.factor(invert or op.kind == "/")
-            if invert and op.kind == "/":
-                f = pow_(f, -1)  # 1/(a/b) is a^-1 (b^-1)^-1, still refusing b = 0
-            e = mul(e, f)
-        return e
+            if self.take().kind == "*":
+                factors += self.factor()
+            else:
+                factors += [_factor(b, -k) for b, k in self.factor()]
+        return factors
 
-    def factor(self, invert: bool = False) -> Expr:
-        """The next factor, or with `invert` its reciprocal; a power b^k is
-        inverted as b^-k, and a single term in parentheses factor by factor
-        inside them, so a/(s)^k and a/((s)^k*t) read back as the trees that
-        `to_text` prints that way, without expanding s^k."""
+    def factor(self) -> list[tuple[Expr, int]]:
         if self.peek().kind == "-":
             self.take()
-            return neg(self.factor(invert))
-        if invert and self.peek().kind == "(" and self.single_term_group():
-            return self.atom(invert)
-        base = self.atom()
-        exp = 1
-        if self.peek().kind == "^":
+            return [(Rat(-1), 1)] + self.factor()
+        factors = self.atom()
+        if self.peek().kind != "^":
+            return factors
+        self.take()
+        sign = 1
+        if self.peek().kind == "-":
             self.take()
-            sign = 1
-            if self.peek().kind == "-":
-                self.take()
-                sign = -1
-            tok = self.expect("num", ("integer exponent",))
-            if "." in tok.text:
-                raise ExprSyntaxError(
-                    "exponent must be an integer", tok.pos,
-                    expected=("integer exponent",),
-                )
-            exp = sign * self.number(tok, int)
-        if invert and exp < 0 and base == ZERO:  # 0^exp itself is undefined
-            raise DomainError("0 raised to a negative power")
-        return pow_(base, -exp if invert else exp)
+            sign = -1
+        tok = self.expect("num", ("integer exponent",))
+        if "." in tok.text:
+            raise ExprSyntaxError(
+                "exponent must be an integer", tok.pos,
+                expected=("integer exponent",),
+            )
+        return [_factor(_product(factors), sign * self.number(tok, int))]
 
     @staticmethod
     def number(tok: _Token, convert: Callable[[str], object]):
@@ -1302,25 +1298,23 @@ class _Parser:
         except ValueError:  # past the interpreter's integer string limit
             raise ExprSyntaxError("number has too many digits", tok.pos) from None
 
-    def atom(self, invert: bool = False) -> Expr:
-        """The next operand; with `invert`, parentheses around a single
-        term hold its reciprocal (see `expr`)."""
+    def atom(self) -> list[tuple[Expr, int]]:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return Rat(self.number(tok, Fraction if "." in tok.text else int))
+            return [(Rat(self.number(tok, Fraction if "." in tok.text else int)), 1)]
         if tok.kind == "(":
             self.take()
-            e = self.expr(invert)
+            factors = self.expr()
             self.expect(")", ("')'",))
-            return e
+            return factors
         if tok.kind == "ident":
             self.take()
             name = tok.text.rstrip("'")
             order = len(tok.text) - len(name)
             if self.peek().kind == "(":
                 self.take()
-                arg = self.expr()
+                arg = _product(self.expr())
                 self.expect(")", ("')'",))
                 if name in BUILTIN_FUNCTIONS:
                     if order:
@@ -1329,8 +1323,8 @@ class _Parser:
                             tok.pos,
                             expected=("opaque function name",),
                         )
-                    return func(name, arg)
-                return OpaqueFunc(name, arg, order)
+                    return [(func(name, arg), 1)]
+                return [(OpaqueFunc(name, arg, order), 1)]
             if order:
                 raise ExprSyntaxError(
                     f"derivative {tok.text} must be applied to an argument",
@@ -1338,7 +1332,7 @@ class _Parser:
                     expected=("'('",),
                 )
             if name in self.coords or name in self.params:
-                return Sym(name)
+                return [(Sym(name), 1)]
             raise UnknownSymbolError(name, tok.pos)
         raise ExprSyntaxError(
             f"expected an operand, found {tok.text or 'end of input'}",

@@ -124,6 +124,10 @@ class QuadraticLagrangian:
         q_names, v_names = tuple(q_names), tuple(v_names)
         if len(q_names) != len(v_names) or not q_names:
             raise ChartError("need matching nonempty q and v name lists")
+        try:
+            Chart(q_names + v_names)
+        except ValueError as e:
+            raise ChartError(f"q and v names: {e}") from None
         k = len(q_names)
         mass = as_matrix(mass)
         if len(mass) != k or len(linear) != k:

@@ -6,10 +6,13 @@ the file, the format and the seed.  The files are `scenarios/*.json`,
 `bench/corpus/curvature/*.json` and the forms corpus that
 `bench.forms.generate` writes for seeds 0, 7 and 101 into a temporary
 directory; each is run under `--format json --seed 0` and
-`--format text --seed 3`.  Run it from the repository root, before and
-after a change, and compare the outputs:
+`--format text --seed 3`.  `tests/golden/report_digest.txt` holds the
+lines it prints, and `test_golden.test_every_report_matches_the_digest`
+compares them with a fresh run, so a change that alters any report fails
+there.  After a deliberate report change, rewrite the file from the
+repository root and review its diff:
 
-    python tests/report_digest.py > after.txt
+    python tests/report_digest.py > tests/golden/report_digest.txt
 
 The file name keeps pytest from collecting it.  It only reads `bench/`.
 """
@@ -48,24 +51,26 @@ def digest(path: str, fmt: str, seed: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def report(files) -> None:
-    """Print a digest line for each (label, path) pair under every run."""
+def _lines(files):
+    """A digest line for each (label, path) pair under every run."""
     for label, path in files:
         for fmt, seed in RUNS:
-            print(f"{digest(path, fmt, seed)}  {label}  {fmt}  {seed}")
+            yield f"{digest(path, fmt, seed)}  {label}  {fmt}  {seed}"
 
 
-def main_digest() -> None:
+def digest_lines():
+    """The digest line of every report, in the order the file holds them."""
     for pattern in ("scenarios/*.json", "bench/corpus/curvature/*.json"):
         paths = sorted(glob.glob(os.path.join(ROOT, pattern)))
-        report((os.path.relpath(p, ROOT), p) for p in paths)
+        yield from _lines((os.path.relpath(p, ROOT), p) for p in paths)
     for seed in FORMS_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             generate(seed, tmp)
             names = sorted(os.listdir(tmp))
-            report((f"forms-{seed}/{name}", os.path.join(tmp, name))
-                   for name in names)
+            yield from _lines((f"forms-{seed}/{name}", os.path.join(tmp, name))
+                              for name in names)
 
 
 if __name__ == "__main__":
-    main_digest()
+    for line in digest_lines():
+        print(line)

@@ -442,8 +442,22 @@ MALFORMED = {
         "w": {"degree": 1, "components": ["y"]}}}, "form 'w' components"),
     "eval_at_text": ({"chart": ["x"], "tasks": [
         {"op": "eval_at", "expr": "x", "at": {"x": "abc"}}]}, "at"),
+    "eval_at_nan_text": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": "nan"}}]}, "at"),
+    "eval_at_number_text": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": "1"}}]}, "at"),
+    "eval_at_bool": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": True}}]}, "at"),
+    "eval_at_past_float_range": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": 1e400}}]}, "at"),
     "short_T_row": ({"chart": ["x", "y"], "metric": EUCLIDEAN2, "tasks": [
         {"op": "verify_einstein", "T": [["0", "0"], ["0"]]}]}, "T[1]"),
+    "kappa_coordinate": ({"chart": ["t", "x"], "metric": EUCLIDEAN2, "tasks": [
+        {"op": "verify_einstein", "T": [["1", "0"], ["0", "1"]],
+         "kappa": "t"}]}, "kappa"),
+    "kappa_expression": ({"chart": ["t", "x"], "metric": EUCLIDEAN2, "tasks": [
+        {"op": "verify_einstein", "T": [["1", "0"], ["0", "1"]],
+         "kappa": "1 + x"}]}, "kappa"),
     "k_text": ({"chart": ["t"], "tasks": [
         {"op": "verify_hamiltonian", "hamiltonian": "p^2/2", "k": "two"}]},
         "k"),
@@ -559,6 +573,18 @@ class TestTaskErrors:
         assert report["values"] == {"error": error}
         assert captured.err == f"error: task[0] op={task['op']}: {error}\n"
 
+
+    def test_legendre_names_must_be_distinct_identifiers(self, tmp_path,
+                                                         capsys):
+        scenario = {"chart": ["x"], "tasks": [
+            {"op": "legendre", "q": ["q", "r"], "v": ["v", "v"],
+             "mass": [["1", "0"], ["0", "1"]]}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 2
+        captured = capsys.readouterr()
+        (report,) = json.loads(captured.out)["tasks"]
+        assert report["verdict"] == "Error"
+        assert captured.err == ("error: task[0] op=legendre: ChartError: q and "
+                                "v names: duplicate coordinate name 'v'\n")
 
     def test_huge_constant_zero_test_is_unknown(self, tmp_path, capsys):
         # every sample leaves the float range, so the redraws run out

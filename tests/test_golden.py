@@ -20,10 +20,15 @@ the repository root with
 review `git diff tests/golden`, and update an exit code in CASES by hand
 if one changed on purpose.
 
-The goldens pin a handful of reports.  To hold a refactor to every report
-of the bundled and benchmark scenarios, run `python tests/report_digest.py`
-before and after it and compare: it prints one sha256 per file, format and
-seed.
+The goldens pin a handful of reports in full.  Every report of the bundled
+and benchmark scenarios is pinned by its sha256 in
+`golden/report_digest.txt`, one line per file, format and seed, as
+`tests/report_digest.py` prints them.  After a deliberate report change,
+rewrite that file from the repository root with
+
+    python tests/report_digest.py > tests/golden/report_digest.txt
+
+and name each changed line's file in the change's description.
 """
 
 import contextlib
@@ -36,6 +41,7 @@ import tempfile
 import pytest
 
 from exformal.cli import main
+from report_digest import digest_lines
 from test_fuzz import PHASE, PLANE, SPACETIME
 
 # every curvature op, then zero tests that need sampling and an evaluation
@@ -138,6 +144,11 @@ def test_report_matches_golden(golden, tmp_path):
     with open(os.path.join(GOLDEN, golden), "rb") as fh:
         assert out == fh.read()
     assert code == CASES[golden][2]
+
+
+def test_every_report_matches_the_digest():
+    with open(os.path.join(GOLDEN, "report_digest.txt"), encoding="utf-8") as fh:
+        assert list(digest_lines()) == fh.read().splitlines()
 
 
 if __name__ == "__main__":

@@ -133,6 +133,18 @@ class TestParse:
 
     def test_parentheses_with_an_exponent_are_inverted_whole(self):
         assert parse_expr("2/(0)^0", CH) == Rat(2)
+        assert parse_expr("1/((x+1)*(y+1))^2", CH) == pow_(
+            parse_expr("(x+1)*(y+1)", CH), -2)
+
+    def test_a_nested_divisor_stays_factored(self):
+        assert parse_expr("y/(1/(x + 1)^-2)", CH) == mul(
+            Sym("y"), pow_(add(Sym("x"), Rat(1)), -2))
+
+    def test_a_power_of_a_power_expands_in_two_steps(self):
+        # (x+1)^100 in one step would take 10,100 term products, past the
+        # budget; (x+1)^50 and then its square take 2,550 and 2,601
+        assert parse_expr("x/((x+1)^50)^-2", CH) == mul(
+            Sym("x"), pow_(pow_(add(Sym("x"), Rat(1)), 50), 2))
 
     def test_deep_nesting_is_a_syntax_error(self):
         with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:

@@ -123,6 +123,16 @@ class TestLegendre:
         with pytest.raises(ChartError):
             QuadraticLagrangian(["q"], ["v"], [[Sym("v")]], [ZERO], ZERO)
 
+    @pytest.mark.parametrize("q, v", [
+        (["q", "r"], ["v", "v"]),
+        (["q"], ["q"]),
+        (["q"], ["1v"]),
+    ])
+    def test_names_must_be_distinct_identifiers(self, q, v):
+        mass = [[Rat(int(i == j)) for j in q] for i in q]
+        with pytest.raises(ChartError, match="q and v names"):
+            QuadraticLagrangian(q, v, mass, [ZERO] * len(q), ZERO)
+
 
 class TestInverseLegendre:
     def test_simple(self):
