@@ -232,6 +232,11 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
                     scenario: str = "einstein") -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
     Levi-Civita connection, and optionally G - kappa*T (T as rows T[m][v])."""
+    try:
+        Chart(g.chart.names + (kappa_name,))
+    except ValueError:
+        raise ChartError(f"kappa_name must be an identifier that is not a "
+                         f"coordinate, got {kappa_name!r}") from None
     report = VerificationReport(scenario=scenario)
     n = g.chart.dim
     G = einstein_tensor(g)

@@ -337,6 +337,10 @@ def _bind(ctx: ScenarioContext, spec: OpSpec, task: dict, where: str):
         scope = replace(ctx, chart=spec.chart(args))
     except ValueError as e:
         raise ScenarioError(f"{where}: bad chart: {e}") from e
+    for name in scope.chart.names:
+        if name in ctx.params:
+            raise ScenarioError(
+                f"{where}: bad chart: {name!r} is a declared parameter")
     args.update(_decode(scope, spec.charted, task, where))
     return scope, args
 

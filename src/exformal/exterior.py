@@ -27,6 +27,7 @@ from .symbolic import (
     ZeroVerdict,
     add,
     diff,
+    free_symbols,
     is_zero,
     mul,
     pow_,
@@ -210,10 +211,13 @@ def ext_d(a: Form) -> Form:
     if a.degree == n:
         return Form.zero(a.chart, n, top_degree=True)
     names = a.chart.names
+    position = {name: j for j, name in enumerate(names)}
 
     def terms():
         for idx, c in a.components.items():
-            for j in range(n):
+            # c's derivative by a coordinate it does not hold is zero
+            held = sorted(position[s] for s in free_symbols(c) if s in position)
+            for j in held:
                 if j in idx:
                     continue
                 dc = diff(c, names[j])

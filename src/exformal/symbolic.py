@@ -15,7 +15,8 @@ over the expression trees defined here.  Design points:
   first, then the values of one sampler (`_sample_values`, which a metric's
   det-sign check shares), with fixed point count, box and tolerance; the
   seed is its only setting;
-* unspecified profiles like a(t) or f(z - t) are opaque function symbols
+* a function call is one node, `Func`, whose name decides what it is: a
+  built-in such as sin(x), or an unspecified profile like a(t) or f(z - t)
   with formal derivatives a', a'', ...
 
 The rewrite set applied by the constructors is deliberately bounded:
@@ -74,7 +75,6 @@ __all__ = [
     "Rat",
     "Sym",
     "Func",
-    "OpaqueFunc",
     "Pow",
     "Mul",
     "Add",
@@ -152,7 +152,7 @@ class Chart:
 #           inside a negative-exponent Pow;
 #   Pow   - integer exponent not in {0, 1}; base is an atom or an Add with
 #           a negative exponent (positive powers of sums are expanded);
-#   atoms - Rat, Sym, Func (built-in), OpaqueFunc.
+#   atoms - Rat, Sym, Func (a built-in or a profile, after its name).
 #
 # Every node carries a structural `key` tuple that induces the fixed total
 # order used for sorting and doubles as the equality/hash witness.
@@ -224,28 +224,24 @@ class Sym(Expr):
 
 
 class Func(Expr):
-    """Built-in unary function application (sin, cos, tan, exp, ln, sqrt)."""
+    """Unary function call: a built-in when `name` is in BUILTIN_FUNCTIONS,
+    else an unspecified profile such as a(t) (`opaque`), whose `order`
+    counts the primes of its formal derivative.  Build one through `func`
+    or `opaque`, which check it."""
 
-    __slots__ = ("name", "arg")
-
-    def __init__(self, name: str, arg: Expr):
-        self.name = name
-        self.arg = arg
-        self.key = (2, name, arg.key)
-        self._h = hash(self.key)
-        self._simple = None
-
-
-class OpaqueFunc(Expr):
-    """Unspecified univariate profile, e.g. a(t); `order` counts primes."""
-
-    __slots__ = ("name", "arg", "order")
+    __slots__ = ("name", "arg", "order", "opaque")
 
     def __init__(self, name: str, arg: Expr, order: int = 0):
         self.name = name
         self.arg = arg
         self.order = order
-        self.key = (3, name, order, arg.key)
+        self.opaque = name not in BUILTIN_FUNCTIONS
+        if self.opaque:
+            self.key = (3, name, order, arg.key)
+        elif order:
+            raise ValueError(f"built-in {name} has no formal derivatives")
+        else:
+            self.key = (2, name, arg.key)
         self._h = hash(self.key)
         self._simple = None
 
@@ -502,8 +498,14 @@ def func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
-def opaque(name: str, arg: Expr, order: int = 0) -> OpaqueFunc:
-    return OpaqueFunc(name, arg, order)
+def opaque(name: str, arg: Expr, order: int = 0) -> Func:
+    """The profile `name` (not a built-in) at `arg`, or its order-th
+    formal derivative."""
+    if name in BUILTIN_FUNCTIONS or not _IDENT_RE.match(name):
+        raise ValueError(f"not a profile name: {name!r}")
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"derivative order must be an int >= 0, got {order!r}")
+    return Func(name, arg, order)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,7 @@ def _children(e: Expr) -> tuple[Expr, ...]:
         return e.factors
     if isinstance(e, Pow):
         return (e.base,)
-    if isinstance(e, (Func, OpaqueFunc)):
+    if isinstance(e, Func):
         return (e.arg,)
     return ()
 
@@ -541,7 +543,7 @@ def opaque_calls(e: Expr) -> dict[str, int]:
     stack = [e]
     while stack:
         n = stack.pop()
-        if isinstance(n, OpaqueFunc):
+        if isinstance(n, Func) and n.opaque:
             out[n.name] = max(out.get(n.name, 0), n.order)
         stack.extend(_children(n))
     return out
@@ -560,8 +562,8 @@ def diff(e: Expr, name: str) -> Expr:
     """Exact partial derivative by the symbol `name`.
 
     Any symbol other than `name` (coordinates and parameters alike) is a
-    constant; opaque functions produce formal-derivative nodes by the
-    chain rule.
+    constant; a profile produces its formal-derivative node by the chain
+    rule.
     """
     if isinstance(e, Rat):
         return ZERO
@@ -587,7 +589,9 @@ def diff(e: Expr, name: str) -> Expr:
         if d is ZERO:
             return ZERO
         u = e.arg
-        if e.name == "sin":
+        if e.opaque:
+            outer = Func(e.name, u, e.order + 1)
+        elif e.name == "sin":
             outer = func("cos", u)
         elif e.name == "cos":
             outer = neg(func("sin", u))
@@ -602,11 +606,6 @@ def diff(e: Expr, name: str) -> Expr:
         else:  # pragma: no cover
             raise ValueError(e.name)
         return mul(outer, d)
-    if isinstance(e, OpaqueFunc):
-        d = diff(e.arg, name)
-        if d is ZERO:
-            return ZERO
-        return mul(OpaqueFunc(e.name, e.arg, e.order + 1), d)
     raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
 
 
@@ -622,9 +621,9 @@ def _rebuild(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
     if isinstance(e, Pow):
         return pow_(child(e.base), e.exp)
     if isinstance(e, Func):
+        if e.opaque:  # a profile has no special values to fold
+            return Func(e.name, child(e.arg), e.order)
         return func(e.name, child(e.arg))
-    if isinstance(e, OpaqueFunc):
-        return OpaqueFunc(e.name, child(e.arg), e.order)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -641,7 +640,7 @@ def substitute_function(e: Expr, name: str, var: str, profile: Expr) -> Expr:
     Occurrences name^(k)(arg) become (d^k profile / d var^k) evaluated at
     arg.  Used for numeric cross-checks such as a(t) = t^2.
     """
-    if isinstance(e, OpaqueFunc) and e.name == name:
+    if isinstance(e, Func) and e.opaque and e.name == name:
         body = profile
         for _ in range(e.order):
             body = diff(body, var)
@@ -664,7 +663,7 @@ def _mono_factors(mono: Expr) -> list[tuple[Expr, int]]:
 
 
 # Rational normal form.  Within one `_Rational`, the kernels (Sym, and
-# built-in Func or OpaqueFunc with a simplified argument) are numbered in
+# Func, built-in or profile, with a simplified argument) are numbered in
 # the order met.  A monomial is the tuple of their exponents, negative ones
 # allowed, without trailing zeros; a polynomial is a dict {monomial:
 # nonzero int or Fraction coefficient}; a value is (numerator polynomial,
@@ -1113,10 +1112,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Func):
-        return f"{e.name}({to_text(e.arg)})"
-    if isinstance(e, OpaqueFunc):
-        primes = "'" * e.order
-        return f"{e.name}{primes}({to_text(e.arg)})"
+        return f"{fn_key(e.name, e.order)}({to_text(e.arg)})"
     if isinstance(e, Add):
         pieces = []
         for t in e.terms:
@@ -1324,7 +1320,7 @@ class _Parser:
                             expected=("opaque function name",),
                         )
                     return [(func(name, arg), 1)]
-                return [(OpaqueFunc(name, arg, order), 1)]
+                return [(Func(name, arg, order), 1)]
             if order:
                 raise ExprSyntaxError(
                     f"derivative {tok.text} must be applied to an argument",
@@ -1414,16 +1410,14 @@ def _eval_plan(plan: list[tuple[Expr, tuple[int, ...]]], env: Mapping[str, float
                 v = float(env[e.name])
             except KeyError:
                 raise UnboundSymbolError(f"symbol '{e.name}' is unbound") from None
-        elif isinstance(e, Func):
-            v = _eval_func(e.name, vals[kids[0]], guard)
-        elif isinstance(e, OpaqueFunc):
+        elif e.opaque:
             key = fn_key(e.name, e.order)
             fn = fns.get(key)
             if fn is None:
                 raise UnboundSymbolError(f"function '{key}' is unbound")
             v = float(fn(vals[kids[0]]))
-        else:  # pragma: no cover
-            raise TypeError(f"not an Expr: {e!r}")
+        else:
+            v = _eval_func(e.name, vals[kids[0]], guard)
         vals.append(v)
     return vals[-1]
 
@@ -1579,7 +1573,7 @@ def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
     symbols = set(names).union(n.name for n, _ in plan if isinstance(n, Sym))
     calls: dict[str, int] = {}
     for node, _ in plan:
-        if isinstance(node, OpaqueFunc):
+        if isinstance(node, Func) and node.opaque:
             calls[node.name] = max(calls.get(node.name, 0), node.order)
     fns = _interpretations(calls, seed)
     for env in _sample_points(sorted(symbols), seed, center):

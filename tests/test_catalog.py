@@ -14,6 +14,7 @@ from exformal.catalog import (
     verify_hamiltonian,
     verify_maxwell,
 )
+from exformal.errors import ChartError
 from exformal.geometry import Metric, minkowski_metric
 from exformal.symbolic import (
     Chart,
@@ -142,6 +143,14 @@ class TestEinsteinVerifier:
         assert rep.verdict is Verdict.FAIL
         coupling = [c for c in rep.checks if "kappa" in c.name]
         assert coupling and coupling[0].verdict is Verdict.FAIL
+
+    @pytest.mark.parametrize("kappa_name", ["x", "1 + x"])
+    def test_kappa_name_must_be_a_new_identifier(self, kappa_name):
+        ch = Chart(("t", "x"))
+        identity = [[Rat(1), ZERO], [ZERO, Rat(1)]]
+        g = Metric(ch, identity, det_sign=1)
+        with pytest.raises(ChartError, match="kappa_name"):
+            verify_einstein(g, identity, kappa_name)
 
     def test_two_sphere_notes_dim2_identity(self):
         ch = Chart(("theta", "phi"))

@@ -469,6 +469,11 @@ MALFORMED = {
     "params_text": ({"chart": ["x"], "params": "ab"}, "params"),
     "legendre_q_text": ({"chart": ["x"], "tasks": [
         {"op": "legendre", "q": "q", "v": ["v"], "mass": [["1"]]}]}, "q"),
+    "legendre_q_param": ({"chart": ["x"], "params": ["m"], "tasks": [
+        {"op": "legendre", "q": ["m"], "v": ["v"], "mass": [["m"]]}]},
+        "bad chart"),
+    "verify_hamiltonian_q_param": ({"chart": ["t"], "params": ["q"], "tasks": [
+        {"op": "verify_hamiltonian", "hamiltonian": "p^2/2"}]}, "bad chart"),
     "diff_by_undeclared": ({"chart": ["x"], "tasks": [
         {"op": "diff", "expr": "x^2", "by": "q"}]}, "by"),
     # 5000 digits are past the interpreter's 4300-digit conversion limit

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from exformal import exterior
 from exformal.errors import ChartMismatchError, DegreeError
 from exformal.exterior import (
     ClosureStatus,
@@ -115,6 +116,23 @@ class TestExtD:
     def test_one_form_sign(self):
         f = Form(CH2, 1, {(0,): Sym("y")})  # y dx
         assert ext_d(f) == Form(CH2, 2, {(0, 1): Rat(-1)})
+
+    def test_differentiates_only_by_held_coordinates(self, monkeypatch):
+        chart = Chart(tuple(f"x{i}" for i in range(12)))
+        f = Form(chart, 1, {(0,): parse_expr("x1*x2", chart), (3,): Sym("x5")})
+        by = []
+        real = exterior.diff
+
+        def counting(e, name):
+            by.append(name)
+            return real(e, name)
+
+        monkeypatch.setattr(exterior, "diff", counting)
+        out = ext_d(f)
+        assert sorted(by) == ["x1", "x2", "x5"]
+        assert out == Form(chart, 2, {(0, 1): neg(Sym("x2")),
+                                      (0, 2): neg(Sym("x1")),
+                                      (3, 5): Rat(-1)})
 
     def test_top_degree_flagged_zero(self):
         top = wedge(dcoord(CH2, 0), dcoord(CH2, 1))

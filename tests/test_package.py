@@ -1,8 +1,8 @@
 """Package hygiene: every exported name exists, the runtime imports
 nothing outside the standard library, each module imports only the layers
 below it, no import sits inside a function, only `symbolic` reaches its
-sampling internals, and `symbolic` divides with `/` only where a float is
-meant."""
+sampling internals or builds a `Func` node directly, and `symbolic`
+divides with `/` only where a float is meant."""
 
 import ast
 import importlib
@@ -117,6 +117,23 @@ SAMPLING = {"_sample_points", "_plan", "_eval_plan"}
 def test_only_symbolic_samples(path):
     used = {n for _, names in _own_imports(_tree(path)) for n in names} & SAMPLING
     assert not used, f"{path} imports {sorted(used)} from symbolic"
+
+
+# Every other module calls `func` or `opaque`, which check a call's name
+# and order, so no module outside `symbolic` builds a built-in or a
+# profile node that skips those checks.
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if os.path.basename(p) != "symbolic.py"],
+                         ids=os.path.basename)
+def test_only_symbolic_builds_func_nodes(path):
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Func"
+             or getattr(node.func, "attr", None) == "Func")
+    ]
+    assert not calls, f"{path} calls Func( directly on lines {calls}"
 
 
 # The definitions of symbolic.py that may use `/`: the float evaluators and

@@ -164,6 +164,25 @@ class TestParse:
         assert exc.value.position == position
 
 
+class TestFunc:
+    """One node for every call: the name decides built-in or profile."""
+
+    def test_keys(self):
+        t = Sym("t")
+        assert func("sin", t).key == (2, "sin", t.key)
+        assert opaque("a", t, 2).key == (3, "a", 2, t.key)
+        assert not func("sin", t).opaque and opaque("a", t).opaque
+
+    @pytest.mark.parametrize("name, order", [("sin", 0), ("1a", 0), ("a", -1)])
+    def test_opaque_refuses_what_is_not_a_profile(self, name, order):
+        with pytest.raises(ValueError):
+            opaque(name, Sym("t"), order)
+
+    def test_builtin_has_no_formal_derivative(self):
+        with pytest.raises(ValueError):
+            symbolic.Func("sin", Sym("t"), 1)
+
+
 class TestDiff:
     def test_product_power(self):
         e = parse_expr("x*y^2", CH)
@@ -451,6 +470,7 @@ class TestPrintRoundTrip:
         "1/(1 - 2*m/r)",
         "cos(t)^2 + 3*sin(t)",
         "-2*t/(1 + t^2)^2",
+        "sin(a'(t))*a(t) + b''(cos(x) + t)^-2 - a(sin(t))",
     ]
 
     @pytest.mark.parametrize("text", CASES)
