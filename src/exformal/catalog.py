@@ -40,6 +40,7 @@ from .symbolic import (
 )
 from .transform import (
     HamiltonianSystem,
+    _canonical_chart,
     _flow_residual,
     poincare_cartan,
     poisson_bracket,
@@ -173,16 +174,6 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
 # ---------------------------------------------------------------------------
 # Degree 1: Hamiltonian
 # ---------------------------------------------------------------------------
-
-
-def _canonical_chart(k: int) -> Chart:
-    if k == 1:
-        return Chart(("t", "q", "p"))
-    return Chart(
-        ("t",)
-        + tuple(f"q{i + 1}" for i in range(k))
-        + tuple(f"p{i + 1}" for i in range(k))
-    )
 
 
 def verify_hamiltonian(H: Expr, k: int = 1,

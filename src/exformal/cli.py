@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .catalog import (ENGINE_CONVENTIONS, _canonical_chart, _nonzero_text,
-                      correspondence_table, verify_einstein, verify_hamiltonian,
-                      verify_maxwell)
+from .catalog import (ENGINE_CONVENTIONS, _nonzero_text, correspondence_table,
+                      verify_einstein, verify_hamiltonian, verify_maxwell)
 from .connection import (Connection, _levi_civita_ricci, bianchi_residual,
                          christoffel, covariant_derivative_1form, einstein_tensor,
                          evolutionary_commutator, riemann, torsion)
@@ -35,9 +34,10 @@ from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
 from .symbolic import (Chart, ZERO, _fold_verdicts, diff, eval_at, is_zero,
                        parse_expr, simplify, to_text)
-from .transform import (HamiltonianSystem, QuadraticLagrangian, hamilton_flow_check,
-                        integrating_factor, inverse_legendre, jacobian_degeneracy,
-                        legendre, poincare_cartan, poisson_bracket)
+from .transform import (HamiltonianSystem, QuadraticLagrangian, _canonical_chart,
+                        hamilton_flow_check, integrating_factor, inverse_legendre,
+                        jacobian_degeneracy, legendre, poincare_cartan,
+                        poisson_bracket)
 
 __all__ = ["main", "run_scenario", "ENGINE_OPS"]
 
@@ -209,6 +209,17 @@ def _component_key(raw: str, degree: int, where: str) -> tuple[int, ...]:
     return idx
 
 
+def _on_chart(ctx: ScenarioContext, chart: Chart, where: str) -> ScenarioContext:
+    """The scenario on `chart`, none of whose names may be a declared
+    parameter: a parameter and a coordinate of one name would be read as
+    one symbol."""
+    for name in chart.names:
+        if name in ctx.params:
+            raise ScenarioError(
+                f"{where}: bad chart: {name!r} is a declared parameter")
+    return replace(ctx, chart=chart)
+
+
 def _build(where: str, make, *parts):
     """An engine object from decoded parts; its errors name the field."""
     try:
@@ -260,7 +271,8 @@ def load_scenario(data: dict) -> ScenarioContext:
     for name, spec in _object(data.get("maps", {}), "maps").items():
         where = f"map '{name}'"
         spec = _object(spec, where)
-        source = replace(ctx, chart=_chart(spec.get("source"), f"{where} source"))
+        at = f"{where} source"
+        source = _on_chart(ctx, _chart(spec.get("source"), at), at)
         exprs = _exprs(spec.get("exprs"), f"{where} exprs", source)
         ctx.maps[name] = _build(where, SubmanifoldMap, source.chart, ctx.chart,
                                 tuple(exprs))
@@ -334,13 +346,10 @@ def _bind(ctx: ScenarioContext, spec: OpSpec, task: dict, where: str):
     if spec.chart is None:
         return ctx, args
     try:
-        scope = replace(ctx, chart=spec.chart(args))
+        chart = spec.chart(args)
     except ValueError as e:
         raise ScenarioError(f"{where}: bad chart: {e}") from e
-    for name in scope.chart.names:
-        if name in ctx.params:
-            raise ScenarioError(
-                f"{where}: bad chart: {name!r} is a declared parameter")
+    scope = _on_chart(ctx, chart, where)
     args.update(_decode(scope, spec.charted, task, where))
     return scope, args
 

@@ -178,11 +178,15 @@ def covariant_derivative_1form(a: Form, c: Connection) -> Tensor:
 
 
 def evolutionary_commutator(a: Form, c: Connection) -> Form:
-    """2-form K with K_{alpha beta} = (d_alpha A_beta - d_beta A_alpha)
+    """2-form K = d a - T^sigma a_sigma with T the torsion, that is
+    K_{alpha beta} = (d_alpha A_beta - d_beta A_alpha)
     + (Gamma^sigma_{beta alpha} - Gamma^sigma_{alpha beta}) A_sigma.
 
     For symmetric connections this is exactly ext_d(a); nonsymmetric
     connectedness contributes the torsion term that obstructs closure.
+    Built from Gamma directly: summing the simplified ext_d(a) and
+    torsion(c) gives equal values, but a larger tree where `simplify`
+    stops at its expansion budget.
     """
     if a.chart != c.chart:
         raise ChartMismatchError("form and connection charts differ")

@@ -19,9 +19,7 @@ Conventions (also echoed in every CLI report):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, islice
-from math import isqrt
 from typing import Sequence
 
 from .errors import (
@@ -70,17 +68,15 @@ def _sqrt_positive(e: Expr) -> Expr:
     exponents (a(t)^6 -> a(t)^3), otherwise keeps an opaque sqrt node."""
     e = simplify(e)
     coeff, mono = _coeff_monomial(e)
-    if coeff > 0:
-        num, den = coeff.numerator, coeff.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            halved = []
-            for b, k in _mono_factors(mono):
-                if k % 2:
-                    break
-                halved.append(pow_(b, k // 2))
-            else:
-                return mul(Rat(Fraction(rn, rd)), *halved)
+    root = func("sqrt", Rat(coeff)) if coeff > 0 else None
+    if isinstance(root, Rat):  # coeff is a perfect square
+        halved = []
+        for b, k in _mono_factors(mono):
+            if k % 2:
+                break
+            halved.append(pow_(b, k // 2))
+        else:
+            return mul(root, *halved)
     return func("sqrt", e)
 
 

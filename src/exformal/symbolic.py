@@ -95,7 +95,6 @@ __all__ = [
     "substitute",
     "substitute_function",
     "free_symbols",
-    "opaque_calls",
     "to_text",
     "parse_expr",
     "eval_at",
@@ -534,18 +533,6 @@ def free_symbols(e: Expr) -> set[str]:
             out.add(n.name)
         else:
             stack.extend(_children(n))
-    return out
-
-
-def opaque_calls(e: Expr) -> dict[str, int]:
-    """Map opaque function name -> highest derivative order appearing."""
-    out: dict[str, int] = {}
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Func) and n.opaque:
-            out[n.name] = max(out.get(n.name, 0), n.order)
-        stack.extend(_children(n))
     return out
 
 
@@ -1551,13 +1538,19 @@ def interpretation_table(e: Expr, seed: int = 0) -> dict[str, Callable[[float], 
     The interpretation of a name depends only on (seed, name), so the same
     profile backs a(t) and a'(t) consistently across expressions.
     """
-    return _interpretations(opaque_calls(e), seed)
+    return _interpretations(_plan(e), seed)
 
 
-def _interpretations(calls: Mapping[str, int],
+def _interpretations(plan: list[tuple[Expr, tuple[int, ...]]],
                      seed: int) -> dict[str, Callable[[float], float]]:
+    """fn_table for the profiles of `plan`, each up to the highest
+    derivative order it is called at."""
+    orders: dict[str, int] = {}
+    for node, _ in plan:
+        if isinstance(node, Func) and node.opaque:
+            orders[node.name] = max(orders.get(node.name, 0), node.order)
     table: dict[str, Callable[[float], float]] = {}
-    for name, max_order in sorted(calls.items()):
+    for name, max_order in sorted(orders.items()):
         interp = _OpaqueInterp(random.Random(f"{seed}:{name}"))
         for order in range(max_order + 1):
             table[fn_key(name, order)] = interp.derivative(order)
@@ -1571,11 +1564,7 @@ def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
     is raised; the plan and the profiles (those of `seed`) are built once."""
     plan = _plan(e)
     symbols = set(names).union(n.name for n, _ in plan if isinstance(n, Sym))
-    calls: dict[str, int] = {}
-    for node, _ in plan:
-        if isinstance(node, Func) and node.opaque:
-            calls[node.name] = max(calls.get(node.name, 0), node.order)
-    fns = _interpretations(calls, seed)
+    fns = _interpretations(plan, seed)
     for env in _sample_points(sorted(symbols), seed, center):
         try:
             yield _eval_plan(plan, env, fns, guard)

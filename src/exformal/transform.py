@@ -20,7 +20,7 @@ from .errors import (
     PatternMismatchError,
 )
 from ._antideriv import antiderivative
-from ._linalg import as_matrix, grid, mat_det, mat_inverse
+from ._linalg import as_matrix, mat_det, mat_inverse
 from .exterior import (
     ClosureStatus,
     Form,
@@ -29,6 +29,7 @@ from .exterior import (
     ext_d,
     interior_product,
     linear_combine,
+    pullback,
 )
 from .symbolic import (
     Add,
@@ -47,6 +48,7 @@ from .symbolic import (
     depends_on,
     diff,
     div,
+    free_symbols,
     func,
     is_zero,
     mul,
@@ -101,13 +103,14 @@ def _classify_determinant(det: Expr, seed: int) -> DegeneracyReport:
     return DegeneracyReport(det, status, cls)
 
 
-def _default_momentum_names(q_names, v_names, taken):
+def _fresh_names(stems, taken) -> tuple[str, ...]:
+    """Each stem with '_' appended until it is neither in `taken` nor an
+    earlier result."""
     out = []
-    for q, v in zip(q_names, v_names):
-        cand = "p" + v[1:] if v.startswith("v") else "p_" + q
-        while cand in taken or cand in out:
-            cand = cand + "_"
-        out.append(cand)
+    for name in stems:
+        while name in taken or name in out:
+            name += "_"
+        out.append(name)
     return tuple(out)
 
 
@@ -138,21 +141,21 @@ class QuadraticLagrangian:
                     raise ChartError(f"mass matrix not symmetric at ({i},{j})")
         linear = tuple(simplify(e) for e in linear)
         potential = simplify(potential)
-        for v in v_names:
-            if any(depends_on(e, v) for row in mass for e in row) or any(
-                depends_on(e, v) for e in linear
-            ) or depends_on(potential, v):
-                raise ChartError("M, b, V must not depend on velocities")
+        held = set().union(*map(free_symbols, [e for row in mass for e in row]
+                                + [*linear, potential]))
+        if held.intersection(v_names):
+            raise ChartError("M, b, V must not depend on velocities")
         self.q_names = q_names
         self.v_names = v_names
         self.mass = mass
         self.linear = linear
         self.potential = potential
-        self.p_names = (
-            tuple(p_names)
-            if p_names is not None
-            else _default_momentum_names(q_names, v_names, set(q_names + v_names))
-        )
+        if p_names is None:
+            p_names = _fresh_names(
+                ("p" + v[1:] if v.startswith("v") else "p_" + q
+                 for q, v in zip(q_names, v_names)),
+                held.union(q_names, v_names))
+        self.p_names = tuple(p_names)
 
     @property
     def k(self) -> int:
@@ -210,6 +213,14 @@ def canonical_split(chart: Chart):
         )
     k = len(rest) // 2
     return time, rest[:k], rest[k:]
+
+
+def _canonical_chart(k: int) -> Chart:
+    """(t, q, p) for k = 1, else (t, q1..qk, p1..pk)."""
+    if k == 1:
+        return Chart(("t", "q", "p"))
+    ids = range(1, k + 1)
+    return Chart(("t", *(f"q{i}" for i in ids), *(f"p{i}" for i in ids)))
 
 
 def _quadratic(p_names, b, W, V) -> Expr:
@@ -280,11 +291,9 @@ def inverse_legendre(H: HamiltonianSystem, seed: int = 0) -> QuadraticLagrangian
         raise PatternMismatchError(
             "Hamiltonian does not match the quadratic family"
         )
-    v_names = tuple(
-        "v" + p[1:] if p.startswith("p") else "v_" + p
-        for p in H.p_names
-    )
-    v_names = tuple(v if v not in H.chart.names else v + "_" for v in v_names)
+    v_names = _fresh_names(
+        ("v" + p[1:] if p.startswith("p") else "v_" + p for p in H.p_names),
+        set(H.chart.names) | free_symbols(H.hamiltonian))
     return QuadraticLagrangian(H.q_names, v_names, M, b, V,
                                p_names=H.p_names)
 
@@ -300,12 +309,13 @@ def poisson_bracket(f: Expr, g: Expr, sys_chart: Chart) -> Expr:
 
 
 def jacobian_degeneracy(phi, seed: int = 0) -> DegeneracyReport:
-    """Determinant of the Jacobian of a square map, classified."""
+    """Determinant of the Jacobian of a square map, classified; it is the
+    top component of the pullback of the volume form."""
     if phi.source.dim != phi.target.dim:
         raise ChartError("jacobian degeneracy needs a square map")
-    n = phi.source.dim
-    J = grid(n, 2, lambda i, j: diff(phi.exprs[i], phi.source.names[j]))
-    return _classify_determinant(mat_det(J), seed)
+    top = tuple(range(phi.target.dim))
+    volume = Form(phi.target, len(top), {top: ONE})
+    return _classify_determinant(pullback(phi, volume).get(top), seed)
 
 
 def _exp_of(e: Expr) -> Expr:
@@ -328,20 +338,15 @@ def _exp_of(e: Expr) -> Expr:
     return simplify(out)
 
 
-def _potential_of_exact(w: Form, seed: int) -> Expr | None:
-    report = classify_closure(w, seed)
-    if report.status is ClosureStatus.EXACT:
-        return report.potential.get(())
-    return None
-
-
 def integrating_factor(w: Form, seed: int = 0) -> tuple[Expr, Expr] | None:
     """mu and psi with d(psi) = mu * w for a 1-form on a 2-dim chart.
 
-    Searches mu depending on the first coordinate only, then on the
-    second; candidates are kept only when d(psi) - mu*w verifies to zero.
-    Returns None when no candidate arises; raises NotVerifiableError when
-    a candidate exists but the identity cannot be confirmed.
+    An exact form has mu = 1 and its `classify_closure` potential; for a
+    nonclosed one, searches mu depending on the first coordinate only, then
+    on the second; candidates are kept only when d(psi) - mu*w verifies to
+    zero.  Returns None when no candidate arises; raises NotVerifiableError
+    for a closed form without a table potential and for a candidate that
+    cannot be confirmed.
     """
     if w.chart.dim != 2:
         raise ChartError("integrating factors implemented for 2-dim charts")
@@ -350,14 +355,14 @@ def integrating_factor(w: Form, seed: int = 0) -> tuple[Expr, Expr] | None:
     xname, yname = w.chart.names
     M, N = w.get((0,)), w.get((1,))
 
-    curl = simplify(sub(diff(M, yname), diff(N, xname)))
-    if is_zero(curl, seed) is ZeroVerdict.ZERO:
-        psi = _potential_of_exact(w, seed)
-        if psi is None:
-            raise NotVerifiableError(
-                "form is closed but no table potential exists"
-            )
-        return ONE, psi
+    report = classify_closure(w, seed)
+    if report.status is ClosureStatus.EXACT:
+        return ONE, report.potential.get(())
+    if report.status is ClosureStatus.CLOSED:
+        raise NotVerifiableError(
+            "form is closed but no table potential exists"
+        )
+    curl = neg(report.commutator[(0, 1)])
 
     had_candidate = False
     for ratio_den, muvar, othervar, sign in (

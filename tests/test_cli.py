@@ -474,6 +474,9 @@ MALFORMED = {
         "bad chart"),
     "verify_hamiltonian_q_param": ({"chart": ["t"], "params": ["q"], "tasks": [
         {"op": "verify_hamiltonian", "hamiltonian": "p^2/2"}]}, "bad chart"),
+    "map_source_param": ({"chart": ["x", "y"], "params": ["u"], "maps": {
+        "m": {"source": ["u"], "exprs": ["u", "2*u"]}}},
+        "map 'm' source: bad chart: 'u' is a declared parameter"),
     "diff_by_undeclared": ({"chart": ["x"], "tasks": [
         {"op": "diff", "expr": "x^2", "by": "q"}]}, "by"),
     # 5000 digits are past the interpreter's 4300-digit conversion limit
@@ -598,6 +601,30 @@ class TestTaskErrors:
         assert run_in_process(tmp_path, scenario, "--format", "json") == 0
         (report,) = json.loads(capsys.readouterr().out)["tasks"]
         assert report["values"] == {"verdict": "Unknown"}
+
+
+class TestGeneratedNames:
+    """Momentum and velocity names that an op makes up avoid the symbols
+    its expressions already hold, parameters included."""
+
+    def test_legendre_momentum_avoids_a_parameter(self, tmp_path, capsys):
+        scenario = {"chart": ["t"], "params": ["p"], "tasks": [
+            {"op": "legendre", "q": ["x"], "v": ["v"], "mass": [["p"]],
+             "potential": "p*x"}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 0
+        (report,) = json.loads(capsys.readouterr().out)["tasks"]
+        assert report["values"]["H"] == "p_^2/2/p + p*x"
+        assert report["values"]["chart"] == "x,p_"
+
+    def test_inverse_legendre_velocity_avoids_a_parameter(self, tmp_path,
+                                                          capsys):
+        scenario = {"chart": ["t"], "params": ["v"], "tasks": [
+            {"op": "inverse_legendre", "q": ["x"], "p": ["p"],
+             "hamiltonian": "p^2/2 + v*p + x"}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 0
+        (report,) = json.loads(capsys.readouterr().out)["tasks"]
+        assert report["verdict"] == "Value"
+        assert report["values"]["linear"] == "-v"
 
 
 class TestVerdictFold:

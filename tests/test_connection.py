@@ -44,8 +44,10 @@ from exformal.symbolic import (
     ZeroVerdict,
     _fold_verdicts,
     add,
+    diff,
     eval_at,
     is_zero,
+    mul,
     neg,
     parse_expr,
     simplify,
@@ -208,6 +210,27 @@ class TestEvolutionaryCommutator:
         assert ext_d(a).is_zero_form
         K = evolutionary_commutator(a, c)
         assert not K.is_zero_form
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_tree_equals_the_explicit_formula(self, symmetric):
+        # K_ab = d_a A_b - d_b A_a + (Gamma^s_ba - Gamma^s_ab) A_s, summed
+        # here by hand and simplified once by the Form
+        rng = random.Random(41 + symmetric)
+        for _ in range(10):
+            chart = CHARTS[rng.choice((2, 3))]
+            n, names = chart.dim, chart.names
+            c = rand_connection(rng, chart, density=0.5, symmetric=symmetric)
+            a = rand_form(rng, chart, 1)
+            A = [a.get((i,)) for i in range(n)]
+            g = c.gamma
+            expected = Form(chart, 2, {
+                (al, be): add(
+                    diff(A[be], names[al]), neg(diff(A[al], names[be])),
+                    *(mul(sub(g[s][be][al], g[s][al][be]), A[s])
+                      for s in range(n)))
+                for al in range(n) for be in range(al + 1, n)
+            })
+            assert evolutionary_commutator(a, c) == expected
 
     def test_equals_antisymmetrized_covariant_derivative(self):
         rng = random.Random(33)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from exformal._linalg import grid, mat_det
 from exformal.errors import (
     ChartError,
     DegenerateLagrangianError,
@@ -26,10 +27,12 @@ from exformal.symbolic import (
     ZERO,
     ZeroVerdict,
     add,
+    diff,
     is_zero,
     mul,
     neg,
     parse_expr,
+    pow_,
     simplify,
     sub,
 )
@@ -46,7 +49,7 @@ from exformal.transform import (
     poisson_bracket,
 )
 
-from helpers import CHARTS, rand_poly
+from helpers import CHARTS, rand_poly, rand_trig_poly
 
 CH2 = CHARTS[2]
 
@@ -123,6 +126,24 @@ class TestLegendre:
         with pytest.raises(ChartError):
             QuadraticLagrangian(["q"], ["v"], [[Sym("v")]], [ZERO], ZERO)
 
+    def test_momentum_names_avoid_the_symbols_of_M_b_V(self):
+        # p is the mass parameter, so the momentum of v becomes p_
+        ch = Chart(("x",))
+        L = QuadraticLagrangian(["x"], ["v"], [[Sym("p")]], [ZERO],
+                                parse_expr("p*x", ch, ["p"]))
+        assert L.p_names == ("p_",)
+        H, _ = legendre(L)
+        assert H.chart.names == ("x", "p_")
+        assert H.hamiltonian == parse_expr("p_^2/2/p + p*x", H.chart, ["p"])
+
+    def test_momentum_names_avoid_each_other(self):
+        # the stems are p and p_; p is taken by V, so p_ goes to the first
+        ch = Chart(("x", "y"))
+        L = QuadraticLagrangian(
+            ["x", "y"], ["v", "v_"], [[Rat(1), ZERO], [ZERO, Rat(1)]],
+            [ZERO, ZERO], parse_expr("p*x", ch, ["p"]))
+        assert L.p_names == ("p_", "p__")
+
     @pytest.mark.parametrize("q, v", [
         (["q", "r"], ["v", "v"]),
         (["q"], ["q"]),
@@ -148,6 +169,15 @@ class TestInverseLegendre:
         L = inverse_legendre(HamiltonianSystem(chart, H))
         assert L.mass[0][0] == Sym("m")
         assert L.potential == parse_expr("V(q)", chart)
+
+    def test_velocity_names_avoid_the_symbols_of_H(self):
+        # v is a parameter of H, so the velocity of p becomes v_
+        chart = Chart(("x", "p"))
+        H = parse_expr("p^2/2 + v*p + x", chart, ["v"])
+        L = inverse_legendre(HamiltonianSystem(chart, H))
+        assert L.v_names == ("v_",)
+        assert L.linear == (neg(Sym("v")),)
+        assert L.potential == parse_expr("x - v^2/2", chart, ["v"])
 
     def test_quartic_rejected(self):
         chart = Chart(("q", "p"))
@@ -230,6 +260,27 @@ class TestJacobianDegeneracy:
             jacobian_degeneracy(
                 SubmanifoldMap(src, CH2, (Sym("u"), Sym("u")))
             )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["poly", "trig", "rational"])
+    def test_determinant_is_the_simplified_jacobian_det(self, n, kind):
+        # the reference builds the Jacobian J[i][j] = d x^i / d u^j itself
+        rng = random.Random(f"{n}:{kind}")
+        chart = CHARTS[n]
+
+        def component():
+            if kind == "poly":
+                return rand_poly(rng, chart.names, terms=2, max_deg=2)
+            if kind == "trig":
+                return rand_trig_poly(rng, chart.names, terms=2)
+            den = add(Rat(rng.randint(1, 3)), pow_(Sym(rng.choice(chart.names)), 2))
+            return mul(rand_poly(rng, chart.names, terms=2, max_deg=1),
+                       pow_(den, -1))
+
+        for _ in range(6):
+            phi = SubmanifoldMap(chart, chart, tuple(component() for _ in range(n)))
+            J = grid(n, 2, lambda i, j: diff(phi.exprs[i], chart.names[j]))
+            assert jacobian_degeneracy(phi).determinant == simplify(mat_det(J))
 
 
 class TestIntegratingFactor:
