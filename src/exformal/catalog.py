@@ -28,10 +28,10 @@ from .symbolic import (
     Verdict,
     ZERO,
     ZeroVerdict,
+    _check_residuals,
     _fold_verdicts,
     add,
     diff,
-    is_zero,
     mul,
     parse_expr,
     simplify,
@@ -99,20 +99,16 @@ class VerificationReport:
 
 
 def _residual_check(name: str, residuals: dict, seed: int) -> CheckResult:
-    """Verdict from a {label: Expr} residual map: Pass iff all ZERO.  The
-    summary lists each NonZero residual, and each Unknown one that comes
-    before the first NonZero label."""
-    bad = []
-    verdicts = []
-    for label in sorted(residuals, key=str):
-        v = is_zero(residuals[label], seed)
-        if v is ZeroVerdict.NONZERO:
-            bad.append(f"{label}={to_text(simplify(residuals[label]))}")
-        elif v is ZeroVerdict.UNKNOWN and ZeroVerdict.NONZERO not in verdicts:
-            bad.append(f"{label}=Unknown")
-        verdicts.append(v)
-    summary = "all residuals zero" if not bad else "; ".join(bad)
-    return CheckResult(name, summary, _fold_verdicts(verdicts))
+    """Verdict from a {label: Expr} residual map, by `_check_residuals`.
+    The summary lists every label that is not Zero: a NonZero one by its
+    simplified residual, an Unknown one as `label=Unknown`."""
+    verdict, bad = _check_residuals(residuals, seed)
+    summary = "; ".join(
+        f"{label}={to_text(simplify(residuals[label]))}"
+        if v is ZeroVerdict.NONZERO else f"{label}=Unknown"
+        for label, v in bad.items()
+    )
+    return CheckResult(name, summary or "all residuals zero", verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
 from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_d,
                        form_to_text, interior_product, linear_combine, pullback, wedge)
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
-from .symbolic import (Chart, ZERO, _fold_verdicts, diff, eval_at, is_zero,
+from .symbolic import (Chart, ZERO, _check_residuals, diff, eval_at, is_zero,
                        parse_expr, simplify, to_text)
 from .transform import (HamiltonianSystem, QuadraticLagrangian, _canonical_chart,
                         hamilton_flow_check, integrating_factor, inverse_legendre,
@@ -237,6 +237,7 @@ def load_scenario(data: dict) -> ScenarioContext:
     data = _object(data, "scenario root")
     ctx = ScenarioContext(chart=_chart(data.get("chart"), "chart"),
                           params=_names(data.get("params", []), "params"))
+    ctx = _on_chart(ctx, ctx.chart, "chart")
 
     if "metric" in data:
         m = _object(data["metric"], "metric")
@@ -469,8 +470,8 @@ def _op_maxwell_residual(ctx, seed, form, current=None):
     if current is None:
         current = Form.zero(ctx.chart, 1)
     r1, r2 = maxwell_residual(form, current, ctx.metric)
-    out = _fold_verdicts([is_zero(c, seed) for r in (r1, r2)
-                          for c in r.components.values()]).value
+    out = _check_residuals({(k, idx): c for k, r in enumerate((r1, r2))
+                            for idx, c in r.components.items()}, seed)[0].value
     return TaskOutcome(out, out, {"dF": form_to_text(r1),
                                   "dstarF_minus_starJ": form_to_text(r2)})
 
@@ -518,7 +519,7 @@ def _op_einstein_tensor(ctx, seed):
 @_op("bianchi_residual", needs=("metric",))
 def _op_bianchi_residual(ctx, seed):
     res = bianchi_residual(ctx.metric)
-    out = _fold_verdicts([is_zero(e, seed) for e in res]).value
+    out = _check_residuals(dict(enumerate(res)), seed)[0].value
     text = "; ".join(
         f"{ctx.chart.names[i]}={to_text(e)}" for i, e in enumerate(res)
     )

@@ -23,12 +23,12 @@ from .symbolic import (
     Expr,
     Rat,
     Sym,
+    Verdict,
     ZERO,
-    ZeroVerdict,
+    _check_residuals,
     add,
     diff,
     free_symbols,
-    is_zero,
     mul,
     pow_,
     simplify,
@@ -64,8 +64,7 @@ class Form:
     """
 
     def __init__(self, chart: Chart, degree: int,
-                 components: Mapping[Sequence[int], Expr] | None = None,
-                 top_degree: bool = False):
+                 components: Mapping[Sequence[int], Expr] | None = None):
         n = chart.dim
         if not 0 <= degree <= n:
             raise DegreeError(f"degree {degree} out of range for dim {n}")
@@ -84,11 +83,10 @@ class Form:
         self.chart = chart
         self.degree = degree
         self.components = comps
-        self.top_degree = top_degree
 
     @classmethod
-    def zero(cls, chart: Chart, degree: int, top_degree: bool = False) -> "Form":
-        return cls(chart, degree, {}, top_degree=top_degree)
+    def zero(cls, chart: Chart, degree: int) -> "Form":
+        return cls(chart, degree, {})
 
     @classmethod
     def scalar(cls, chart: Chart, e: Expr) -> "Form":
@@ -196,7 +194,7 @@ def wedge(a: Form, b: Form) -> Form:
     n = a.chart.dim
     degree = a.degree + b.degree
     if degree > n:
-        return Form.zero(a.chart, n, top_degree=True)
+        return Form.zero(a.chart, n)
     return _summed(a.chart, degree, (
         (tuple(sorted(ia + ib)), mul(Rat(_merge_sign(ia, ib)), ca, cb))
         for ia, ca in a.components.items()
@@ -206,10 +204,10 @@ def wedge(a: Form, b: Form) -> Form:
 
 
 def ext_d(a: Form) -> Form:
-    """Exterior derivative; at top degree returns the flagged zero form."""
+    """Exterior derivative; at top degree returns the zero form."""
     n = a.chart.dim
     if a.degree == n:
-        return Form.zero(a.chart, n, top_degree=True)
+        return Form.zero(a.chart, n)
     names = a.chart.names
     position = {name: j for j, name in enumerate(names)}
 
@@ -254,7 +252,7 @@ def pullback(phi: SubmanifoldMap, a: Form) -> Form:
     src = phi.source
     k = src.dim
     if a.degree > k:
-        return Form.zero(src, k, top_degree=True)
+        return Form.zero(src, k)
     subs_map = {phi.target.names[i]: phi.exprs[i] for i in range(phi.target.dim)}
     jac_t = tuple(tuple(diff(x, u) for x in phi.exprs) for u in src.names)
     pulled = {idx: substitute(c, subs_map) for idx, c in a.components.items()}
@@ -359,9 +357,7 @@ def _homotopy_potential(a: Form) -> Form | None:
 
 def _verified(potential: Form, a: Form, seed: int) -> bool:
     residual = linear_combine([Rat(1), Rat(-1)], [ext_d(potential), a])
-    return all(
-        is_zero(c, seed) is ZeroVerdict.ZERO for c in residual.components.values()
-    )
+    return _check_residuals(residual.components, seed)[0] is Verdict.PASS
 
 
 def _find_potential(a: Form, seed: int) -> Form | None:
@@ -390,17 +386,18 @@ def classify_closure(a: Form, seed: int = 0) -> ClosureReport:
 
     Exactness is only reported with a potential that has been rebuilt
     through ext_d and re-verified; when the integration table cannot
-    produce one, the honest answer is Closed with no potential.  Unknown
-    zero-tests degrade the verdict to NonClosed with `uncertain` set.
+    produce one, the honest answer is Closed with no potential.  Every
+    component of d(a) whose zero test is not Zero makes the form NonClosed
+    and goes into the commutator; `uncertain` is set when the check of
+    d(a) = 0 is Unknown, i.e. each of those components is Unknown and none
+    is NonZero.
     """
     d = ext_d(a)
-    verdicts = {idx: is_zero(c, seed) for idx, c in d.components.items()}
-    nonzero = {idx: d.components[idx] for idx, v in verdicts.items()
-               if v is not ZeroVerdict.ZERO}
-    uncertain = any(v is ZeroVerdict.UNKNOWN for v in verdicts.values())
-    if nonzero:
-        return ClosureReport(ClosureStatus.NONCLOSED, commutator=nonzero,
-                             uncertain=uncertain)
+    verdict, bad = _check_residuals(d.components, seed)
+    if bad:
+        return ClosureReport(ClosureStatus.NONCLOSED,
+                             commutator={idx: d.components[idx] for idx in bad},
+                             uncertain=verdict is Verdict.UNKNOWN)
     potential = _find_potential(a, seed)
     if potential is not None:
         return ClosureReport(ClosureStatus.EXACT, potential=potential)

@@ -39,6 +39,7 @@ from .symbolic import (
     Rat,
     ZERO,
     ZeroVerdict,
+    _check_residuals,
     _coeff_monomial,
     _mono_factors,
     _sample_values,
@@ -115,16 +116,15 @@ class Metric:
 
     def _check_inverse(self):
         n = self.chart.dim
-        for i in range(n):
-            for j in range(n):
-                entry = add(
-                    *(mul(self.g[i][k], self.inverse[k][j]) for k in range(n))
-                )
-                target = Rat(1) if i == j else ZERO
-                if is_zero(add(entry, neg(target))) is not ZeroVerdict.ZERO:
-                    raise MetricValidationError(
-                        f"g * g^-1 != identity at ({i},{j})"
-                    )
+        residuals = {
+            (i, j): add(*(mul(self.g[i][k], self.inverse[k][j]) for k in range(n)),
+                        Rat(-1) if i == j else ZERO)
+            for i in range(n) for j in range(n)
+        }
+        _, bad = _check_residuals(residuals, 0)
+        if bad:
+            i, j = min(bad)
+            raise MetricValidationError(f"g * g^-1 != identity at ({i},{j})")
 
     def _check_det_sign(self):
         exact = isinstance(self.det, Rat)

@@ -14,7 +14,9 @@ over the expression trees defined here.  Design points:
 * zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`): symbolic
   first, then the values of one sampler (`_sample_values`, which a metric's
   det-sign check shares), with fixed point count, box and tolerance; the
-  seed is its only setting;
+  seed is its only setting; every set of residuals becomes a verdict in
+  one function, `_check_residuals`, which folds their zero tests by
+  `_fold_verdicts` and returns the zero test of each that is not ZERO;
 * a function call is one node, `Func`, whose name decides what it is: a
   built-in such as sin(x), or an unspecified profile like a(t) or f(z - t)
   with formal derivatives a', a'', ...
@@ -29,9 +31,9 @@ sums, a positive power of a sum included, is expanded only within
 ExformalError.
 
 `simplify` rebuilds a tree through those constructors, except a tree with
-a sum raised to a negative power or with a factor cos(u)^k, k >= 2, which
-it puts in a rational normal form: one expanded numerator over a factored
-denominator prod b_i^k_i.  The numerator is a Laurent polynomial with
+a sum raised to a negative power or with any power of cos(u) as a factor,
+which it puts in a rational normal form: one expanded numerator over a
+factored denominator prod b_i^k_i.  The numerator is a Laurent polynomial with
 rational coefficients in kernels (symbols, and built-in or opaque function
 calls with a simplified argument); each base b_i is a polynomial with no
 monomial content, coprime integer coefficients and a positive leading
@@ -81,7 +83,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "rational",
-    "sym",
     "add",
     "mul",
     "pow_",
@@ -134,9 +135,6 @@ class Chart:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def __iter__(self):
-        return iter(self.names)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +289,6 @@ def rational(value) -> Rat:
     return Rat(value)
 
 
-def sym(name: str) -> Sym:
-    return Sym(name)
-
-
 def _coeff_monomial(term: Expr) -> tuple[int | Fraction, Expr]:
     """Split a (non-Add) canonical term into rational coefficient x rest."""
     if isinstance(term, Rat):
@@ -308,10 +302,6 @@ def _coeff_monomial(term: Expr) -> tuple[int | Fraction, Expr]:
 
 def _scale(coeff: int | Fraction, mono: Expr) -> Expr:
     """coeff * mono for an Add-free canonical monomial."""
-    if coeff == 0:
-        return ZERO
-    if mono is ONE or (isinstance(mono, Rat) and mono.value == 1):
-        return Rat(coeff)
     if isinstance(mono, Rat):
         return Rat(coeff * mono.value)
     if coeff == 1:
@@ -391,13 +381,7 @@ def mul(*args: Expr) -> Expr:
         if isinstance(b, Add) and e > 0:
             expand.append((b, e))
         else:
-            piece = pow_(b, e)
-            if isinstance(piece, Rat):
-                coeff *= piece.value
-            else:
-                factors.append(piece)
-    if coeff == 0:
-        return ZERO
+            factors.append(pow_(b, e))
 
     if not expand:
         if not factors:
@@ -986,14 +970,14 @@ class _Rational:
 
 
 def _needs_rational(e: Expr) -> bool:
-    """True when a term of `e` has a sum raised to a negative power or
-    cos(u)^k with k >= 2 among its factors (canonical trees nest no deeper)."""
+    """True when a factor of a term of `e` is a power of a sum or of cos(u)
+    (canonical trees nest no deeper).  A power of a sum is a negative one,
+    since the constructors expand the others, and a power of cos(u) has an
+    exponent other than 0 and 1, which `reduce_trig` may rewrite."""
     for t in e.terms if isinstance(e, Add) else (e,):
         for f in t.factors if isinstance(t, Mul) else (t,):
-            if isinstance(f, Pow) and (
-                    (f.exp < 0 and isinstance(f.base, Add))
-                    or (f.exp >= 2 and isinstance(f.base, Func)
-                        and f.base.name == "cos")):
+            if isinstance(f, Pow) and (isinstance(f.base, Add) or (
+                    isinstance(f.base, Func) and f.base.name == "cos")):
                 return True
     return False
 
@@ -1010,10 +994,10 @@ def _rational_form(e: Expr) -> Expr | None:
 
 def simplify(e: Expr) -> Expr:
     """Canonical form, idempotent: the rational normal form (see the module
-    docstring) when `_needs_rational(e)`, else `e` rebuilt through the
-    constructors from its simplified children.  A normal form that does not
-    fit in `_EXPANSION_BUDGET` is not made: `e` stays as the constructors
-    built it.
+    docstring) when `_needs_rational(e)`, that is when a factor of a term is
+    a power of a sum or of cos(u), else `e` rebuilt through the constructors
+    from its simplified children.  A normal form that does not fit in
+    `_EXPANSION_BUDGET` is not made: `e` stays as the constructors built it.
 
     The result is kept on `e` and marked as its own fixed point, so each
     tree, and each subtree shared with one already simplified, is simplified
@@ -1479,6 +1463,20 @@ def _fold_verdicts(verdicts: Iterable[ZeroVerdict | Verdict]) -> Verdict:
     seen = {_CHECK_VERDICT.get(v, v) for v in verdicts}
     return next((v for v in (Verdict.FAIL, Verdict.UNKNOWN) if v in seen),
                 Verdict.PASS)
+
+
+def _check_residuals(residuals: Mapping[object, Expr], seed: int
+                     ) -> tuple[Verdict, dict[object, ZeroVerdict]]:
+    """The one check that a set of residuals vanishes: `is_zero(seed)` of
+    every residual of a {label: Expr} map, labels taken in `str` order.
+    Returns the folded verdict and, in that order, the zero-test verdict of
+    each label that is not ZERO."""
+    bad = {}
+    for label in sorted(residuals, key=str):
+        v = is_zero(residuals[label], seed)
+        if v is not ZeroVerdict.ZERO:
+            bad[label] = v
+    return _fold_verdicts(bad.values()), bad
 
 
 # The box, tolerance and limits of `_sample_values` and `is_zero`.

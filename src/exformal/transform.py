@@ -42,8 +42,8 @@ from .symbolic import (
     Verdict,
     ZERO,
     ZeroVerdict,
+    _check_residuals,
     _coeff_monomial,
-    _fold_verdicts,
     add,
     depends_on,
     diff,
@@ -160,20 +160,6 @@ class QuadraticLagrangian:
     @property
     def k(self) -> int:
         return len(self.q_names)
-
-    @property
-    def chart(self) -> Chart:
-        return Chart(self.q_names + self.v_names)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticLagrangian)
-            and self.q_names == other.q_names
-            and self.v_names == other.v_names
-            and self.mass == other.mass
-            and self.linear == other.linear
-            and self.potential == other.potential
-        )
 
 
 class HamiltonianSystem:
@@ -432,6 +418,5 @@ def hamilton_flow_check(sys: HamiltonianSystem, seed: int = 0) -> FlowCheckRepor
     if sys.time is None:
         raise ChartError("the flow check needs a time coordinate")
     residual = _flow_residual(sys, ext_d(poincare_cartan(sys)), -1)
-    return FlowCheckReport(residual, _fold_verdicts(
-        [is_zero(c, seed) for c in residual.components.values()]
-    ))
+    return FlowCheckReport(residual,
+                           _check_residuals(residual.components, seed)[0])

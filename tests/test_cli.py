@@ -477,6 +477,9 @@ MALFORMED = {
     "map_source_param": ({"chart": ["x", "y"], "params": ["u"], "maps": {
         "m": {"source": ["u"], "exprs": ["u", "2*u"]}}},
         "map 'm' source: bad chart: 'u' is a declared parameter"),
+    "root_chart_param": ({"chart": ["x", "y"], "params": ["x"], "tasks": [
+        {"op": "diff", "expr": "x*y", "by": "x"}]},
+        "chart: bad chart: 'x' is a declared parameter"),
     "diff_by_undeclared": ({"chart": ["x"], "tasks": [
         {"op": "diff", "expr": "x^2", "by": "q"}]}, "by"),
     # 5000 digits are past the interpreter's 4300-digit conversion limit

@@ -320,6 +320,15 @@ class TestRicciEinstein:
         assert scal == Rat(2)
         assert not einstein_tensor(g).nonzero()
 
+    @pytest.mark.parametrize("diagonal", [("1", "1/cos(x)^2"),
+                                          ("1/cos(y)^2", "1/cos(x)^2")])
+    def test_two_dimensions_with_cos_denominators(self, diagonal):
+        # G vanishes identically in 2D; the curvature of these metrics
+        # holds negative powers of cos, which simplify must bring to 0
+        a, b = (parse_expr(t, CH2) for t in diagonal)
+        g = Metric(CH2, [[a, ZERO], [ZERO, b]], 1)
+        assert not einstein_tensor(g).nonzero()
+
     def test_frw_ricci_tt(self):
         g = frw_metric()
         ric, _ = ricci_and_scalar(riemann(christoffel(g)), g)

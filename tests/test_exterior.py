@@ -6,6 +6,7 @@ import random
 import pytest
 
 from exformal import exterior
+from exformal._antideriv import antiderivative
 from exformal.errors import ChartMismatchError, DegreeError
 from exformal.exterior import (
     ClosureStatus,
@@ -27,10 +28,13 @@ from exformal.symbolic import (
     Sym,
     ZeroVerdict,
     add,
+    diff,
     is_zero,
     mul,
     neg,
     parse_expr,
+    sub,
+    to_text,
 )
 
 from helpers import (
@@ -91,7 +95,7 @@ class TestWedge:
     def test_overflow_degree_is_zero_form(self):
         two = wedge(dcoord(CH2, 0), dcoord(CH2, 1))
         out = wedge(two, dcoord(CH2, 0))
-        assert out.is_zero_form and out.top_degree
+        assert out.is_zero_form
 
     def test_graded_commutativity_random(self):
         rng = random.Random(5)
@@ -137,7 +141,7 @@ class TestExtD:
     def test_top_degree_flagged_zero(self):
         top = wedge(dcoord(CH2, 0), dcoord(CH2, 1))
         out = ext_d(top)
-        assert out.is_zero_form and out.top_degree
+        assert out.is_zero_form
 
     def test_dd_zero_random(self):
         rng = random.Random(17)
@@ -378,3 +382,33 @@ class TestClassifyClosure:
     def test_zero_form_is_exact(self):
         rep = classify_closure(Form.zero(CH2, 1))
         assert rep.status is ClosureStatus.EXACT
+
+    def test_uncertain_only_when_no_component_is_nonzero(self):
+        # ln(y - 10) and sqrt(-1 - x^2) are undefined on the whole sampling
+        # box, so every zero test of a component holding one is Unknown
+        mixed = Form(CH3, 1, {(1,): Sym("x"),
+                              (2,): parse_expr("x*ln(y - 10)", CH3)})
+        rep = classify_closure(mixed)
+        assert rep.status is ClosureStatus.NONCLOSED
+        assert sorted(rep.commutator) == [(0, 1), (0, 2), (1, 2)]
+        assert rep.commutator[(0, 1)] == Rat(1)
+        assert not rep.uncertain  # (0, 1) is exactly 1
+        unknown = Form(CH3, 1, {(2,): parse_expr("y*sqrt(-1 - x^2)", CH3)})
+        rep = classify_closure(unknown)
+        assert rep.status is ClosureStatus.NONCLOSED
+        assert sorted(rep.commutator) == [(0, 2), (1, 2)]
+        assert rep.uncertain
+
+
+class TestAntiderivative:
+    # powers of an affine base, the log at exponent -1 included
+    @pytest.mark.parametrize("text, expected", [
+        ("(x + 1)^-1", "ln(1 + x)"),
+        ("(2*x + 1)^-3", "-1/4/(1 + 2*x)^2"),
+        ("y*(x + y)^-2", "-y/(x + y)"),
+    ])
+    def test_affine_base_powers(self, text, expected):
+        e = parse_expr(text, CH2)
+        anti = antiderivative(e, "x")
+        assert to_text(anti) == expected
+        assert is_zero(sub(diff(anti, "x"), e)) is ZeroVerdict.ZERO

@@ -1,8 +1,9 @@
 """Package hygiene: every exported name exists, the runtime imports
 nothing outside the standard library, each module imports only the layers
 below it, no import sits inside a function, only `symbolic` reaches its
-sampling internals or builds a `Func` node directly, and `symbolic`
-divides with `/` only where a float is meant."""
+sampling internals or builds a `Func` node directly, only `symbolic` and
+`catalog` fold verdicts, and `symbolic` divides with `/` only where a
+float is meant."""
 
 import ast
 import importlib
@@ -134,6 +135,23 @@ def test_only_symbolic_builds_func_nodes(path):
              or getattr(node.func, "attr", None) == "Func")
     ]
     assert not calls, f"{path} calls Func( directly on lines {calls}"
+
+
+# Every other module turns a set of residuals into a verdict through
+# `_check_residuals`, so the zero tests of a check are folded in one place;
+# `catalog` folds only the verdicts of a report's checks.
+@pytest.mark.parametrize("path", [p for p in SOURCES if os.path.basename(p)
+                                  not in ("symbolic.py", "catalog.py")],
+                         ids=os.path.basename)
+def test_only_symbolic_and_catalog_fold_verdicts(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if "_fold_verdicts" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None))
+    ]
+    assert not lines, f"{path} names _fold_verdicts on lines {lines}"
 
 
 # The definitions of symbolic.py that may use `/`: the float evaluators and

@@ -273,6 +273,13 @@ class TestSimplify:
         ("(sin(t)^2 - 1)/(sin(t) - 1) - sin(t) - 1", "0"),
         # cos(1)^2 shows up only once the arguments are simplified
         ("cos(sin(y)^2 + cos(y)^2)*cos(1)", "1 - sin(1)^2"),
+        # a negative power of cos(u) takes the rational path too
+        ("(1 - sin(x)^2)/cos(x)^2", "1"),
+        ("sin(x)^2/cos(x)^2 + 1", "1/cos(x)^2"),
+        ("(1 - sin(x)^2)/cos(x)", "cos(x)"),
+        # inverting a one-term numerator, once reduced modulo sin^2 + cos^2
+        ("1/(sin(x)^2 + cos(x)^2)", "1"),
+        ("x/(sin(x)^2 + cos(x)^2)^2", "x"),
     ]
 
     @pytest.mark.parametrize("text, expected", NORMAL_FORMS)
@@ -283,6 +290,13 @@ class TestSimplify:
         assert parse_expr(expected, CH, params) == s
         assert simplify(s) is s
         assert simplify(parse_expr(to_text(s), CH, params)) == s
+
+    def test_inverse_of_a_value_with_a_denominator(self):
+        # 1/(n/d) multiplies the old denominator d back into the numerator
+        s = simplify(parse_expr("(1 + 1/(1 + x))^-1", CH))
+        assert to_text(s) == "1/(2 + x) + x/(2 + x)"
+        want = parse_expr("(1 + x)/(2 + x)", CH)
+        assert is_zero(sub(s, want)) is ZeroVerdict.ZERO
 
     def test_rational_normal_form_on_random(self):
         # sums of products with sum denominators and powers of sin and cos,
@@ -347,13 +361,13 @@ class TestSimplify:
 
     @staticmethod
     def rational_trigger(e):
-        """Some node is a sum to a negative power or cos(u)^k, k >= 2."""
+        """Some node is a power of a sum or of cos(u)."""
         stack = [e]
         while stack:
             n = stack.pop()
             if isinstance(n, symbolic.Pow) and (
-                    (n.exp < 0 and isinstance(n.base, symbolic.Add))
-                    or (n.exp >= 2 and isinstance(n.base, symbolic.Func)
+                    isinstance(n.base, symbolic.Add)
+                    or (isinstance(n.base, symbolic.Func)
                         and n.base.name == "cos")):
                 return True
             stack.extend(symbolic._children(n))
@@ -361,7 +375,7 @@ class TestSimplify:
 
     def test_polynomial_trees_are_fixed_points(self, monkeypatch):
         # Laurent polynomials over kernels, products of them expanded by
-        # the constructors: without a sum denominator or cos(u)^k, k >= 2,
+        # the constructors: without a power of a sum or of cos(u),
         # simplify leaves the tree as it is and never takes the rational
         # path, so reports of such trees keep their bytes and their cost
         calls = []
