@@ -5,14 +5,17 @@ forms, maps, vectors, tasks (see README for the schema).  Reports are
 byte-identical for identical (file, seed, version) triples: no wall-clock
 content is emitted and JSON is dumped with sorted keys.  Exit codes:
 0 all task verdicts in {Pass, Closed, Exact, Value}; 1 any Fail/NonClosed
-(or Unknown under --strict); 2 input errors (missing file, JSON or
-expression ParseError, unresolved names, values of the wrong shape) and
-engine errors inside a task, which report that task's verdict as Error.
+(or Unknown under --strict; a classify_closure whose only non-Zero
+components are Unknown counts as Unknown, not NonClosed); 2 input errors
+(missing file, JSON or expression ParseError, unresolved names, values of
+the wrong shape) and engine errors inside a task, which report that
+task's verdict as Error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -446,7 +449,10 @@ def _op_classify_closure(ctx, seed, form):
         )
     if rep.uncertain:
         values["uncertain"] = "true"
-    return TaskOutcome(rep.status.value, rep.status.value, values)
+    # an uncertain NonClosed has no component of d(a) shown nonzero, so the
+    # form is not known to be non-closed: the task counts as Unknown
+    outcome = "Unknown" if rep.uncertain else rep.status.value
+    return TaskOutcome(outcome, rep.status.value, values)
 
 
 @_op("hodge", needs=("metric",), form=_form)
@@ -851,7 +857,9 @@ def _cmd_check_expr(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The `exformal` parser and its `run` subparser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="exformal",
         description="Symbolic exterior-calculus verification engine",
@@ -861,7 +869,6 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="execute a JSON scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--seed", type=int,
-                       default=os.environ.get("EXFORMAL_SEED", "0"),
                        help="sampling seed (env EXFORMAL_SEED)")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--strict", action="store_true",
@@ -882,7 +889,14 @@ def main(argv=None) -> int:
     p_check.add_argument("--params", default="",
                          help="comma-separated parameter names")
     p_check.set_defaults(fn=_cmd_check_expr)
+    return parser, p_run
 
+
+def main(argv=None) -> int:
+    parser, p_run = _parser()
+    # read on every call; a string default goes through type=int, so a bad
+    # EXFORMAL_SEED is reported as an invalid --seed
+    p_run.set_defaults(seed=os.environ.get("EXFORMAL_SEED", "0"))
     args = parser.parse_args(argv)
     return args.fn(args)
 

@@ -1,6 +1,7 @@
 """Scenario file execution: exit codes, determinism, operation coverage,
 and the auxiliary subcommands."""
 
+import argparse
 import json
 import os
 import re
@@ -10,9 +11,11 @@ import time
 
 import pytest
 
+from exformal import cli
 from exformal.cli import ENGINE_OPS, main, run_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def scenario_path(name):
@@ -296,6 +299,18 @@ class TestOperationCoverage:
 
 
 class TestSubcommands:
+    # the help texts users see, as Python 3.11's argparse prints them at
+    # 80 columns; building the parser differently must not change them
+    @pytest.mark.parametrize("command", ["", "run", "table", "check-expr"])
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        name = os.path.join(GOLDEN, f"help_{command or 'exformal'}.txt")
+        with open(name, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_table_text(self):
         code, out, _ = run_cli("table")
         assert code == 0
@@ -421,6 +436,65 @@ class TestInProcessMain:
         assert code == 0
         assert report["seed"] == 5
         assert report["summary"]["tasks"] == 8
+
+
+class TestParserCache:
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Counts every ArgumentParser built, subparsers included."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        return built
+
+    def test_second_call_builds_no_parser(self, constructions, capsys):
+        assert main(["table", "--format", "json"]) == 0
+        assert len(constructions) == 4   # exformal, run, table, check-expr
+        first = capsys.readouterr().out
+        assert main(["table", "--format", "json"]) == 0
+        assert len(constructions) == 4
+        assert capsys.readouterr().out == first
+
+    def test_env_seed_is_read_on_every_call(self, monkeypatch, capsys):
+        seeds = []
+        for env_seed in ("23", "5"):
+            monkeypatch.setenv("EXFORMAL_SEED", env_seed)
+            assert main(["run", scenario_path("reference.json"),
+                         "--format", "json"]) == 0
+            seeds.append(json.loads(capsys.readouterr().out)["seed"])
+        assert seeds == [23, 5]
+
+    def test_good_call_after_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: file" in \
+            capsys.readouterr().err
+        assert main(["run", scenario_path("reference.json")]) == 0
+        assert "summary: 8 tasks, 0 failed" in capsys.readouterr().out
+
+    def test_import_builds_no_parser(self):
+        code = "\n".join([
+            "import argparse",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting_init(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting_init",
+            "import exformal.cli",
+            "print(len(built))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 def run_in_process(tmp_path, scenario, *argv):
@@ -657,6 +731,29 @@ class TestVerdictFold:
             "Unknown: d*F = *J (Gauss + Ampere) [(1, 2, 3)=Unknown]",
             "Fail: energy balance d_t u + div(ExB) + E.J = 0 [scalar=t]",
         ]
+
+    # every component of dw takes sqrt(-1 - x^2), outside the domain at
+    # each sample, so no zero test is NonZero and none is Zero
+    UNKNOWN_CLOSURE = {
+        "chart": ["x", "y", "z"],
+        "forms": {"w": {"degree": 1, "components": {"2": "y*sqrt(-1 - x^2)"}}},
+        "tasks": [{"op": "classify_closure", "form": "w"}],
+    }
+
+    def test_closure_with_only_unknown_components_is_unknown(self, tmp_path,
+                                                              capsys):
+        assert run_in_process(tmp_path, self.UNKNOWN_CLOSURE,
+                              "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"] == {"failed": 0, "tasks": 1, "unknown": 1}
+        task, = report["tasks"]
+        assert task["verdict"] == "Unknown"
+        assert task["values"]["status"] == "NonClosed"
+        assert task["values"]["uncertain"] == "true"
+
+    def test_unknown_closure_fails_under_strict(self, tmp_path, capsys):
+        assert run_in_process(tmp_path, self.UNKNOWN_CLOSURE, "--strict") == 1
+        assert "verdict=Unknown" in capsys.readouterr().out
 
 
 class TestReadme:
