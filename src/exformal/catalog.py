@@ -9,10 +9,9 @@ control expected to Fail, so zero-residual checks cannot pass vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .connection import bianchi_residual, christoffel, einstein_tensor, torsion
 from .errors import ChartError
@@ -79,19 +78,23 @@ ENGINE_CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual_summary: str
     verdict: Verdict
 
 
-@dataclass
 class VerificationReport:
-    scenario: str
-    checks: list[CheckResult] = field(default_factory=list)
-    values: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    """A verifier's checks, the values it shows and its notes, appended to
+    as the verifier runs."""
+
+    __slots__ = ("scenario", "checks", "values", "notes")
+
+    def __init__(self, scenario: str):
+        self.scenario = scenario
+        self.checks = []
+        self.values = {}
+        self.notes = []
 
     @property
     def verdict(self) -> Verdict:
@@ -272,8 +275,7 @@ class Verifiability(Enum):
     VERIFIABLE = "Verifiable"
 
 
-@dataclass(frozen=True)
-class CorrespondenceEntry:
+class CorrespondenceEntry(NamedTuple):
     degree: int
     family: str
     interaction: str

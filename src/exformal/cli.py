@@ -6,7 +6,8 @@ byte-identical for identical (file, seed, version) triples: no wall-clock
 content is emitted and JSON is dumped with sorted keys.  Exit codes:
 0 all task verdicts in {Pass, Closed, Exact, Value}; 1 any Fail/NonClosed
 (or Unknown under --strict; a classify_closure whose only non-Zero
-components are Unknown counts as Unknown, not NonClosed); 2 input errors
+components are Unknown counts as Unknown, not NonClosed, and an Unknown
+outcome stays Unknown whatever the task's "expect"); 2 input errors
 (missing file, JSON or expression ParseError, unresolved names, values of
 the wrong shape) and engine errors inside a task, which report that
 task's verdict as Error.
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -45,16 +45,26 @@ from .transform import (HamiltonianSystem, QuadraticLagrangian, _canonical_chart
 __all__ = ["main", "run_scenario", "ENGINE_OPS"]
 
 
-@dataclass
 class ScenarioContext:
-    chart: Chart
-    params: tuple[str, ...]
-    metric: Metric | None = None
-    connection: Connection | None = None
-    forms: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    vectors: dict = field(default_factory=dict)
-    tasks: list = field(default_factory=list)
+    """A scenario's chart and parameters, its metric and connection, its
+    named forms, maps and vectors, and its tasks."""
+
+    __slots__ = ("chart", "params", "metric", "connection", "forms", "maps",
+                 "vectors", "tasks")
+
+    def __init__(self, chart: Chart, params: tuple[str, ...],
+                 metric: Metric | None = None,
+                 connection: Connection | None = None,
+                 forms: dict | None = None, maps: dict | None = None,
+                 vectors: dict | None = None, tasks: list | None = None):
+        self.chart = chart
+        self.params = params
+        self.metric = metric
+        self.connection = connection
+        self.forms = {} if forms is None else forms
+        self.maps = {} if maps is None else maps
+        self.vectors = {} if vectors is None else vectors
+        self.tasks = [] if tasks is None else tasks
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +225,13 @@ def _component_key(raw: str, degree: int, where: str) -> tuple[int, ...]:
 def _on_chart(ctx: ScenarioContext, chart: Chart, where: str) -> ScenarioContext:
     """The scenario on `chart`, none of whose names may be a declared
     parameter: a parameter and a coordinate of one name would be read as
-    one symbol."""
+    one symbol.  It shares the named objects of `ctx`."""
     for name in chart.names:
         if name in ctx.params:
             raise ScenarioError(
                 f"{where}: bad chart: {name!r} is a declared parameter")
-    return replace(ctx, chart=chart)
+    return ScenarioContext(chart, ctx.params, ctx.metric, ctx.connection,
+                           ctx.forms, ctx.maps, ctx.vectors, ctx.tasks)
 
 
 def _build(where: str, make, *parts):
@@ -300,8 +311,7 @@ class _Opt(NamedTuple):
     kind: Callable
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     """A task op: its handler and the arguments the binder decodes for it.
 
     `args` maps each task key to its kind (a shape decoder, wrapped in
@@ -364,12 +374,19 @@ def _bind(ctx: ScenarioContext, spec: OpSpec, task: dict, where: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TaskOutcome:
-    outcome: str                 # Pass/Fail/Unknown/Closed/Exact/NonClosed/Value
-    expectable: str              # the string an "expect" field matches
-    values: dict = field(default_factory=dict)
-    details: list = field(default_factory=list)
+    """A handler's result: the outcome (Pass/Fail/Unknown/Closed/Exact/
+    NonClosed/Value), the string an "expect" field matches, and the values
+    and details the report shows."""
+
+    __slots__ = ("outcome", "expectable", "values", "details")
+
+    def __init__(self, outcome: str, expectable: str, values: dict,
+                 details: list | None = None):
+        self.outcome = outcome
+        self.expectable = expectable
+        self.values = values
+        self.details = [] if details is None else details
 
 
 def _value(values: dict, expectable: str | None = None) -> TaskOutcome:
@@ -687,10 +704,11 @@ def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
         out = spec.handler(scope, seed + index, **args)
     except ExformalError as e:
         out = TaskOutcome("Error", "", {"error": f"{type(e).__name__}: {e}"})
-    verdict, failed, unknown = out.outcome, False, False
+    verdict, failed = out.outcome, False
     expect = task.get("expect")
-    if expect is None or verdict == "Error":
-        failed, unknown = verdict in _FAIL_VERDICTS, verdict == "Unknown"
+    if expect is None or verdict in ("Error", "Unknown"):
+        # an Unknown outcome decided nothing an expectation could match
+        failed = verdict in _FAIL_VERDICTS
     elif str(expect) == out.expectable:
         # a matched expectation is a success even for NonClosed/Fail
         if verdict == "Value":
@@ -703,7 +721,7 @@ def _run_task(ctx: ScenarioContext, index: int, task, seed: int) -> dict:
         "op": op,
         "verdict": verdict,
         "failed": failed,
-        "unknown": unknown,
+        "unknown": verdict == "Unknown",
         "values": out.values,
         "details": out.details,
     }

@@ -12,10 +12,9 @@ re-verified before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ChartMismatchError, DegreeError, DomainError
 from .symbolic import (
@@ -128,19 +127,18 @@ def form_to_text(f: Form) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class VectorField:
     """Contravariant components, one Expr per chart coordinate."""
 
-    chart: Chart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.dim:
+    def __init__(self, chart: Chart, components: tuple[Expr, ...]):
+        if len(components) != chart.dim:
             raise DegreeError("vector field needs one component per coordinate")
+        self.chart = chart
+        self.components = components
 
 
-@dataclass(frozen=True)
 class SubmanifoldMap:
     """Parameterized map u -> x(u) from a source chart into a target chart.
 
@@ -148,13 +146,14 @@ class SubmanifoldMap:
     closed forms are realized; supplied by the user, never searched for.
     """
 
-    source: Chart
-    target: Chart
-    exprs: tuple[Expr, ...]
+    __slots__ = ("source", "target", "exprs")
 
-    def __post_init__(self):
-        if len(self.exprs) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, exprs: tuple[Expr, ...]):
+        if len(exprs) != target.dim:
             raise DegreeError("map needs one expression per target coordinate")
+        self.source = source
+        self.target = target
+        self.exprs = exprs
 
     @classmethod
     def identity(cls, chart: Chart) -> "SubmanifoldMap":
@@ -286,8 +285,7 @@ class ClosureStatus(Enum):
     NONCLOSED = "NonClosed"
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     status: ClosureStatus
     potential: Form | None = None
     commutator: dict | None = None

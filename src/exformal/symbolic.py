@@ -58,7 +58,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -110,11 +109,11 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 
 
-@dataclass(frozen=True)
 class Chart:
-    """An ordered tuple of coordinate names, e.g. (t, x, y, z)."""
+    """An ordered tuple of coordinate names, e.g. (t, x, y, z).  Immutable;
+    two charts are equal when their names are."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -128,6 +127,23 @@ class Chart:
                 raise ValueError(f"duplicate coordinate name {n!r}")
             seen.add(n)
         object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Chart is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Chart is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return f"Chart(names={self.names!r})"
 
     @property
     def dim(self) -> int:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from enum import Enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ChartError,
@@ -82,8 +81,7 @@ class DegeneracyClass(Enum):
     CONDITIONALLY_DEGENERATE = "ConditionallyDegenerate"
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """Vanishing locus of a Hessian or Jacobian determinant."""
 
     determinant: Expr
@@ -387,8 +385,7 @@ def poincare_cartan(sys: HamiltonianSystem) -> Form:
     return Form(sys.chart, 1, comps)
 
 
-@dataclass(frozen=True)
-class FlowCheckReport:
+class FlowCheckReport(NamedTuple):
     """Residual of the Hamiltonian flow field contracted into d(theta), and
     the verdict of zero-testing its components."""
 

@@ -4,6 +4,7 @@ bundled reference / falsification scenarios."""
 import pytest
 
 from exformal.catalog import (
+    CorrespondenceEntry,
     Verdict,
     Verifiability,
     VERIFIER_IDS,
@@ -53,6 +54,12 @@ class TestCorrespondenceTable:
         assert entry.verifiability is Verifiability.METADATA
         assert entry.verifier_id is None
         assert "zero degree" in entry.note
+
+    def test_entry_defaults(self):
+        entry = CorrespondenceEntry(4, "family", "interaction",
+                                    Verifiability.METADATA)
+        assert entry.verifier_id is None
+        assert entry.note == ""
 
     def test_only_k0_is_metadata(self):
         for e in correspondence_table():

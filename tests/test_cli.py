@@ -13,6 +13,7 @@ import pytest
 
 from exformal import cli
 from exformal.cli import ENGINE_OPS, main, run_scenario
+from exformal.symbolic import Chart
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -311,17 +312,19 @@ class TestSubcommands:
         with open(name, encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
+    @staticmethod
+    def _table_matches(golden, *argv):
+        proc = subprocess.run([sys.executable, "-m", "exformal.cli", "table",
+                               *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(GOLDEN, golden), "rb") as fh:
+            assert proc.stdout == fh.read()
+
     def test_table_text(self):
-        code, out, _ = run_cli("table")
-        assert code == 0
-        assert "k=0" in out and "strong" in out
-        assert "verifier=maxwell" in out
+        self._table_matches("table.txt")
 
     def test_table_json(self):
-        code, out, _ = run_cli("table", "--format", "json")
-        rows = json.loads(out)
-        assert code == 0
-        assert [r["degree"] for r in rows] == [0, 1, 2, 3]
+        self._table_matches("table.json", "--format", "json")
 
     def test_check_expr_ok(self):
         code, out, _ = run_cli(
@@ -495,6 +498,46 @@ class TestParserCache:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+
+class TestImportCost:
+    # stdlib modules the engine does not need; `dataclasses` alone pulls
+    # in `inspect`, `ast`, `dis` and `tokenize` at import
+    UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+
+    def test_import_loads_no_unneeded_stdlib_module(self):
+        code = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import exformal.cli",
+            "print(*sorted(set(sys.modules) - before))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "exformal.cli" in loaded
+        assert not loaded & self.UNNEEDED, sorted(loaded & self.UNNEEDED)
+
+
+class TestOnChart:
+    def test_new_scope_shares_the_named_objects(self):
+        ctx = cli.load_scenario({
+            "chart": ["x", "y"], "params": ["a"],
+            "forms": {"w": {"degree": 1, "components": {"0": "a*y"}}},
+            "maps": {"m": {"source": ["u"], "exprs": ["u", "a"]}},
+            "vectors": {"v": ["1", "0"]},
+            "tasks": [{"op": "ext_d", "form": "w"}],
+        })
+        chart = ctx.chart
+        scope = cli._on_chart(ctx, Chart(("p", "q")), "here")
+        assert scope is not ctx
+        assert scope.chart == Chart(("p", "q"))
+        assert ctx.chart is chart
+        assert scope.params == ("a",)
+        for section in ("metric", "connection", "forms", "maps", "vectors",
+                        "tasks"):
+            assert getattr(scope, section) is getattr(ctx, section)
 
 
 def run_in_process(tmp_path, scenario, *argv):
@@ -754,6 +797,23 @@ class TestVerdictFold:
     def test_unknown_closure_fails_under_strict(self, tmp_path, capsys):
         assert run_in_process(tmp_path, self.UNKNOWN_CLOSURE, "--strict") == 1
         assert "verdict=Unknown" in capsys.readouterr().out
+
+    # an Unknown outcome decided nothing that an expectation could match
+    @pytest.mark.parametrize("expect", ["Closed", "NonClosed", "Unknown"])
+    def test_unknown_closure_stays_unknown_whatever_its_expect(
+            self, expect, tmp_path, capsys):
+        scenario = dict(self.UNKNOWN_CLOSURE, tasks=[
+            {"op": "classify_closure", "form": "w", "expect": expect}])
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"] == {"failed": 0, "tasks": 1, "unknown": 1}
+        task, = report["tasks"]
+        assert task["verdict"] == "Unknown"
+        assert task["details"] == []
+        assert run_in_process(tmp_path, scenario, "--strict") == 1
+        out = capsys.readouterr().out
+        assert "verdict=Unknown" in out
+        assert "summary: 1 tasks, 0 failed, 1 unknown" in out
 
 
 class TestReadme:

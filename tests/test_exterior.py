@@ -9,6 +9,7 @@ from exformal import exterior
 from exformal._antideriv import antiderivative
 from exformal.errors import ChartMismatchError, DegreeError
 from exformal.exterior import (
+    ClosureReport,
     ClosureStatus,
     Form,
     SubmanifoldMap,
@@ -220,6 +221,11 @@ class TestPullback:
         alpha = Form(CH2, 1, {(0,): neg(Sym("y")), (1,): Sym("x")})
         assert pullback(phi, alpha) == Form(chu, 1, {(0,): Rat(1)})
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_needs_one_expression_per_target_coordinate(self, n):
+        with pytest.raises(DegreeError):
+            SubmanifoldMap(Chart(("u",)), CH2, (Sym("u"),) * n)
+
     def test_identity_map(self):
         rng = random.Random(3)
         a = rand_form(rng, CH2, 1, rand_poly)
@@ -303,8 +309,20 @@ class TestInteriorProduct:
         with pytest.raises(DegreeError):
             interior_product(v, Form.scalar(CH2, Sym("x")))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_needs_one_component_per_coordinate(self, n):
+        with pytest.raises(DegreeError):
+            VectorField(CH2, (Rat(1),) * n)
+
 
 class TestClassifyClosure:
+    def test_report_defaults(self):
+        rep = ClosureReport(ClosureStatus.CLOSED)
+        assert rep.status is ClosureStatus.CLOSED
+        assert rep.potential is None
+        assert rep.commutator is None
+        assert rep.uncertain is False
+
     def test_exact_with_potential(self):
         w = Form(CH2, 1, {(0,): Sym("y"), (1,): Sym("x")})
         rep = classify_closure(w)

@@ -3,7 +3,10 @@ nothing outside the standard library, each module imports only the layers
 below it, no import sits inside a function, only `symbolic` reaches its
 sampling internals or builds a `Func` node directly, only `symbolic` and
 `catalog` fold verdicts, and `symbolic` divides with `/` only where a
-float is meant."""
+float is meant.  That importing `exformal.cli` loads none of the stdlib
+modules the engine does not need (`dataclasses` and what it pulls in, and
+`copy`) is checked in a fresh interpreter by
+`test_cli.TestImportCost`."""
 
 import ast
 import importlib

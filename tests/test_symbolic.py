@@ -65,6 +65,21 @@ class TestChart:
         with pytest.raises(ValueError):
             Chart(())
 
+    def test_equal_and_hashed_by_names(self):
+        assert Chart(["x", "y"]) == Chart(("x", "y"))
+        assert Chart(("x", "y")) != Chart(("y", "x"))
+        assert Chart(("x",)) != ("x",)
+        assert hash(Chart(["x", "y"])) == hash(Chart(("x", "y")))
+        assert len({Chart(("x", "y")), Chart(["x", "y"]), Chart(("y", "x"))}) == 2
+
+    def test_immutable(self):
+        ch = Chart(("x", "y"))
+        with pytest.raises(AttributeError):
+            ch.names = ("u",)
+        with pytest.raises(AttributeError):
+            del ch.names
+        assert ch.names == ("x", "y")
+
 
 class TestParse:
     def test_power_and_function(self):
