@@ -29,6 +29,7 @@ from .symbolic import (
     div,
     func,
     mul,
+    neg,
     pow_,
     _as_base_exp,
 )
@@ -73,7 +74,7 @@ def _anti_term(term: Expr, var: str) -> Expr | None:
         if slope is None:
             return None
         if base.name == "sin":
-            anti = div(mul(Rat(-1), func("cos", base.arg)), slope)
+            anti = div(neg(func("cos", base.arg)), slope)
         elif base.name == "cos":
             anti = div(func("sin", base.arg), slope)
         else:

@@ -31,6 +31,7 @@ from .symbolic import (
     mul,
     pow_,
     simplify,
+    sub,
     substitute,
     to_text,
 )
@@ -315,7 +316,7 @@ def _axis_potential(a: Form, base: int) -> Expr | None:
             lower = substitute(anti, {s: base_e})
         except DomainError:
             return None
-        parts.append(add(upper, mul(Rat(-1), lower)))
+        parts.append(sub(upper, lower))
     return add(*parts)
 
 
@@ -341,10 +342,8 @@ def _homotopy_potential(a: Form) -> Form | None:
             if anti is None:
                 return None
             try:
-                value = add(
-                    substitute(anti, {t: Rat(1)}),
-                    mul(Rat(-1), substitute(anti, {t: Rat(0)})),
-                )
+                value = sub(substitute(anti, {t: Rat(1)}),
+                            substitute(anti, {t: Rat(0)}))
             except DomainError:
                 return None
             parts.append(mul(Rat(sign), Sym(chart.names[i]), value))

@@ -28,11 +28,13 @@ distribution of products over sums (expanded normal form), and special
 values at 0/1 for the built-in functions.  Nothing else.  A product of
 sums, a positive power of a sum included, is expanded only within
 `_EXPANSION_BUDGET` term products; past it `mul` and `pow_` raise an
-ExformalError.
+ExformalError, as `pow_` does for a power of a constant past `_POWER_BITS`.
 
-`simplify` rebuilds a tree through those constructors, except a tree with
-a sum raised to a negative power or with any power of cos(u) as a factor,
-which it puts in a rational normal form: one expanded numerator over a
+`simplify` takes a tree through those constructors: a node whose children
+all simplify to themselves is kept as it is, and only a node with a
+changed child is rebuilt from the new children.  The exception is a tree
+with a sum raised to a negative power or with any power of cos(u) as a
+factor, which it puts in a rational normal form: one expanded numerator over a
 factored denominator prod b_i^k_i.  The numerator is a Laurent polynomial with
 rational coefficients in kernels (symbols, and built-in or opaque function
 calls with a simplified argument); each base b_i is a polynomial with no
@@ -56,6 +58,7 @@ one: the division and the trigonometric reduction are exact, so a symbolic
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from enum import Enum
@@ -275,7 +278,7 @@ class Mul(Expr):
 
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
-        self.key = (5, tuple(f.key for f in factors))
+        self.key = (5, tuple([f.key for f in factors]))
         self._h = hash(self.key)
         self._simple = None
 
@@ -285,13 +288,16 @@ class Add(Expr):
 
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
-        self.key = (6, tuple(t.key for t in terms))
+        self.key = (6, tuple([t.key for t in terms]))
         self._h = hash(self.key)
         self._simple = None
 
 
 ZERO = Rat(0)
 ONE = Rat(1)
+_MINUS_ONE = Rat(-1)
+
+_by_key = operator.attrgetter("key")
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +334,50 @@ def _scale(coeff: int | Fraction, mono: Expr) -> Expr:
 
 
 def add(*args: Expr) -> Expr:
-    """Canonical sum: flatten, fold rationals, merge like terms, sort."""
-    rat_sum = 0
-    by_mono: dict[tuple, list] = {}
+    """Canonical sum: flatten, fold rationals, merge like terms, sort.
+
+    Like terms are keyed by the key of their monomial, read off the term's
+    own key, and a term that meets no like term is kept as it is; only a
+    merged one is rebuilt.
+    """
+    rat = None  # the one Rat term, as it is, while there is only one
+    rat_sum = None  # the sum of the Rat terms; None until there is one
+    by_mono: dict[tuple, list] = {}  # monomial key -> [coeff, term, merged]
     stack = list(args)
     while stack:
         a = stack.pop()
-        if isinstance(a, Add):
+        t = type(a)
+        if t is Add:
             stack.extend(a.terms)
-        elif isinstance(a, Rat):
-            rat_sum += a.value
-        else:
-            c, mono = _coeff_monomial(a)
-            slot = by_mono.get(mono.key)
-            if slot is None:
-                by_mono[mono.key] = [c, mono]
+            continue
+        if t is Rat:
+            if rat_sum is None:
+                rat, rat_sum = a, a.value
             else:
-                slot[0] += c
-    terms = [_scale(c, m) for c, m in by_mono.values() if c != 0]
-    if rat_sum != 0:
-        terms.append(Rat(rat_sum))
+                rat, rat_sum = None, rat_sum + a.value
+            continue
+        if t is Mul and type(a.factors[0]) is Rat:
+            c = a.factors[0].value
+            rest = a.key[1][1:]  # the keys of the factors after `c`
+            mono_key = rest[0] if len(rest) == 1 else (5, rest)
+        else:
+            c = 1
+            mono_key = a.key
+        slot = by_mono.get(mono_key)
+        if slot is None:
+            by_mono[mono_key] = [c, a, False]
+        else:
+            slot[0] += c
+            slot[2] = True
+    terms = [_scale(c, _coeff_monomial(term)[1]) if merged else term
+             for c, term, merged in by_mono.values() if c != 0]
+    if rat_sum:
+        terms.append(rat or Rat(rat_sum))
     if not terms:
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    terms.sort(key=lambda t: t.key)
+    terms.sort(key=_by_key)
     return Add(tuple(terms))
 
 
@@ -370,45 +395,56 @@ def mul(*args: Expr) -> Expr:
     ExformalError past `_EXPANSION_BUDGET` term products, so a short input
     such as (x + 1)^5000 is refused instead of stalling.
     """
-    coeff = 1
+    coeff = None  # the one Rat factor, as it is, while there is only one
+    value = None  # the product of the Rat factors; None until there is one
     bases: dict[tuple, list] = {}
     stack = list(args)
     while stack:
         a = stack.pop()
-        if isinstance(a, Mul):
+        t = type(a)
+        if t is Mul:
             stack.extend(a.factors)
-        elif isinstance(a, Rat):
-            coeff *= a.value
-        else:
-            b, e = _as_base_exp(a)
-            slot = bases.get(b.key)
-            if slot is None:
-                bases[b.key] = [b, e]
+            continue
+        if t is Rat:
+            if value is None:
+                coeff, value = a, a.value
             else:
-                slot[1] += e
-    if coeff == 0:
+                coeff, value = None, value * a.value
+            continue
+        if t is Pow:
+            b, e = a.base, a.exp
+        else:
+            b, e = a, 1
+        slot = bases.get(b.key)
+        if slot is None:
+            bases[b.key] = [b, e]
+        else:
+            slot[1] += e
+    if value is None:
+        coeff, value = ONE, 1
+    elif value == 0:
         return ZERO
 
+    # each base is an atom or a sum (a Mul is flattened, a Pow unwrapped),
+    # so a power other than 1 is a Pow node unless it is a sum to expand
     factors: list[Expr] = []
     expand: list[tuple[Add, int]] = []  # Add factors to distribute, with powers
     for b, e in bases.values():
-        if e == 0:
-            continue
-        if isinstance(b, Add) and e > 0:
+        if e > 0 and type(b) is Add:
             expand.append((b, e))
-        else:
-            factors.append(pow_(b, e))
+        elif e == 1:
+            factors.append(b)
+        elif e:
+            factors.append(Pow(b, e))
 
-    if not expand:
-        if not factors:
-            return Rat(coeff)
-        factors.sort(key=lambda f: f.key)
-        if coeff != 1:
-            factors.insert(0, Rat(coeff))
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
-
-    return _expand(Rat(coeff) if not factors else _scale(coeff, mul(*factors)),
-                   expand)
+    if factors:
+        factors.sort(key=_by_key)
+        if value != 1:
+            factors.insert(0, coeff or Rat(value))
+        first = factors[0] if len(factors) == 1 else Mul(tuple(factors))
+    else:
+        first = coeff or Rat(value)
+    return _expand(first, expand) if expand else first
 
 
 def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
@@ -437,7 +473,8 @@ def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
 
 def pow_(base: Expr, exp: int) -> Expr:
     """Integer power with folding, merging, and expansion of sum bases; a
-    positive power of a sum is expanded by `_expand`, within its budget."""
+    positive power of a sum is expanded by `_expand`, within its budget, and
+    a power of a constant is folded within `_POWER_BITS`."""
     if not isinstance(exp, int):
         raise TypeError("exponents must be Python ints")
     if exp == 0:
@@ -445,9 +482,14 @@ def pow_(base: Expr, exp: int) -> Expr:
     if exp == 1:
         return base
     if isinstance(base, Rat):
-        if base.value == 0 and exp < 0:
+        v = base.value
+        if v == 0 and exp < 0:
             raise DomainError("0 raised to a negative power")
-        return Rat(base.value**exp if exp > 0 else Fraction(base.value)**exp)
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if abs(exp) * bits > _POWER_BITS and abs(v) != 1:
+            raise ExformalError(f"raising a constant of {bits} bits to the power "
+                                f"{exp} takes more than {_POWER_BITS} bits")
+        return Rat(v**exp if exp > 0 else Fraction(v)**exp)
     if isinstance(base, Mul):
         return mul(*(pow_(f, exp) for f in base.factors))
     if isinstance(base, Pow):
@@ -458,7 +500,7 @@ def pow_(base: Expr, exp: int) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(Rat(-1), e)
+    return mul(_MINUS_ONE, e)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -758,6 +800,14 @@ def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None
 # budget.
 _EXPANSION_BUDGET = 10_000
 
+# Bits that `pow_` may spend on a rational constant to an integer power,
+# counted as the exponent times the larger bit length of the numerator and
+# denominator, so that a short input such as 3^30000000 is refused instead
+# of stalling; 1 and -1 take any power.  It is well above the ~14,300
+# bits (4300 digits) that `to_text` can print, so 2^99999 is still made,
+# and refused only when printed.
+_POWER_BITS = 1_000_000
+
 
 class _OverBudget(Exception):
     pass
@@ -1011,8 +1061,10 @@ def _rational_form(e: Expr) -> Expr | None:
 def simplify(e: Expr) -> Expr:
     """Canonical form, idempotent: the rational normal form (see the module
     docstring) when `_needs_rational(e)`, that is when a factor of a term is
-    a power of a sum or of cos(u), else `e` rebuilt through the constructors
-    from its simplified children.  A normal form that does not fit in
+    a power of a sum or of cos(u), else `e` itself when each of its children
+    simplifies to itself (the constructors give a canonical tree back from
+    its own children), or else `e` rebuilt through the constructors from
+    its simplified children.  A normal form that does not fit in
     `_EXPANSION_BUDGET` is not made: `e` stays as the constructors built it.
 
     The result is kept on `e` and marked as its own fixed point, so each
@@ -1026,8 +1078,12 @@ def simplify(e: Expr) -> Expr:
         return e if done is True else done
     if _needs_rational(e):
         out = _rational_form(e) or e  # an Expr is always truthy
+    elif all(simplify(c) is c for c in _children(e)):
+        # no child changed, and rebuilding `e` from them would give `e`
+        e._simple = True
+        return e
     else:
-        out = _rebuild(e, simplify)
+        out = _rebuild(e, simplify)  # rereads the children's memos
         if out != e and _needs_rational(out):  # e.g. cos(u)*cos(v), u == v
             out = _rational_form(out) or out
     if out == e:

@@ -393,6 +393,23 @@ class TestSubcommands:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("text, power", [
+        ("3^30000000", 30000000),
+        ("x^2*3^30000000*3^-30000000", 30000000),
+        ("(2/3)^-30000000", -30000000)])
+    def test_check_expr_power_of_a_constant_past_the_bound(self, text, power,
+                                                           capsys):
+        # 3^30000000 has 47.5 million bits; computing it used to stall, only
+        # to fail when printed
+        code, out, err = run_cli("check-expr", text, "--chart", "x")
+        assert (code, out) == (2, "")
+        assert err == (f"error: raising a constant of 2 bits to the power "
+                       f"{power} takes more than 1000000 bits\n")
+        start = time.perf_counter()
+        assert main(["check-expr", text, "--chart", "x"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == err
+
     def test_strict_flag_accepted(self):
         code, _, _ = run_cli(
             "run", scenario_path("reference.json"), "--strict"

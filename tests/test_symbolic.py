@@ -418,6 +418,70 @@ class TestSimplify:
             checked += 1
         assert calls == []
 
+    def test_constructors_give_a_canonical_node_back_from_its_children(self):
+        # the premise that lets `simplify` keep a node whose children all
+        # simplify to themselves: the constructor of each node of a
+        # simplified tree, given that node's children, builds it again
+        rng = random.Random(1818)
+        seen = set()
+        for _ in range(500):
+            e = rand_expr(rng, CH.names)
+            if rng.random() < 0.3:
+                e = mul(e, opaque("a", rand_expr(rng, CH.names)))
+            stack = [simplify(e)]
+            while stack:
+                e = stack.pop()
+                stack.extend(symbolic._children(e))
+                if isinstance(e, symbolic.Add):
+                    again = add(*e.terms)
+                elif isinstance(e, symbolic.Mul):
+                    again = mul(*e.factors)
+                elif isinstance(e, symbolic.Pow):
+                    again = pow_(e.base, e.exp)
+                elif isinstance(e, symbolic.Func):
+                    again = (opaque(e.name, e.arg, e.order) if e.opaque
+                             else func(e.name, e.arg))
+                else:
+                    continue
+                assert again == e, to_text(e)
+                seen.add((type(e), getattr(e, "opaque", None)))
+        assert len(seen) == 5  # Add, Mul, Pow, built-in and profile calls
+
+    def test_first_simplify_of_a_polynomial_tree_builds_nothing(self, monkeypatch):
+        # no power of a sum or of cos(u), so no node has a changed child
+        # and none is rebuilt, at any depth
+        trees = [parse_expr(text, CH, ("m",)) for text in (
+            "3*x^2*y - 2*sin(t)*exp(x + y) + a(t)/z + 5",
+            "m*x^-2*b'(t^2 + 1)*sin(exp(2*y) - z)^3 - 7/2",
+            "(x + y)^3*(1 - t)")]
+        assert not any(map(self.rational_trigger, trees))
+        calls = []
+        for name in ("add", "mul", "pow_", "func"):
+            body = getattr(symbolic, name)
+            monkeypatch.setattr(symbolic, name, lambda *a, body=body, name=name:
+                                calls.append(name) or body(*a))
+        for e in trees:
+            assert simplify(e) is e
+        assert calls == []
+
+    def test_add_keeps_the_terms_that_meet_no_like_term(self):
+        x, y, z, w = (Sym(n) for n in "xyzw")
+        t1 = mul(Rat(3), x, y, z)
+        t2 = mul(Rat(-2), x, w)
+        s = add(t1, t2)
+        assert isinstance(s, symbolic.Add)
+        assert sorted(map(id, s.terms)) == sorted((id(t1), id(t2)))
+        # like terms are merged into a new term
+        assert add(t1, t2, t1) == add(mul(Rat(6), x, y, z), t2)
+        assert add(t1, mul(Rat(-3), z, y, x)) == ZERO
+
+    def test_a_single_rational_is_kept_as_the_coefficient(self):
+        half = Rat(Fraction(3, 2))
+        x = Sym("x")
+        assert mul(half, x).factors[0] is half
+        assert add(half, x).terms[0] is half
+        assert mul(half, x, Rat(2)) == mul(Rat(3), x)
+
     def test_zero_and_one_powers(self):
         assert pow_(Sym("x"), 0) == Rat(1)
         assert pow_(Sym("x"), 1) == Sym("x")
@@ -468,6 +532,20 @@ class TestCoefficientDomain:
         for text in ("(x + 1)^100", "(x + 1)^5000", "(x + y + z)^40"):
             with pytest.raises(ExformalError, match="term products"):
                 parse_expr(text, CH)
+
+    def test_power_of_a_constant_past_the_bound_is_an_engine_error(self):
+        # the exponent times the larger bit length of the numerator and
+        # denominator is past _POWER_BITS: 3^30000000 alone has 47.5 million
+        # bits, and computing it used to stall
+        for base, exp in ((Rat(3), 30_000_000), (Rat(3), -30_000_000),
+                          (Rat(Fraction(2, 3)), -30_000_000),
+                          (Rat(Fraction(1, 3**400_000)), 2)):
+            with pytest.raises(ExformalError, match="to the power"):
+                pow_(base, exp)
+        # 1 and -1 take any power, and 2^99999 is within the bound
+        assert pow_(Rat(-1), 10**9 + 1) == Rat(-1)
+        assert pow_(Rat(1), -10**9) == Rat(1)
+        assert pow_(Rat(2), 99_999).value == 2**99_999
 
     def test_product_of_sums_is_expanded_one_sum_at_a_time(self):
         # 18 sums, each two terms, merged after every step: 342 term
