@@ -4,7 +4,7 @@ or so).
 `grid` is the one place that knows how an n^rank component array is laid
 out: nested tuples, first index outermost.  Metrics, matrices, connection
 coefficients and every curvature tensor are built through it (`is_grid`,
-`grid_at` and `grid_items` check, index and walk it).
+`grid_at`, `grid_items` and `grid_map` check, index, walk and map it).
 
 `compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
 Hodge star raises a form's indices with it (m = g^-1), and `pullback`
@@ -40,6 +40,14 @@ def is_grid(data, n: int, rank: int) -> bool:
     if rank == 0:
         return isinstance(data, Expr)
     return len(data) == n and all(is_grid(d, n, rank - 1) for d in data)
+
+
+def grid_map(f: Callable, data, rank: int):
+    """The array of f(entry) for every entry of the rank-`rank` array
+    `data`, in the layout of `grid`."""
+    if rank == 0:
+        return f(data)
+    return tuple(grid_map(f, d, rank - 1) for d in data)
 
 
 def grid_at(data, idx: Sequence[int]):
@@ -103,11 +111,20 @@ def compound_sum(m: Sequence[Sequence[Expr]],
 
 def mat_inverse(m: Matrix, det: Expr) -> Matrix:
     """Inverse by adjugate over `det`, the determinant of `m`; caller
-    guards singularity."""
+    guards singularity.  The inverse of a symmetric matrix is symmetric, so
+    when `m` equals its transpose entry by entry only the entries with
+    i <= j are built and the others mirror them; `Metric` still checks all
+    n^2 entries of g * g^-1 = I."""
     inv_det = pow_(det, -1)
+    n = len(m)
+    symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    built = {}
 
     def entry(i, j):
+        if symmetric and i > j:  # grid reaches (j, i) first
+            return built[j, i]
         sign = Rat(-1 if (i + j) % 2 else 1)
-        return simplify(mul(sign, mat_det(_minor(m, j, i)), inv_det))
+        built[i, j] = out = simplify(mul(sign, mat_det(_minor(m, j, i)), inv_det))
+        return out
 
-    return grid(len(m), 2, entry)
+    return grid(n, 2, entry)

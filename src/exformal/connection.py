@@ -16,6 +16,20 @@ Index conventions (normative for every identity tested here):
 
 Connections may be nonsymmetric everywhere except christoffel output; no
 metric-compatibility constraint is imposed on user-supplied coefficients.
+
+Most metrics met in practice are diagonal, so most Gamma components are
+zero.  The curvature loops skip every product with a factor that is the
+shared ZERO (an identity test, `is ZERO`; the parser gives every literal 0
+that node), and build -a*b as one mul(-1, a, b).  A zero missed this way
+costs time and changes no tree.  g^-1 is built on one triangle and
+mirrored (`_linalg.mat_inverse`); `Metric` checks all n^2 entries of
+g * g^-1 = I.  Gamma's lower pair, R_{mu nu} and G_{mu nu} are built for
+every index pair, not mirrored: `verify_einstein` checks
+torsion(christoffel(g)) = 0 and the symmetry of G by comparing the two
+entries of each pair, and mirrored it would compare an entry with itself.
+Each Ricci component sums Riemann components that were simplified one at
+a time: summing their raw terms before one `simplify` expands far more,
+and on Kerr-Newman goes past the expansion budget.
 """
 
 from __future__ import annotations
@@ -25,10 +39,11 @@ from functools import partial, wraps
 from typing import Callable
 
 from .errors import ChartMismatchError, DegreeError
-from ._linalg import grid, grid_at, grid_items, is_grid
+from ._linalg import grid, grid_at, grid_items, grid_map, is_grid
 from .exterior import Form
 from .geometry import Metric
 from .symbolic import (
+    _MINUS_ONE,
     Chart,
     Expr,
     Rat,
@@ -71,7 +86,7 @@ class Tensor:
             )
         self.chart = chart
         self.variance = variance
-        self.comps = grid(chart.dim, rank, lambda *idx: simplify(grid_at(comps, idx)))
+        self.comps = grid_map(simplify, comps, rank)
 
     @property
     def rank(self) -> int:
@@ -141,8 +156,10 @@ def christoffel(g: Metric) -> Connection:
                 diff(g.g[r][a], names[b]),
                 neg(diff(g.g[a][b], names[r])),
             )
-            parts.append(mul(g.inverse[s][r], bracket))
-        return mul(half, add(*parts))
+            if bracket is not ZERO:
+                parts.append(mul(g.inverse[s][r], bracket))
+        total = add(*parts)
+        return total if total is ZERO else mul(half, total)
 
     return Connection(chart, grid(n, 3, gamma))
 
@@ -216,8 +233,12 @@ def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
         return ZERO
     parts = [diff(gamma[r][v][s], names[m]), neg(diff(gamma[r][m][s], names[v]))]
     for lam in range(len(names)):
-        parts.append(mul(gamma[r][m][lam], gamma[lam][v][s]))
-        parts.append(neg(mul(gamma[r][v][lam], gamma[lam][m][s])))
+        a, b = gamma[r][m][lam], gamma[lam][v][s]
+        if a is not ZERO and b is not ZERO:
+            parts.append(mul(a, b))
+        a, b = gamma[r][v][lam], gamma[lam][m][s]
+        if a is not ZERO and b is not ZERO:
+            parts.append(mul(_MINUS_ONE, a, b))
     return simplify(add(*parts))
 
 
@@ -247,15 +268,11 @@ def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
         return add(*(component(r, m, r, v) for r in range(n)))
 
     ricci_t = Tensor(g.chart, "ll", grid(n, 2, contracted))
-    scalar = simplify(
-        add(
-            *(
-                mul(g.inverse[m][v], ricci_t.comp(m, v))
-                for m in range(n)
-                for v in range(n)
-            )
-        )
-    )
+    scalar = simplify(add(*(
+        mul(g.inverse[m][v], ricci_t.comp(m, v))
+        for m in range(n) for v in range(n)
+        if g.inverse[m][v] is not ZERO and ricci_t.comp(m, v) is not ZERO
+    )))
     return ricci_t, scalar
 
 
@@ -281,10 +298,12 @@ def einstein_tensor(g: Metric) -> Tensor:
     """G_{mu nu} = R_{mu nu} - (1/2) g_{mu nu} R through the full
     christoffel -> riemann -> ricci pipeline."""
     ricci, scalar = _levi_civita_ricci(g)
-    half = Rat(Fraction(1, 2))
+    minus_half = Rat(Fraction(-1, 2))
 
     def entry(m, v):
-        return add(ricci.comp(m, v), neg(mul(half, g.g[m][v], scalar)))
+        if g.g[m][v] is ZERO or scalar is ZERO:
+            return ricci.comp(m, v)
+        return add(ricci.comp(m, v), mul(minus_half, g.g[m][v], scalar))
 
     return Tensor(g.chart, "ll", grid(g.chart.dim, 2, entry))
 
@@ -308,9 +327,13 @@ def bianchi_residual(g: Metric) -> tuple[Expr, ...]:
                     continue
                 inner = [diff(G.comp(m, v), names[r])]
                 for lam in range(n):
-                    inner.append(neg(mul(gamma[lam][r][m], G.comp(lam, v))))
-                    inner.append(neg(mul(gamma[lam][r][v], G.comp(m, lam))))
-                parts.append(mul(g.inverse[m][r], add(*inner)))
+                    for a, b in ((gamma[lam][r][m], G.comp(lam, v)),
+                                 (gamma[lam][r][v], G.comp(m, lam))):
+                        if a is not ZERO and b is not ZERO:
+                            inner.append(mul(_MINUS_ONE, a, b))
+                total = add(*inner)
+                if total is not ZERO:
+                    parts.append(mul(g.inverse[m][r], total))
         return simplify(add(*parts))
 
     return grid(n, 1, divergence)

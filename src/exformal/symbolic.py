@@ -389,7 +389,7 @@ def _as_base_exp(f: Expr) -> tuple[Expr, int]:
 
 def mul(*args: Expr) -> Expr:
     """Canonical product: flatten, fold coefficient, merge exponents of
-    equal bases, distribute over sums, sort.
+    equal bases, distribute over sums, sort; ZERO at the first zero factor.
 
     The sum factors are distributed by `_expand`, which raises an
     ExformalError past `_EXPANSION_BUDGET` term products, so a short input
@@ -406,6 +406,8 @@ def mul(*args: Expr) -> Expr:
             stack.extend(a.factors)
             continue
         if t is Rat:
+            if not a.value:
+                return ZERO
             if value is None:
                 coeff, value = a, a.value
             else:
@@ -422,8 +424,6 @@ def mul(*args: Expr) -> Expr:
             slot[1] += e
     if value is None:
         coeff, value = ONE, 1
-    elif value == 0:
-        return ZERO
 
     # each base is an atom or a sum (a Mul is flattened, a Pow unwrapped),
     # so a power other than 1 is a Pow node unless it is a sum to expand
@@ -500,7 +500,7 @@ def pow_(base: Expr, exp: int) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(_MINUS_ONE, e)
+    return ZERO if e is ZERO else mul(_MINUS_ONE, e)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -1341,7 +1341,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return [(Rat(self.number(tok, Fraction if "." in tok.text else int)), 1)]
+            value = self.number(tok, Fraction if "." in tok.text else int)
+            return [(ZERO if value == 0 else ONE if value == 1 else Rat(value), 1)]
         if tok.kind == "(":
             self.take()
             factors = self.expr()

@@ -15,10 +15,13 @@ import gc
 import json
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
 import exformal.connection
+import exformal.symbolic
+from exformal._linalg import _minor, grid, mat_det
 from exformal.catalog import verify_einstein
 from exformal.cli import run_scenario
 from exformal.connection import (
@@ -50,6 +53,7 @@ from exformal.symbolic import (
     mul,
     neg,
     parse_expr,
+    pow_,
     simplify,
     sub,
     substitute_function,
@@ -517,3 +521,123 @@ class TestSharedStack:
         del g
         gc.collect()
         assert ref() is None
+
+
+def dense_stack(g):
+    """The curvature stack as the formulas read, with no product skipped:
+    g^-1 from the full adjugate, all n^3 Gamma, every Gamma*Gamma and
+    Gamma*G product, and -a*b as neg(mul(a, b)); the engine must build
+    the same trees while it skips the products with a zero factor."""
+    n, names = g.chart.dim, g.chart.names
+    half = Rat(Fraction(1, 2))
+    det_inv = pow_(g.det, -1)
+    inv = grid(n, 2, lambda i, j: simplify(
+        mul(Rat((-1) ** (i + j)), mat_det(_minor(g.g, j, i)), det_inv)))
+
+    def gamma_entry(s, a, b):
+        return simplify(mul(half, add(*(
+            mul(inv[s][r], add(diff(g.g[r][b], names[a]),
+                               diff(g.g[r][a], names[b]),
+                               neg(diff(g.g[a][b], names[r]))))
+            for r in range(n)))))
+
+    gamma = grid(n, 3, gamma_entry)
+
+    def riemann_entry(r, s, m, v):
+        if m == v:
+            return ZERO
+        if m > v:
+            return simplify(neg(riemann_entry(r, s, v, m)))
+        parts = [diff(gamma[r][v][s], names[m]), neg(diff(gamma[r][m][s], names[v]))]
+        for lam in range(n):
+            parts.append(mul(gamma[r][m][lam], gamma[lam][v][s]))
+            parts.append(neg(mul(gamma[r][v][lam], gamma[lam][m][s])))
+        return simplify(add(*parts))
+
+    R4 = grid(n, 4, riemann_entry)
+    ricci = grid(n, 2, lambda m, v: simplify(add(*(R4[r][m][r][v] for r in range(n)))))
+    scalar = simplify(add(*(mul(inv[m][v], ricci[m][v])
+                            for m in range(n) for v in range(n))))
+    G = grid(n, 2, lambda m, v: simplify(
+        add(ricci[m][v], neg(mul(half, g.g[m][v], scalar)))))
+
+    def divergence(v):
+        parts = []
+        for m in range(n):
+            for r in range(n):
+                inner = [diff(G[m][v], names[r])]
+                for lam in range(n):
+                    inner.append(neg(mul(gamma[lam][r][m], G[lam][v])))
+                    inner.append(neg(mul(gamma[lam][r][v], G[m][lam])))
+                parts.append(mul(inv[m][r], add(*inner)))
+        return simplify(add(*parts))
+
+    return inv, gamma, R4, (ricci, scalar), G, grid(n, 1, divergence)
+
+
+def full_symmetric_metric():
+    """3D symmetric, every entry nonzero; det 6 at the origin."""
+    rows = [["2 + x^2", "1", "y"], ["1", "2", "x"], ["y", "x", "2 + z^2"]]
+    ch = CHARTS[3]
+    return Metric(ch, [[parse_expr(e, ch) for e in row] for row in rows],
+                  det_sign=1)
+
+
+def rotating_metric():
+    """Schwarzschild with a t-phi off-diagonal block."""
+    rows = [["-(1 - 2*m/r)", "0", "0", "w*r*sin(th)^2"],
+            ["0", "1/(1 - 2*m/r)", "0", "0"], ["0", "0", "r^2", "0"],
+            ["w*r*sin(th)^2", "0", "0", "r^2*sin(th)^2"]]
+    return Metric(SPHERICAL, [[parse_expr(e, SPHERICAL, ("m", "w")) for e in row]
+                              for row in rows], det_sign=-1)
+
+
+class TestSparseStack:
+    """The curvature loops skip every product with a factor that is the
+    shared ZERO and build g^-1 on one triangle; neither may change a tree."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: spherical_metric("1 - 2*m/r"), full_symmetric_metric,
+        rotating_metric,
+    ], ids=["schwarzschild", "full_3d", "t_phi_block"])
+    def test_equals_the_dense_formulas(self, make):
+        g = make()
+        inv, gamma, R4, ricci, G, div = dense_stack(g)
+        assert g.inverse == inv
+        assert christoffel(g).gamma == gamma
+        assert riemann(christoffel(g)).comps == R4
+        got_ricci, got_scalar = _levi_civita_ricci(g)
+        assert (got_ricci.comps, got_scalar) == ricci
+        assert einstein_tensor(g).comps == G
+        assert bianchi_residual(g) == div
+
+    def test_no_product_has_a_zero_factor(self, monkeypatch):
+        # every multiplication the stack makes: its own, and those inside
+        # `neg` and the kernel, which look `mul` up in `symbolic`
+        zero_factors = []
+
+        def watch(module):
+            real = module.mul
+
+            def mul(*args):
+                if any(isinstance(a, Rat) and a.value == 0 for a in args):
+                    zero_factors.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "mul", mul)
+
+        g = spherical_metric("1 - 2*m/r")
+        watch(exformal.connection)
+        watch(exformal.symbolic)
+        einstein_tensor(g)
+        bianchi_residual(g)
+        assert zero_factors == []
+
+    def test_zero_shortcuts_return_the_shared_zero(self):
+        x = Sym("x")
+        assert neg(ZERO) is ZERO
+        assert mul(x, ZERO) is ZERO
+        assert mul(Rat(0), x) is ZERO
+        # zero before a product that would pass the expansion budget
+        A = add(*(pow_(x, k) for k in range(200)))
+        assert mul(ZERO, A, A, A) is ZERO

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import exformal.geometry
+from exformal._linalg import mat_inverse
 from exformal.errors import (
     ChartError,
     MetricValidationError,
@@ -57,6 +59,19 @@ class TestMetric:
     def test_wrong_det_sign_rejected(self):
         with pytest.raises(MetricValidationError):
             Metric(CH2, [[Rat(1), ZERO], [ZERO, Rat(1)]], det_sign=-1)
+
+    def test_wrong_mirrored_inverse_entry_is_caught(self, monkeypatch):
+        # g^-1 is built on one triangle; g * g^-1 = I is still checked in full
+        def mirrored_wrong(m, det):
+            inv = [list(row) for row in mat_inverse(m, det)]
+            inv[1][0] = add(inv[1][0], Rat(1))
+            return tuple(tuple(row) for row in inv)
+
+        monkeypatch.setattr(exformal.geometry, "mat_inverse", mirrored_wrong)
+        rows = [["2", "x"], ["x", "3"]]
+        with pytest.raises(MetricValidationError, match="g \\* g\\^-1"):
+            Metric(CH2, [[parse_expr(e, CH2) for e in row] for row in rows],
+                   det_sign=1)
 
     def test_inverse_cached(self):
         g = Metric(CH2, [[Rat(2), ZERO], [ZERO, Rat(1)]], det_sign=1)

@@ -9,8 +9,11 @@ byte.  The scenarios are `scenarios/reference.json` and
 a text report), the three every-op scenarios of `test_fuzz`, and the
 curvature stack with zero tests and evaluations on two curved metrics:
 the unit 2-sphere and a flat FRW universe with an opaque scale factor
-a(t); and the same curvature ops with `verify_einstein` on the two
-heavy metrics, Schwarzschild and de Sitter.
+a(t); the same curvature ops with `verify_einstein` on the two
+heavy metrics, Schwarzschild and de Sitter; and `einstein_tensor` of the
+Kerr-Newman metric, which has a t-phi block: there, summing a Ricci
+component's raw Riemann terms before one `simplify` goes past the
+expansion budget.
 
 After a change that is meant to alter reports, rewrite the goldens from
 the repository root with
@@ -101,6 +104,23 @@ DE_SITTER = _spherical("1 - L*r^2", ["L", "kappa"], [
     ["0", "0", "-3*L*r^2/kappa", "0"],
     ["0", "0", "0", "-3*L*r^2*sin(th)^2/kappa"]])
 
+# Kerr-Newman in Boyer-Lindquist coordinates, S = r^2 + a^2 cos(th)^2 and
+# 2mr - q^2 in place of Kerr's 2mr; its G is a nonzero Value (no zero test)
+_S = "(r^2 + a^2*cos(th)^2)"
+_W = "(2*m*r - q^2)"
+KERR_NEWMAN = {
+    "chart": ["t", "r", "th", "ph"],
+    "params": ["m", "a", "q"],
+    "metric": {"matrix": [
+        [f"-(1 - {_W}/{_S})", "0", "0", f"-{_W}*a*sin(th)^2/{_S}"],
+        ["0", f"{_S}/(r^2 - 2*m*r + q^2 + a^2)", "0", "0"],
+        ["0", "0", _S, "0"],
+        [f"-{_W}*a*sin(th)^2/{_S}", "0", "0",
+         f"(r^2 + a^2 + {_W}*a^2*sin(th)^2/{_S})*sin(th)^2"]],
+        "det_sign": -1},
+    "tasks": [{"op": "einstein_tensor"}],
+}
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 SCENARIOS = os.path.join(HERE, "..", "scenarios")
@@ -117,6 +137,7 @@ CASES = {
     "frw.json": (FRW, "json", 0),
     "schwarzschild.json": (SCHWARZSCHILD, "json", 0),
     "de_sitter.json": (DE_SITTER, "json", 0),
+    "kerr_newman.json": (KERR_NEWMAN, "json", 0),
 }
 
 

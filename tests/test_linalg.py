@@ -5,8 +5,8 @@ import itertools
 
 import pytest
 
-from exformal._linalg import compound_sum, grid
-from exformal.symbolic import Rat, Sym, ZERO, mul, simplify, sub
+from exformal._linalg import _minor, compound_sum, grid, mat_det, mat_inverse
+from exformal.symbolic import Rat, Sym, ZERO, mul, pow_, simplify, sub
 
 
 def test_rank_zero_is_the_value():
@@ -47,3 +47,25 @@ def test_compound_sum_two_by_two_minor():
     m = ((a, b, c), (d, e, f))
     got = compound_sum(m, {(0, 2): w}, (0, 1))
     assert simplify(sub(got, mul(w, sub(mul(a, f), mul(c, d))))) == ZERO
+
+
+def full_adjugate_inverse(m):
+    det_inv = pow_(mat_det(m), -1)
+    return grid(len(m), 2, lambda i, j: simplify(
+        mul(Rat((-1) ** (i + j)), mat_det(_minor(m, j, i)), det_inv)))
+
+
+def test_symmetric_inverse_mirrors_the_full_adjugate():
+    a, b, c, d, e, f = (Sym(n) for n in "abcdef")
+    m = ((a, b, c), (b, d, e), (c, e, f))
+    inv = mat_inverse(m, mat_det(m))
+    assert inv == full_adjugate_inverse(m)
+    assert all(inv[i][j] is inv[j][i] for i in range(3) for j in range(3))
+
+
+def test_nonsymmetric_inverse_builds_every_entry():
+    a, b, c, d = (Sym(n) for n in "abcd")
+    m = ((a, b), (c, d))
+    inv = mat_inverse(m, mat_det(m))
+    assert inv == full_adjugate_inverse(m)
+    assert inv[0][1] != inv[1][0]

@@ -110,6 +110,12 @@ class TestParse:
         e = parse_expr("0.5*x", CH)
         assert e == mul(Rat(Fraction(1, 2)), Sym("x"))
 
+    @pytest.mark.parametrize("text, shared", [("0", "ZERO"), ("0.0", "ZERO"),
+                                              ("1", "ONE"), ("1.0", "ONE")])
+    def test_zero_and_one_literals_are_the_shared_nodes(self, text, shared):
+        # the curvature loops skip a product by the test `is ZERO`
+        assert parse_expr(text, CH) is getattr(symbolic, shared)
+
     def test_unary_minus_binds_looser_than_power(self):
         e = parse_expr("-x^2", CH)
         assert e == mul(Rat(-1), pow_(Sym("x"), 2))
