@@ -6,6 +6,12 @@ out: nested tuples, first index outermost.  Metrics, matrices, connection
 coefficients and every curvature tensor are built through it (`is_grid`,
 `grid_at`, `grid_items` and `grid_map` check, index, walk and map it).
 
+`minors` is the one determinant rule: a table of the minors of a matrix,
+each expanded once along its first row and kept by its row and column
+indices.  det m and the adjugate's cofactors are read from one table
+(`mat_det` and `mat_inverse` take it as `minor`), so the sub-minors they
+share, such as the 2x2 minors of a 4x4 metric, are expanded once.
+
 `compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
 Hodge star raises a form's indices with it (m = g^-1), and `pullback`
 pulls a form back with it (m = the transposed Jacobian of the map, by
@@ -19,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
 
-__all__ = ["mat_det", "mat_inverse", "as_matrix"]
+__all__ = ["mat_det", "mat_inverse", "minors", "as_matrix"]
 
 Matrix = tuple[tuple[Expr, ...], ...]
 
@@ -78,19 +84,44 @@ def _minor(m: Matrix, i: int, j: int) -> Matrix:
     )
 
 
-def mat_det(m: Matrix) -> Expr:
-    n = len(m)
-    if n == 0:
-        return Rat(1)
-    if n == 1:
-        return m[0][0]
-    parts = []
-    for j in range(n):
-        if m[0][j] == ZERO:
-            continue
-        sign = Rat(-1 if j % 2 else 1)
-        parts.append(mul(sign, m[0][j], mat_det(_minor(m, 0, j))))
-    return simplify(add(*parts))
+def minors(m: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Expr]:
+    """The minor table of `m`: a function of (rows, cols), two index tuples
+    of one length, that gives the determinant of the submatrix of `m` on
+    those rows and columns, each computed once and kept by (rows, cols).
+
+    A minor is expanded along its first row, column by column with
+    alternating signs, skipping a zero entry or a zero sub-minor, and
+    simplified; so it is the tree `mat_det` gives for that submatrix, and
+    the sub-minors that several minors share are built once."""
+    table: dict[tuple, Expr] = {}
+
+    def det(rows, cols):
+        d = table.get((rows, cols))
+        if d is not None:
+            return d
+        if len(rows) < 2:
+            d = m[rows[0]][cols[0]] if rows else Rat(1)
+        else:
+            top, below = m[rows[0]], rows[1:]
+            parts = []
+            for j, c in enumerate(cols):
+                if top[c] == ZERO:
+                    continue
+                sub = det(below, cols[:j] + cols[j + 1:])
+                if sub != ZERO:
+                    parts.append(mul(Rat(-1 if j % 2 else 1), top[c], sub))
+            d = simplify(add(*parts))
+        table[rows, cols] = d
+        return d
+
+    return det
+
+
+def mat_det(m: Matrix, minor=None) -> Expr:
+    """det m, read from `minor`, the minor table of `m` (`minors`), or from
+    a table of its own."""
+    full = tuple(range(len(m)))
+    return (minor or minors(m))(full, full)
 
 
 def compound_sum(m: Sequence[Sequence[Expr]],
@@ -109,22 +140,32 @@ def compound_sum(m: Sequence[Sequence[Expr]],
     return add(*parts)
 
 
-def mat_inverse(m: Matrix, det: Expr) -> Matrix:
+def mat_inverse(m: Matrix, det: Expr, minor=None) -> Matrix:
     """Inverse by adjugate over `det`, the determinant of `m`; caller
-    guards singularity.  The inverse of a symmetric matrix is symmetric, so
-    when `m` equals its transpose entry by entry only the entries with
-    i <= j are built and the others mirror them; `Metric` still checks all
-    n^2 entries of g * g^-1 = I."""
+    guards singularity.  The cofactors are read from `minor`, the minor
+    table of `m` (`minors`), which the caller may share with the one it
+    took `det` from; a zero cofactor gives a zero entry without a product.
+    The inverse of a symmetric matrix is symmetric, so when `m` equals its
+    transpose entry by entry only the entries with i <= j are built and
+    the others mirror them; `Metric` still checks all n^2 entries of
+    g * g^-1 = I."""
+    minor = minor or minors(m)
     inv_det = pow_(det, -1)
     n = len(m)
+    full = tuple(range(n))
     symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
     built = {}
 
     def entry(i, j):
         if symmetric and i > j:  # grid reaches (j, i) first
             return built[j, i]
-        sign = Rat(-1 if (i + j) % 2 else 1)
-        built[i, j] = out = simplify(mul(sign, mat_det(_minor(m, j, i)), inv_det))
+        cofactor = minor(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+        if cofactor == ZERO:
+            out = ZERO
+        else:
+            sign = Rat(-1 if (i + j) % 2 else 1)
+            out = simplify(mul(sign, cofactor, inv_det))
+        built[i, j] = out
         return out
 
     return grid(n, 2, entry)

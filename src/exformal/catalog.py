@@ -250,7 +250,8 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
     if T is not None:
         kappa = Sym(kappa_name)
         residuals = {
-            (m, v): sub(G.comp(m, v), mul(kappa, T[m][v]))
+            (m, v): (G.comp(m, v) if T[m][v] is ZERO
+                     else sub(G.comp(m, v), mul(kappa, T[m][v])))
             for m in range(n)
             for v in range(n)
         }

@@ -29,7 +29,7 @@ from .errors import (
     MetricValidationError,
     SingularMetricError,
 )
-from ._linalg import as_matrix, compound_sum, grid, mat_det, mat_inverse
+from ._linalg import as_matrix, compound_sum, grid, mat_det, mat_inverse, minors
 from .exterior import Form, _merge_sign, ext_d, linear_combine
 from .symbolic import (
     _MAX_REDRAWS,
@@ -106,10 +106,11 @@ class Metric:
                     raise MetricValidationError(
                         f"metric not symmetric at ({i},{j})"
                     )
-        self.det = mat_det(self.g)
+        minor = minors(self.g)  # det g and the cofactors share its sub-minors
+        self.det = mat_det(self.g, minor)
         if is_zero(self.det) is ZeroVerdict.ZERO:
             raise SingularMetricError("metric determinant is identically zero")
-        self.inverse = mat_inverse(self.g, self.det)
+        self.inverse = mat_inverse(self.g, self.det, minor)
         self.sqrt_abs_det = _sqrt_positive(mul(Rat(det_sign), self.det))
         self._check_inverse()
         self._check_det_sign()
@@ -117,7 +118,9 @@ class Metric:
     def _check_inverse(self):
         n = self.chart.dim
         residuals = {
-            (i, j): add(*(mul(self.g[i][k], self.inverse[k][j]) for k in range(n)),
+            (i, j): add(*(mul(self.g[i][k], self.inverse[k][j]) for k in range(n)
+                          if self.g[i][k] is not ZERO
+                          and self.inverse[k][j] is not ZERO),
                         Rat(-1) if i == j else ZERO)
             for i in range(n) for j in range(n)
         }

@@ -49,6 +49,13 @@ past the cap, such as 1 + (x + 1)^-1200, keeps the form the constructors
 gave it.  Every other tree is already in this form with an empty
 denominator, which is why the path can be chosen from the input alone.
 
+Work whose result is known in advance is skipped, and the trees stay the
+same.  No base divides a single term (it has two terms or more and no
+monomial content), so a division is tried only on a numerator of two
+terms or more.  A term that is already its own normal form, a constant
+times kernel powers over normal bases (`_normal_term`), is returned
+unconverted: converting it would find nothing to cancel and rebuild it.
+
 Kernels are treated as independent variables, apart from the sin/cos link.
 That can miss a zero (exp(x)*exp(-x) - 1 stays as it is) but never invent
 one: the division and the trigonometric reduction are exact, so a symbolic
@@ -793,10 +800,13 @@ def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None
 # constructors keep Pow(sum, -k) and cos(u)^k unexpanded, and the normal
 # form expands them; past this budget the tree keeps the constructors' form
 # instead, so neither a short input such as 1 + (x + 1)^-1200 nor a long
-# sum of terms with cos(u)^140 swells or stalls.  No simplification in the
-# benchmark corpora spends more than 43, none in the tests more than 961
-# (cos(x)^60); no `_expand` in the corpora spends more than 12, none in
-# the tests more than 930 ((1 - sin(x)^2)^30) but those that probe this
+# sum of terms with cos(u)^140 swells or stalls.  A division that cannot
+# succeed, of a single term by a base, is neither tried nor charged.  No
+# simplification in the benchmark corpora spends more than 34; in the tests
+# one component of the Kerr-Newman Einstein tensor (`test_golden`) spends
+# 9,304 and none other more than 1,146 (a metric with a t-phi block in
+# `test_connection`); no `_expand` in the corpora spends more than 12, none
+# in the tests more than 930 ((1 - sin(x)^2)^30) but those that probe this
 # budget.
 _EXPANSION_BUDGET = 10_000
 
@@ -970,14 +980,22 @@ class _Rational:
     def cancel(self, num: dict, den: dict[int, int]) -> tuple[dict, dict]:
         """Reduce the numerator modulo sin(u)^2 + cos(u)^2 - 1, and divide
         out each base of the denominator as often as it divides exactly,
-        until no base divides the reduced numerator."""
+        until no base divides the reduced numerator.
+
+        A division is tried only while the numerator has two terms or more.
+        A base has two terms or more and no monomial content, so each of its
+        nonzero multiples has two terms or more (the least and greatest
+        monomials under lex order cannot cancel), and no base divides a
+        single term: the skipped attempts could only fail, and they are not
+        charged to the budget."""
         num = self.reduce_trig(num)
         left = dict(den)
-        divided = bool(num)
+        divided = len(num) > 1
         while divided:
             divided = False
             for b, k in left.items():
-                q = _divide_exact(num, self.bases[b], self.spend) if k else None
+                q = (_divide_exact(num, self.bases[b], self.spend)
+                     if k and len(num) > 1 else None)
                 if q is not None:
                     num = self.reduce_trig(q)
                     left[b] = k - 1
@@ -1013,7 +1031,7 @@ class _Rational:
                     for t in range(j + 1)})
             q0, q1 = q
             one_minus_sin2 = {(): 1, sin2: -1}
-            while n < 0:
+            while n < 0 and len(q0) != 1:  # a single term is no multiple
                 r = _divide_exact(q0, one_minus_sin2, self.spend) if q0 else {}
                 if r is None:
                     break
@@ -1048,9 +1066,79 @@ def _needs_rational(e: Expr) -> bool:
     return False
 
 
+def _kept_kernel(f: Expr, exp: int) -> bool:
+    """Whether the factor f^exp is a kernel power that `_Rational._convert`
+    keeps as it is: a symbol, or a function call rebuilt from its simplified
+    argument as itself, and for cos(u) only the first power, which
+    `reduce_trig` leaves alone."""
+    if isinstance(f, Sym):
+        return True
+    return (isinstance(f, Func) and (exp == 1 or f.name != "cos")
+            and _rebuild(f, simplify) == f)
+
+
+def _normal_base(b: Add) -> bool:
+    """Whether the sum `b` is a base as `_Rational.normalize` leaves it:
+    integer coefficients with gcd 1, terms that are monomials in kept
+    kernels with positive exponents, no monomial content (each kernel is
+    missing from some term), and a positive leading coefficient, the lead
+    being the constant term when there is one, else the greatest term with
+    the kernels ordered by key, descending."""
+    terms = []
+    g = 0
+    for t in b.terms:
+        c, mono = _coeff_monomial(t)
+        if type(c) is not int:
+            return False
+        g = math.gcd(g, c)
+        exps = {}
+        for f, k in _mono_factors(mono):
+            if k < 0 or not _kept_kernel(f, k):
+                return False
+            exps[f] = k
+        terms.append((c, exps))
+    if g != 1:
+        return False
+    constants = [c for c, exps in terms if not exps]
+    if constants:
+        return constants[0] > 0
+    kernels = set(terms[0][1])
+    for _, exps in terms[1:]:
+        kernels &= exps.keys()
+    if kernels:  # a kernel in every term: monomial content
+        return False
+    order = sorted(set().union(*(exps for _, exps in terms)), key=_by_key,
+                   reverse=True)
+    lead = max(terms, key=lambda t: tuple(t[1].get(f, 0) for f in order))
+    return lead[0] > 0
+
+
+def _normal_term(e: Expr) -> bool:
+    """Whether the term `e` (not a sum) is its own rational normal form: a
+    product of a constant, kept kernel powers and Pow(b, -k) with `b` a
+    normal base (`_kept_kernel`, `_normal_base`).  Such a term converts to
+    one monomial over those bases; no base divides a single term, so
+    `cancel` leaves it, and the rebuild gives `e` back."""
+    for f in e.factors if isinstance(e, Mul) else (e,):
+        if isinstance(f, Rat):
+            continue
+        base, k = _as_base_exp(f)
+        if isinstance(base, Add):
+            if k > 0 or not _normal_base(base):
+                return False
+        elif not _kept_kernel(base, k):
+            return False
+    return True
+
+
 def _rational_form(e: Expr) -> Expr | None:
     """The rational normal form of `e`, or None when it would spend more
-    than `_EXPANSION_BUDGET`."""
+    than `_EXPANSION_BUDGET`.  A term that is already in that form
+    (`_normal_term`) comes back as it is, unconverted: the full path would
+    convert it, find nothing to cancel and rebuild `e`, or go past the
+    budget, in which case `simplify` keeps `e` too."""
+    if not isinstance(e, Add) and _normal_term(e):
+        return e
     r = _Rational()
     try:
         return r.expr(r.value(e))

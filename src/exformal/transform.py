@@ -19,7 +19,7 @@ from .errors import (
     PatternMismatchError,
 )
 from ._antideriv import antiderivative
-from ._linalg import as_matrix, mat_det, mat_inverse
+from ._linalg import as_matrix, mat_det, mat_inverse, minors
 from .exterior import (
     ClosureStatus,
     Form,
@@ -228,13 +228,14 @@ def legendre(L: QuadraticLagrangian, seed: int = 0
     Raises DegenerateLagrangianError when det M is identically zero --
     the transform does not exist anywhere on that locus.
     """
-    det = mat_det(L.mass)
+    minor = minors(L.mass)
+    det = mat_det(L.mass, minor)
     report = _classify_determinant(det, seed)
     if report.classification is DegeneracyClass.DEGENERATE_EVERYWHERE:
         raise DegenerateLagrangianError(
             "velocity Hessian is identically singular", report
         )
-    H = _quadratic(L.p_names, L.linear, mat_inverse(L.mass, det), L.potential)
+    H = _quadratic(L.p_names, L.linear, mat_inverse(L.mass, det, minor), L.potential)
     chart = Chart(L.q_names + L.p_names)
     return HamiltonianSystem(chart, H), report
 
@@ -259,10 +260,11 @@ def inverse_legendre(H: HamiltonianSystem, seed: int = 0) -> QuadraticLagrangian
             row.append(entry)
         W.append(tuple(row))
     W = tuple(W)
-    detW = mat_det(W)
+    minor = minors(W)
+    detW = mat_det(W, minor)
     if is_zero(detW, seed) is ZeroVerdict.ZERO:
         raise PatternMismatchError("momentum quadratic form is singular")
-    M = mat_inverse(W, detW)
+    M = mat_inverse(W, detW, minor)
     zero_p = {n: ZERO for n in H.p_names}
     grad0 = [substitute(gi, zero_p) for gi in grads]
     b = tuple(

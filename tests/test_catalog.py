@@ -3,6 +3,9 @@ bundled reference / falsification scenarios."""
 
 import pytest
 
+import exformal._linalg
+import exformal.catalog
+import exformal.geometry
 from exformal.catalog import (
     CorrespondenceEntry,
     Verdict,
@@ -158,6 +161,26 @@ class TestEinsteinVerifier:
         g = Metric(ch, identity, det_sign=1)
         with pytest.raises(ChartError, match="kappa_name"):
             verify_einstein(g, identity, kappa_name)
+
+    def test_no_product_has_a_zero_factor(self, monkeypatch):
+        # Metric's det, cofactors and g * g^-1 check, and G - kappa*T at
+        # T = 0, skip every product with a zero factor
+        zero_factors = []
+        for module in (exformal.geometry, exformal.catalog, exformal._linalg):
+            def mul(*args, real=module.mul):
+                if any(isinstance(a, Rat) and a.value == 0 for a in args):
+                    zero_factors.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "mul", mul)
+        ch = Chart(("t", "r", "th", "ph"))
+        rows = [["-(1 - 2*m/r)", "0", "0", "0"], ["0", "1/(1 - 2*m/r)", "0", "0"],
+                ["0", "0", "r^2", "0"], ["0", "0", "0", "r^2*sin(th)^2"]]
+        g = Metric(ch, [[parse_expr(e, ch, ("m",)) for e in row] for row in rows],
+                   det_sign=-1)
+        zero_T = tuple(tuple(ZERO for _ in range(4)) for _ in range(4))
+        assert verify_einstein(g, zero_T).verdict is Verdict.PASS
+        assert zero_factors == []
 
     def test_two_sphere_notes_dim2_identity(self):
         ch = Chart(("theta", "phi"))

@@ -62,8 +62,8 @@ class TestMetric:
 
     def test_wrong_mirrored_inverse_entry_is_caught(self, monkeypatch):
         # g^-1 is built on one triangle; g * g^-1 = I is still checked in full
-        def mirrored_wrong(m, det):
-            inv = [list(row) for row in mat_inverse(m, det)]
+        def mirrored_wrong(m, det, minor):
+            inv = [list(row) for row in mat_inverse(m, det, minor)]
             inv[1][0] = add(inv[1][0], Rat(1))
             return tuple(tuple(row) for row in inv)
 

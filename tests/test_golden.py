@@ -13,7 +13,9 @@ a(t); the same curvature ops with `verify_einstein` on the two
 heavy metrics, Schwarzschild and de Sitter; and `einstein_tensor` of the
 Kerr-Newman metric, which has a t-phi block: there, summing a Ricci
 component's raw Riemann terms before one `simplify` goes past the
-expansion budget.
+expansion budget; and `christoffel` with `verify_einstein` at T = 0 on
+the Kerr metric, whose cofactors share 2x2 minors and whose terms have
+cos(th)^2 inside their denominators.
 
 After a change that is meant to alter reports, rewrite the goldens from
 the repository root with
@@ -121,6 +123,22 @@ KERR_NEWMAN = {
     "tasks": [{"op": "einstein_tensor"}],
 }
 
+# Kerr in Boyer-Lindquist coordinates, S = r^2 + a^2 cos(th)^2: a vacuum
+# solution, so `verify_einstein` at T = 0 Passes
+_K = "(2*m*r)"
+KERR = {
+    "chart": ["t", "r", "th", "ph"],
+    "params": ["m", "a", "kappa"],
+    "metric": {"matrix": [
+        [f"-(1 - {_K}/{_S})", "0", "0", f"-{_K}*a*sin(th)^2/{_S}"],
+        ["0", f"{_S}/(r^2 - 2*m*r + a^2)", "0", "0"],
+        ["0", "0", _S, "0"],
+        [f"-{_K}*a*sin(th)^2/{_S}", "0", "0",
+         f"(r^2 + a^2 + {_K}*a^2*sin(th)^2/{_S})*sin(th)^2"]],
+        "det_sign": -1},
+    "tasks": [{"op": "christoffel"}, {"op": "verify_einstein", "T": [["0"] * 4] * 4}],
+}
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 SCENARIOS = os.path.join(HERE, "..", "scenarios")
@@ -138,6 +156,7 @@ CASES = {
     "schwarzschild.json": (SCHWARZSCHILD, "json", 0),
     "de_sitter.json": (DE_SITTER, "json", 0),
     "kerr_newman.json": (KERR_NEWMAN, "json", 0),
+    "kerr.json": (KERR, "json", 0),
 }
 
 

@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
-from exformal._linalg import _minor, compound_sum, grid, mat_det, mat_inverse
-from exformal.symbolic import Rat, Sym, ZERO, mul, pow_, simplify, sub
+import exformal._linalg
+from exformal._linalg import _minor, compound_sum, grid, mat_det, mat_inverse, minors
+from exformal.symbolic import Rat, Sym, ZERO, add, mul, pow_, simplify, sub
 
 
 def test_rank_zero_is_the_value():
@@ -69,3 +70,36 @@ def test_nonsymmetric_inverse_builds_every_entry():
     inv = mat_inverse(m, mat_det(m))
     assert inv == full_adjugate_inverse(m)
     assert inv[0][1] != inv[1][0]
+
+
+def laplace(m):
+    """det m by first-row expansion of explicit submatrices, every minor
+    built afresh: the tree the minor table must give for each minor."""
+    if len(m) == 1:
+        return m[0][0]
+    parts = [mul(Rat(-1 if j % 2 else 1), m[0][j], laplace(_minor(m, 0, j)))
+             for j in range(len(m)) if m[0][j] != ZERO]
+    return simplify(add(*parts))
+
+
+def test_minor_table_gives_the_trees_of_the_fresh_expansion():
+    a, b, c, d, e, f = (Sym(n) for n in "abcdef")
+    m = ((a, ZERO, b, c), (ZERO, d, ZERO, e), (b, ZERO, f, a), (c, e, a, ZERO))
+    minor = minors(m)
+    for k in range(1, 5):
+        for rows in itertools.combinations(range(4), k):
+            for cols in itertools.combinations(range(4), k):
+                sub_m = tuple(tuple(m[i][j] for j in cols) for i in rows)
+                assert minor(rows, cols) == laplace(sub_m)
+
+
+def test_shared_minors_are_expanded_once(monkeypatch):
+    # a full 4x4 det has 6 distinct 2x2 minors on its last two rows, 4 3x3
+    # minors and itself: 11 expansions, where building each minor afresh
+    # makes 12 + 4 + 1
+    expansions = []
+    monkeypatch.setattr(exformal._linalg, "add",
+                        lambda *parts: expansions.append(parts) or add(*parts))
+    m = tuple(tuple(Sym(f"m{i}{j}") for j in range(4)) for i in range(4))
+    assert mat_det(m) == laplace(m)
+    assert len(expansions) == 11

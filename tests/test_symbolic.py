@@ -1,8 +1,11 @@
 """Expression substrate: parsing, differentiation, simplification,
 evaluation, and the tri-state zero test."""
 
+import glob
 import itertools
+import json
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -22,6 +25,7 @@ from exformal.symbolic import (
     Rat,
     Sym,
     Verdict,
+    ONE,
     ZERO,
     ZeroVerdict,
     _fold_verdicts,
@@ -493,6 +497,130 @@ class TestSimplify:
         assert pow_(Sym("x"), 1) == Sym("x")
         assert mul(Sym("x"), Rat(0)) == ZERO
         assert mul(Sym("x"), Rat(1)) == Sym("x")
+
+
+CURVATURE_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "bench", "corpus", "curvature")
+
+
+class TestNormalFormShortcuts:
+    """Work the rational normal form skips because its result is known:
+    a division of a single term, which cannot succeed, and the conversion
+    of a term already in normal form, which would give the term back."""
+
+    @staticmethod
+    def full_path(e):
+        """The normal form of `e` without the shortcut, None past budget."""
+        r = symbolic._Rational()
+        try:
+            return r.expr(r.value(e))
+        except symbolic._OverBudget:
+            return None
+
+    def test_no_single_term_is_divided(self, monkeypatch):
+        single = []
+        divide = symbolic._divide_exact
+
+        def watched(p, b, spend):
+            if len(p) == 1:
+                single.append(p)
+            return divide(p, b, spend)
+
+        monkeypatch.setattr(symbolic, "_divide_exact", watched)
+        for path in sorted(glob.glob(os.path.join(CURVATURE_CORPUS, "*.json"))):
+            with open(path, encoding="utf-8") as fh:
+                scenario = json.load(fh)
+            chart = Chart(scenario["chart"])
+            for row in scenario["metric"]["matrix"]:
+                for text in row:
+                    simplify(parse_expr(text, chart, scenario.get("params", ())))
+        chart = Chart(("t", "r", "th", "ph"))
+        for text in ("(1/2)*(1 - 2*m/r)*(2*m/r^2)", "-(m/r^2)/(1 - 2*m/r)",
+                     "r*(1 - 2*m/r)^-1 - 2*m/(1 - 2*m/r)",
+                     "L*r/(1 - L*r^2) - r*sin(th)^2*(1 - L*r^2)",
+                     "cos(th)/sin(th) - r/(1 - 2*m/r)"):
+            simplify(parse_expr(text, chart, ("m", "L")))
+        assert single == []
+
+    def test_an_impossible_division_is_not_charged(self):
+        r = symbolic._Rational()
+        r.number(Sym("x"))
+        b = r.base_number({(1,): 1, (): 1})  # x + 1
+        assert r.cancel({(2,): 3}, {b: 1}) == ({(2,): 3}, {b: 1})
+        assert r.budget == symbolic._EXPANSION_BUDGET
+
+    REJECTED = {
+        "negative constant lead": "1/(-1 + x)",
+        "content 2": "1/(2 + 2*x)",
+        "Fraction coefficient in a base": "1/(1/2 + x)",
+        "Laurent base": "1/(1 - 2*m/x)",
+        "cos(x)^2 in the term": "cos(x)^2/(1 + y)",
+        "cos(x)^2 in a base": "1/(1 + cos(x)^2)",
+    }
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_terms_not_in_normal_form_are_converted(self, text):
+        e = parse_expr(text, CH, ("m",))
+        assert not symbolic._normal_term(e)
+        assert self.full_path(e) != e
+
+    def test_an_unsimplified_function_argument_is_converted(self):
+        arg = pow_(add(Rat(2), mul(Rat(2), Sym("x"))), -1)  # 1/(2 + 2*x)
+        e = mul(func("sin", arg), pow_(add(ONE, Sym("y")), -1))
+        assert not symbolic._normal_term(e)
+        assert self.full_path(e) != e
+
+    @pytest.mark.parametrize("text", ["r^5*sin(th)^2/(r - 2*m)", "-1/(1 - L*r^2)"])
+    def test_terms_in_normal_form_come_back_unconverted(self, text, monkeypatch):
+        e = parse_expr(text, Chart(("t", "r", "th", "ph")), ("m", "L"))
+        assert symbolic._normal_term(e)
+        assert self.full_path(e) == e
+        monkeypatch.setattr(symbolic, "_Rational", None)  # never reached
+        assert symbolic._rational_form(e) is e
+        assert simplify(e) is e
+
+    def test_recognised_terms_equal_the_full_path(self):
+        # seeded terms c * kernel powers / (bases)^k over random integer
+        # polynomials; whenever a term is recognised, converting it must
+        # give it back (or go past the budget, where simplify keeps it too)
+        rng = random.Random(2020)
+        x, y, t = Sym("x"), Sym("y"), Sym("t")
+        kernels = [x, y, t, func("sin", t), func("cos", x), func("exp", y),
+                   opaque("a", t), func("sin", add(x, y)),
+                   func("cos", mul(Rat(2), t)), opaque("b", mul(x, y), 1)]
+
+        def monomial(low, high):
+            factors = [pow_(k, rng.choice((low, 1, 1, high)))
+                       for k in rng.sample(kernels, rng.randint(0, 2))]
+            return mul(*factors)
+
+        def base():
+            while True:
+                terms = [mul(Rat(rng.choice((-3, -2, -1, 1, 1, 1, 2, 3))),
+                             monomial(1, 2)) for _ in range(rng.randint(2, 4))]
+                if rng.random() < 0.1:
+                    terms[0] = mul(Rat(Fraction(1, 2)), terms[0])
+                elif rng.random() < 0.1:
+                    terms[0] = mul(terms[0], pow_(x, -1))
+                b = add(*terms)
+                if isinstance(b, symbolic.Add):
+                    return b
+
+        recognised = checked = 0
+        while checked < 3000:
+            factors = [Rat(rng.choice((-2, -1, 1, 1, 3, Fraction(1, 2)))),
+                       monomial(-1, 2)]
+            for _ in range(rng.randint(1, 2)):
+                factors.append(pow_(base(), -rng.randint(1, 2)))
+            e = mul(*factors)
+            if isinstance(e, symbolic.Add) or not symbolic._needs_rational(e):
+                continue
+            checked += 1
+            if symbolic._normal_term(e):
+                recognised += 1
+                out = self.full_path(e)
+                assert out is None or out == e, to_text(e)
+        assert 500 < recognised < 2500  # both branches are exercised
 
 
 class TestCoefficientDomain:
