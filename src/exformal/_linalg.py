@@ -8,14 +8,16 @@ coefficients and every curvature tensor are built through it (`is_grid`,
 
 `minors` is the one determinant rule: a table of the minors of a matrix,
 each expanded once along its first row and kept by its row and column
-indices.  det m and the adjugate's cofactors are read from one table
-(`mat_det` and `mat_inverse` take it as `minor`), so the sub-minors they
-share, such as the 2x2 minors of a 4x4 metric, are expanded once.
+indices.  Every determinant and minor is read from its matrix's one
+table, which the caller builds once and passes as `minor`: det m and the
+adjugate's cofactors (`mat_det`, `mat_inverse`), so the sub-minors they
+share, such as the 2x2 minors of a 4x4 metric, are expanded once, and the
+compound minors of `compound_sum`.
 
 `compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
 Hodge star raises a form's indices with it (m = g^-1), and `pullback`
 pulls a form back with it (m = the transposed Jacobian of the map, by
-Cauchy-Binet).
+Cauchy-Binet); each builds one table of m per call.
 """
 
 from __future__ import annotations
@@ -124,17 +126,18 @@ def mat_det(m: Matrix, minor=None) -> Expr:
     return (minor or minors(m))(full, full)
 
 
-def compound_sum(m: Sequence[Sequence[Expr]],
+def compound_sum(minor: Callable[[tuple[int, ...], tuple[int, ...]], Expr],
                  comps: Mapping[tuple[int, ...], Expr],
                  rows: tuple[int, ...]) -> Expr:
     """Sum over the index tuples J of `comps` of det(m[rows][J]) * comps[J],
-    where m[rows][J] keeps the rows `rows` and the columns J of `m`;
+    where m[rows][J] keeps the rows `rows` and the columns J of `m`, each
+    read from the matrix's one minor table `minor` (`minors(m)`);
     comps[()] (zero when absent) when `rows` is empty."""
     if not rows:
         return comps.get((), ZERO)
     parts = []
     for J, c in comps.items():
-        d = mat_det(tuple(tuple(m[i][j] for j in J) for i in rows))
+        d = minor(rows, J)
         if d != ZERO:
             parts.append(mul(d, c))
     return add(*parts)

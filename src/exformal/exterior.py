@@ -5,9 +5,10 @@ forms are equal exactly when their component maps match.  Operations
 yield their result as (index, term) pairs that `_summed` adds up per
 index, and every sign of moving differentials into increasing order comes
 from `_merge_sign`; `pullback` alone takes Jacobian minors through
-`_linalg.compound_sum`.  The closure classifier separates Closed / Exact /
-NonClosed and, for closed forms, attempts an explicit potential that is
-re-verified before being reported.
+`_linalg.compound_sum`, all read from one minor table of the Jacobian per
+call.  The closure classifier separates Closed / Exact / NonClosed and,
+for closed forms, attempts an explicit potential that is re-verified
+before being reported.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .symbolic import (
     to_text,
 )
 from ._antideriv import antiderivative
-from ._linalg import compound_sum
+from ._linalg import compound_sum, minors
 
 __all__ = [
     "Form",
@@ -247,7 +248,8 @@ def linear_combine(coeffs: Sequence[Expr], forms: Sequence[Form]) -> Form:
 def pullback(phi: SubmanifoldMap, a: Form) -> Form:
     """Pull a form on the target chart back along the map.  Its component
     at a source index K is sum_I a_I(x(u)) det(dx^I/du^K), the minors of
-    the map's Jacobian (Cauchy-Binet), taken by `compound_sum`."""
+    the map's Jacobian (Cauchy-Binet), read by `compound_sum` from one
+    minor table of the Jacobian."""
     _require_same_chart(phi.target, a.chart)
     src = phi.source
     k = src.dim
@@ -255,9 +257,10 @@ def pullback(phi: SubmanifoldMap, a: Form) -> Form:
         return Form.zero(src, k)
     subs_map = {phi.target.names[i]: phi.exprs[i] for i in range(phi.target.dim)}
     jac_t = tuple(tuple(diff(x, u) for x in phi.exprs) for u in src.names)
+    minor = minors(jac_t)
     pulled = {idx: substitute(c, subs_map) for idx, c in a.components.items()}
     return Form(src, a.degree, {
-        K: compound_sum(jac_t, pulled, K)
+        K: compound_sum(minor, pulled, K)
         for K in combinations(range(k), a.degree)
     })
 

@@ -7,10 +7,11 @@ Conventions (also echoed in every CLI report):
   exactly when det g simplifies to a constant, otherwise numerically at
   the sampling box center (or, where det g is singular there, at the
   first point of seed 0 where it is not); it is never inferred.
-* hodge raises all indices with g^{-1} (by its minors, through
-  `_linalg.compound_sum`), contracts against the Levi-Civita symbol,
-  and scales by sqrt|det g|; the involution **a = s * (-1)^(p(n-p)) a
-  fixes every sign (s = declared det sign).
+* hodge raises all indices with g^{-1} (by its minors, read from one
+  minor table of g^{-1} per call through `_linalg.compound_sum`),
+  contracts against the Levi-Civita symbol, and scales by sqrt|det g|;
+  the involution **a = s * (-1)^(p(n-p)) a fixes every sign (s =
+  declared det sign).
 * codifferential: delta a = s * (-1)^(n(p+1)+1) * d * a.
 * electromagnetic 2-form: F = (E1 dx + E2 dy + E3 dz)^dt
   + B1 dy^dz + B2 dz^dx + B3 dx^dy, units c = 1; with it dF = 0 encodes
@@ -169,10 +170,11 @@ def hodge(a: Form, g: Metric) -> Form:
         raise ChartMismatchError("form and metric live on different charts")
     n = g.chart.dim
     p = a.degree
+    minor = minors(g.inverse)
     comps = {}
     for idx in combinations(range(n), p):
         dual = tuple(i for i in range(n) if i not in idx)
-        up = compound_sum(g.inverse, a.components, idx)
+        up = compound_sum(minor, a.components, idx)
         comps[dual] = mul(Rat(_merge_sign(idx, dual)), g.sqrt_abs_det, up)
     return Form(g.chart, n - p, comps)
 

@@ -750,6 +750,35 @@ def _corner(p: dict, pick=min) -> tuple:
     return tuple(out)
 
 
+def _normalize(kernels: list[Expr], p: dict) -> tuple[int | Fraction, dict]:
+    """(c, b) with p = c*b, b with coprime integer coefficients and a
+    positive leading coefficient; kernels[i] is the kernel of exponent i.
+    The leading term is the constant one when there is one, else the first
+    under lex order with the kernel of larger key the more significant; so
+    1 - 2*m/r gives r - 2*m and 1 - L*r^2 stays as it is.  The order depends
+    on the kernels only, not on their numbering, so a base comes out the
+    same in every simplification.  This is the one statement of the base
+    rule: `_Rational.invert` makes its bases with it, and `_normal_base`
+    asks it whether a sum is one."""
+    den = 1
+    for c in p.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    g = 0
+    for c in p.values():
+        g = math.gcd(g, c.numerator * (den // c.denominator))
+    content = _quotient(g, den)
+    if () in p:
+        lead = ()
+    else:
+        used = sorted({i for m in p for i in range(len(m))},
+                      key=lambda i: kernels[i].key, reverse=True)
+        lead = max(p, key=lambda m: tuple(m[i] if i < len(m) else 0
+                                          for i in used))
+    if p[lead] < 0:
+        content = -content
+    return content, {m: _quotient(c, content) for m, c in p.items()}
+
+
 def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None:
     """p / b when the polynomial `b` (no negative exponents) divides the
     Laurent polynomial `p` exactly, else None; each step is charged to
@@ -929,39 +958,13 @@ class _Rational:
             new_den = {}
         else:
             down = _mono_neg(_corner(num))
-            content, base = self.normalize({_mono_mul(m, down): c
-                                            for m, c in num.items()})
+            content, base = _normalize(self.kernels, {_mono_mul(m, down): c
+                                                      for m, c in num.items()})
             out = {down: _quotient(1, content)}
             new_den = {self.base_number(base): 1}
         for b, k in den.items():
             out = self.product(out, self.base_power(b, k))
         return self.cancel(out, new_den)
-
-    def normalize(self, p: dict) -> tuple[int | Fraction, dict]:
-        """(c, b) with p = c*b, b with coprime integer coefficients and a
-        positive leading coefficient.  The leading term is the constant one
-        when there is one, else the first under lex order with the kernel
-        of larger key the more significant; so 1 - 2*m/r gives r - 2*m and
-        1 - L*r^2 stays as it is.  The order depends on the kernels only,
-        not on their numbering, so a base comes out the same in every
-        simplification."""
-        den = 1
-        for c in p.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        g = 0
-        for c in p.values():
-            g = math.gcd(g, c.numerator * (den // c.denominator))
-        content = _quotient(g, den)
-        if () in p:
-            lead = ()
-        else:
-            used = sorted({i for m in p for i in range(len(m))},
-                          key=lambda i: self.kernels[i].key, reverse=True)
-            lead = max(p, key=lambda m: tuple(m[i] if i < len(m) else 0
-                                              for i in used))
-        if p[lead] < 0:
-            content = -content
-        return content, {m: _quotient(c, content) for m, c in p.items()}
 
     def base_number(self, base: dict) -> int:
         key = frozenset(base.items())
@@ -1078,39 +1081,23 @@ def _kept_kernel(f: Expr, exp: int) -> bool:
 
 
 def _normal_base(b: Add) -> bool:
-    """Whether the sum `b` is a base as `_Rational.normalize` leaves it:
-    integer coefficients with gcd 1, terms that are monomials in kept
-    kernels with positive exponents, no monomial content (each kernel is
-    missing from some term), and a positive leading coefficient, the lead
-    being the constant term when there is one, else the greatest term with
-    the kernels ordered by key, descending."""
-    terms = []
-    g = 0
+    """Whether the sum `b` is a base as `_normalize` leaves it: terms that
+    are monomials in kept kernels (`_kept_kernel`) with positive exponents,
+    no monomial content, and content 1 under `_normalize`, which states the
+    rule for the coefficients and the lead.  The kernels are numbered here
+    in the order met; `_normalize` picks the lead by kernel key, so the
+    numbering does not matter."""
+    numbers: dict[Expr, int] = {}
+    p = {}
     for t in b.terms:
         c, mono = _coeff_monomial(t)
-        if type(c) is not int:
-            return False
-        g = math.gcd(g, c)
-        exps = {}
+        m = ()
         for f, k in _mono_factors(mono):
             if k < 0 or not _kept_kernel(f, k):
                 return False
-            exps[f] = k
-        terms.append((c, exps))
-    if g != 1:
-        return False
-    constants = [c for c, exps in terms if not exps]
-    if constants:
-        return constants[0] > 0
-    kernels = set(terms[0][1])
-    for _, exps in terms[1:]:
-        kernels &= exps.keys()
-    if kernels:  # a kernel in every term: monomial content
-        return False
-    order = sorted(set().union(*(exps for _, exps in terms)), key=_by_key,
-                   reverse=True)
-    lead = max(terms, key=lambda t: tuple(t[1].get(f, 0) for f in order))
-    return lead[0] > 0
+            m = _mono_mul(m, (0,) * numbers.setdefault(f, len(numbers)) + (k,))
+        p[m] = c
+    return not any(_corner(p)) and _normalize(list(numbers), p)[0] == 1
 
 
 def _normal_term(e: Expr) -> bool:

@@ -623,6 +623,13 @@ MALFORMED = {
         {"op": "parse_expr", "expr": "x^" + "1" * 5000}]}, "expr"),
     "nested_parentheses": ({"chart": ["x"], "tasks": [
         {"op": "parse_expr", "expr": "(" * 300 + "x" + ")" * 300}]}, "expr"),
+    "degree_zero_key": ({"chart": ["x", "y"], "forms": {
+        "f": {"degree": 0, "components": {"0": "x"}}}},
+        "degree-0 component key must be empty"),
+    "hodge_without_metric": ({"chart": ["x", "y"], "forms": {
+        "w": {"degree": 1, "components": {"0": "x"}}},
+        "tasks": [{"op": "hodge", "form": "w"}]},
+        "task[0] op 'hodge' needs a 'metric' section"),
 }
 
 
@@ -730,6 +737,30 @@ class TestTaskErrors:
         assert report["verdict"] == "Error"
         assert captured.err == ("error: task[0] op=legendre: ChartError: q and "
                                 "v names: duplicate coordinate name 'v'\n")
+
+    def test_outcomes_without_an_exception_escaping(self, tmp_path, capsys):
+        # a singular mass, a Hamiltonian that is not quadratic, a closed
+        # form with no table potential, and a factor found by its exp path
+        scenario = {"chart": ["x", "y"], "forms": {
+            "closed": {"degree": 1, "components": {"0": "1/(1 + x^2)"}},
+            "inexact": {"degree": 1, "components": {"0": "y", "1": "1"}}},
+            "tasks": [
+                {"op": "legendre", "q": ["q1", "q2"], "v": ["v1", "v2"],
+                 "mass": [["1", "1"], ["1", "1"]]},
+                {"op": "inverse_legendre", "q": ["q"], "p": ["p"],
+                 "hamiltonian": "p^3 + q"},
+                {"op": "integrating_factor", "form": "closed"},
+                {"op": "integrating_factor", "form": "inexact"}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 0
+        tasks = json.loads(capsys.readouterr().out)["tasks"]
+        assert [(t["verdict"], t["values"]) for t in tasks] == [
+            ("Value", {"degeneracy": "DegenerateEverywhere",
+                       "error": "velocity Hessian is identically singular"}),
+            ("Value", {"result": "PatternMismatch"}),
+            ("Value", {"found": "not-verifiable",
+                       "error": "form is closed but no table potential exists"}),
+            ("Value", {"found": "found", "mu": "exp(x)", "psi": "y*exp(x)"}),
+        ]
 
     def test_huge_constant_zero_test_is_unknown(self, tmp_path, capsys):
         # every sample leaves the float range, so the redraws run out

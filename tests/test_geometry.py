@@ -1,11 +1,13 @@
 """Metric structure, Hodge duality, and the Maxwell residuals."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import exformal.geometry
-from exformal._linalg import mat_inverse
+import exformal._linalg
+from exformal._linalg import mat_inverse, minors
 from exformal.errors import (
     ChartError,
     MetricValidationError,
@@ -147,6 +149,23 @@ class TestHodgeMinkowski:
         assert out == Form(CH4, 2, {(0, 3): Rat(1)})
         again = hodge(out, g)
         assert again == Form(CH4, 2, {(1, 2): Rat(-1)})
+
+    def test_one_minor_table_per_star(self, monkeypatch):
+        # every compound minor of g^-1 is read from one table per call
+        g = minkowski_metric(CH4)
+        x = [Sym(name) for name in CH4.names]
+        F = Form(CH4, 2, {(i, j): add(x[i], x[j])
+                          for i, j in combinations(range(4), 2)})
+        tables = []
+
+        def counted(m):
+            tables.append(m)
+            return minors(m)
+
+        monkeypatch.setattr(exformal._linalg, "minors", counted)
+        monkeypatch.setattr(exformal.geometry, "minors", counted)
+        hodge(F, g)
+        assert tables == [g.inverse]
 
 
 class TestHodgeInvolution:

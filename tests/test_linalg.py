@@ -39,14 +39,14 @@ def test_compound_sum_with_the_identity_gives_each_component_back():
     eye = grid(3, 2, lambda i, j: Rat(1) if i == j else ZERO)
     comps = {(0, 1): Sym("x"), (0, 2): Rat(3), (1, 2): Sym("y")}
     for rows in itertools.combinations(range(3), 2):
-        assert compound_sum(eye, comps, rows) == comps[rows]
+        assert compound_sum(minors(eye), comps, rows) == comps[rows]
 
 
 def test_compound_sum_two_by_two_minor():
     # rows (0, 1) and columns (0, 2) of m: det [[a, c], [d, f]] = a*f - c*d
     a, b, c, d, e, f, w = (Sym(n) for n in "abcdefw")
     m = ((a, b, c), (d, e, f))
-    got = compound_sum(m, {(0, 2): w}, (0, 1))
+    got = compound_sum(minors(m), {(0, 2): w}, (0, 1))
     assert simplify(sub(got, mul(w, sub(mul(a, f), mul(c, d))))) == ZERO
 
 

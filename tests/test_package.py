@@ -174,3 +174,18 @@ def test_symbolic_divides_only_in_float_code():
     }
     assert dividing <= DIVIDING, (
         f"symbolic.py divides with '/' in {sorted(dividing - DIVIDING)}")
+
+
+def test_only_normalize_takes_a_gcd_in_symbolic():
+    # the content and lead rule of a base is stated once, in `_normalize`;
+    # `_normal_base` asks it instead of restating it
+    tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
+    calling = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "gcd"
+        and getattr(node.func.value, "id", None) == "math"
+    }
+    assert calling == {"_normalize"}

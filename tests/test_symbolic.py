@@ -207,6 +207,9 @@ class TestFunc:
         with pytest.raises(ValueError):
             symbolic.Func("sin", Sym("t"), 1)
 
+    def test_sqrt_of_zero_is_zero(self):
+        assert func("sqrt", Rat(0)) is ZERO
+
 
 class TestDiff:
     def test_product_power(self):
@@ -497,6 +500,13 @@ class TestSimplify:
         assert pow_(Sym("x"), 1) == Sym("x")
         assert mul(Sym("x"), Rat(0)) == ZERO
         assert mul(Sym("x"), Rat(1)) == Sym("x")
+
+    def test_a_kernel_whose_argument_simplifies_to_a_constant_folds(self):
+        # the argument of exp is zero once (x^2 - 1)/(x - 1) cancels, so the
+        # kernel converts as the constant exp(0) = 1
+        ch = Chart(("x", "y"))
+        e = parse_expr("exp((x^2 - 1)/(x - 1) - x - 1)/(1 + y)", ch)
+        assert simplify(e) == parse_expr("1/(1 + y)", ch)
 
 
 CURVATURE_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -917,6 +927,17 @@ class TestFiniteDifferenceOracle:
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
                 points_done += 1
             exprs_done += 1
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_profile_derivatives_match_central_differences(self, order):
+        # derivative k of a profile's interpretation is the central
+        # difference of derivative k - 1
+        interp = symbolic._OpaqueInterp(random.Random(f"0:a{order}"))
+        lower, exact = interp.derivative(order - 1), interp.derivative(order)
+        h = 1e-5
+        for s in (-1.1, -0.3, 0.0, 0.7, 1.2):
+            fd = (lower(s + h) - lower(s - h)) / (2 * h)
+            assert abs(fd - exact(s)) <= 1e-6 * max(1.0, abs(exact(s)))
 
 
 class TestIsZero:
