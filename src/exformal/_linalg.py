@@ -8,11 +8,12 @@ coefficients and every curvature tensor are built through it (`is_grid`,
 
 `minors` is the one determinant rule: a table of the minors of a matrix,
 each expanded once along its first row and kept by its row and column
-indices.  Every determinant and minor is read from its matrix's one
-table, which the caller builds once and passes as `minor`: det m and the
-adjugate's cofactors (`mat_det`, `mat_inverse`), so the sub-minors they
-share, such as the 2x2 minors of a 4x4 metric, are expanded once, and the
-compound minors of `compound_sum`.
+indices.  Every determinant, cofactor and compound minor is read from its
+matrix's one table, which the caller builds once and hands on: det m is
+the table called with no indices, `mat_inverse` reads the adjugate's
+cofactors and det m from it, so the sub-minors they share, such as the
+2x2 minors of a 4x4 metric, are expanded once, and `compound_sum` reads
+its compound minors from it.  No other function here builds a table.
 
 `compound_sum` is the one compound-minor rule, sum_J det(m[I][J]) a_J: the
 Hodge star raises a form's indices with it (m = g^-1), and `pullback`
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
 
-__all__ = ["mat_det", "mat_inverse", "minors", "as_matrix"]
+__all__ = ["mat_inverse", "minors", "as_matrix"]
 
 Matrix = tuple[tuple[Expr, ...], ...]
 
@@ -78,26 +79,21 @@ def as_matrix(rows: Sequence[Sequence[Expr]]) -> Matrix:
     return out
 
 
-def _minor(m: Matrix, i: int, j: int) -> Matrix:
-    return tuple(
-        tuple(e for cj, e in enumerate(row) if cj != j)
-        for ci, row in enumerate(m)
-        if ci != i
-    )
-
-
-def minors(m: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Expr]:
+def minors(m: Matrix) -> Callable[..., Expr]:
     """The minor table of `m`: a function of (rows, cols), two index tuples
     of one length, that gives the determinant of the submatrix of `m` on
     those rows and columns, each computed once and kept by (rows, cols).
+    Called with no indices it gives det m, on all rows and columns; the
+    empty minor, on no rows and no columns, is 1.
 
     A minor is expanded along its first row, column by column with
     alternating signs, skipping a zero entry or a zero sub-minor, and
-    simplified; so it is the tree `mat_det` gives for that submatrix, and
-    the sub-minors that several minors share are built once."""
+    simplified; so the sub-minors that several minors share are built
+    once."""
     table: dict[tuple, Expr] = {}
+    full = tuple(range(len(m)))
 
-    def det(rows, cols):
+    def det(rows=full, cols=full):
         d = table.get((rows, cols))
         if d is not None:
             return d
@@ -119,22 +115,14 @@ def minors(m: Matrix) -> Callable[[tuple[int, ...], tuple[int, ...]], Expr]:
     return det
 
 
-def mat_det(m: Matrix, minor=None) -> Expr:
-    """det m, read from `minor`, the minor table of `m` (`minors`), or from
-    a table of its own."""
-    full = tuple(range(len(m)))
-    return (minor or minors(m))(full, full)
-
-
-def compound_sum(minor: Callable[[tuple[int, ...], tuple[int, ...]], Expr],
+def compound_sum(minor: Callable[..., Expr],
                  comps: Mapping[tuple[int, ...], Expr],
                  rows: tuple[int, ...]) -> Expr:
     """Sum over the index tuples J of `comps` of det(m[rows][J]) * comps[J],
     where m[rows][J] keeps the rows `rows` and the columns J of `m`, each
-    read from the matrix's one minor table `minor` (`minors(m)`);
-    comps[()] (zero when absent) when `rows` is empty."""
-    if not rows:
-        return comps.get((), ZERO)
+    read from the matrix's one minor table `minor` (`minors(m)`); with no
+    rows the empty minor is 1, so the sum is comps[()] (zero when
+    absent)."""
     parts = []
     for J, c in comps.items():
         d = minor(rows, J)
@@ -143,17 +131,15 @@ def compound_sum(minor: Callable[[tuple[int, ...], tuple[int, ...]], Expr],
     return add(*parts)
 
 
-def mat_inverse(m: Matrix, det: Expr, minor=None) -> Matrix:
-    """Inverse by adjugate over `det`, the determinant of `m`; caller
-    guards singularity.  The cofactors are read from `minor`, the minor
-    table of `m` (`minors`), which the caller may share with the one it
-    took `det` from; a zero cofactor gives a zero entry without a product.
+def mat_inverse(m: Matrix, minor: Callable[..., Expr]) -> Matrix:
+    """Inverse by adjugate over det m; caller guards singularity.  The
+    cofactors and det m are read from `minor`, the one minor table of `m`
+    (`minors`); a zero cofactor gives a zero entry without a product.
     The inverse of a symmetric matrix is symmetric, so when `m` equals its
     transpose entry by entry only the entries with i <= j are built and
     the others mirror them; `Metric` still checks all n^2 entries of
     g * g^-1 = I."""
-    minor = minor or minors(m)
-    inv_det = pow_(det, -1)
+    inv_det = pow_(minor(), -1)
     n = len(m)
     full = tuple(range(n))
     symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i))

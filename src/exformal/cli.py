@@ -802,6 +802,9 @@ def _cmd_run(args) -> int:
     except FileNotFoundError:
         print(f"error: file not found: {args.file}", file=sys.stderr)
         return 2
+    except OSError as e:  # a directory, or a file without read permission
+        print(f"error: cannot read {args.file}: {e.strerror}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as e:
         print(
             f"error: ParseError in {args.file}: line {e.lineno} "

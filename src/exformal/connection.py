@@ -126,7 +126,7 @@ class Connection(Tensor):
 def _stage(build):
     """Build a stage of a metric's curvature stack on first use and keep it
     on that metric object, so all its consumers share one stack.  A stage
-    is a pure function of the metric; a race can only store equal values."""
+    is a pure function of the metric."""
     slot = f"_stage_{build.__name__}"
 
     @wraps(build)

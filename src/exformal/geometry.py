@@ -30,7 +30,7 @@ from .errors import (
     MetricValidationError,
     SingularMetricError,
 )
-from ._linalg import as_matrix, compound_sum, grid, mat_det, mat_inverse, minors
+from ._linalg import as_matrix, compound_sum, grid, mat_inverse, minors
 from .exterior import Form, _merge_sign, ext_d, linear_combine
 from .symbolic import (
     _MAX_REDRAWS,
@@ -108,10 +108,10 @@ class Metric:
                         f"metric not symmetric at ({i},{j})"
                     )
         minor = minors(self.g)  # det g and the cofactors share its sub-minors
-        self.det = mat_det(self.g, minor)
+        self.det = minor()
         if is_zero(self.det) is ZeroVerdict.ZERO:
             raise SingularMetricError("metric determinant is identically zero")
-        self.inverse = mat_inverse(self.g, self.det, minor)
+        self.inverse = mat_inverse(self.g, minor)
         self.sqrt_abs_det = _sqrt_positive(mul(Rat(det_sign), self.det))
         self._check_inverse()
         self._check_det_sign()

@@ -1,4 +1,5 @@
-"""Seeded generators and numeric oracles shared across the test modules.
+"""Seeded generators, numeric oracles and the reference determinant
+expansion shared across the test modules.
 
 Everything takes an explicit random.Random so each test pins its seed; no
 global RNG state is touched.
@@ -21,6 +22,7 @@ from exformal.symbolic import (
     interpretation_table,
     mul,
     pow_,
+    simplify,
     _children,
 )
 from exformal.exterior import Form, SubmanifoldMap
@@ -136,6 +138,25 @@ def off_domain_constants(obj) -> list:
         else:
             stack.extend(_children(n))
     return out
+
+
+def submatrix(m, i: int, j: int):
+    """m without row i and column j."""
+    return tuple(
+        tuple(e for cj, e in enumerate(row) if cj != j)
+        for ci, row in enumerate(m)
+        if ci != i
+    )
+
+
+def laplace(m):
+    """det m by first-row expansion of explicit submatrices, every minor
+    built afresh: the tree the minor table must give for each minor."""
+    if len(m) == 1:
+        return m[0][0]
+    parts = [mul(Rat(-1 if j % 2 else 1), m[0][j], laplace(submatrix(m, 0, j)))
+             for j in range(len(m)) if m[0][j] != ZERO]
+    return simplify(add(*parts))
 
 
 def numeric_env(rng: random.Random, names, lo=-1.5, hi=1.5):

@@ -55,6 +55,11 @@ class TestExitCodes:
         assert code == 2
         assert "file not found" in err
 
+    def test_directory_exits_two(self, tmp_path):
+        code, out, err = run_cli("run", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
     def test_bad_json_exits_two(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")

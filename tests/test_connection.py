@@ -21,7 +21,7 @@ import pytest
 
 import exformal.connection
 import exformal.symbolic
-from exformal._linalg import _minor, grid, mat_det
+from exformal._linalg import grid
 from exformal.catalog import verify_einstein
 from exformal.cli import run_scenario
 from exformal.connection import (
@@ -61,11 +61,13 @@ from exformal.symbolic import (
 
 from helpers import (
     CHARTS,
+    laplace,
     off_domain_constants,
     rand_connection,
     rand_diag_metric,
     rand_form,
     rand_poly,
+    submatrix,
 )
 
 CH2 = CHARTS[2]
@@ -532,7 +534,7 @@ def dense_stack(g):
     half = Rat(Fraction(1, 2))
     det_inv = pow_(g.det, -1)
     inv = grid(n, 2, lambda i, j: simplify(
-        mul(Rat((-1) ** (i + j)), mat_det(_minor(g.g, j, i)), det_inv)))
+        mul(Rat((-1) ** (i + j)), laplace(submatrix(g.g, j, i)), det_inv)))
 
     def gamma_entry(s, a, b):
         return simplify(mul(half, add(*(

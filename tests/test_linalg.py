@@ -1,13 +1,16 @@
 """The component-array layout: `grid` nests f(*idx) first index outermost;
-and the compound-minor rule `compound_sum`."""
+the minor table `minors`, against a fresh Laplace expansion; the inverse
+by adjugate; and the compound-minor rule `compound_sum`."""
 
 import itertools
 
 import pytest
 
 import exformal._linalg
-from exformal._linalg import _minor, compound_sum, grid, mat_det, mat_inverse, minors
+from exformal._linalg import compound_sum, grid, mat_inverse, minors
 from exformal.symbolic import Rat, Sym, ZERO, add, mul, pow_, simplify, sub
+
+from helpers import laplace, submatrix
 
 
 def test_rank_zero_is_the_value():
@@ -31,8 +34,9 @@ def test_every_index_holds_its_value(rank):
 
 
 def test_compound_sum_of_no_rows_is_the_scalar():
-    assert compound_sum(((Sym("x"),),), {(): Sym("y")}, ()) == Sym("y")
-    assert compound_sum(((Sym("x"),),), {}, ()) == ZERO
+    minor = minors(((Sym("x"),),))
+    assert compound_sum(minor, {(): Sym("y")}, ()) == Sym("y")
+    assert compound_sum(minor, {}, ()) == ZERO
 
 
 def test_compound_sum_with_the_identity_gives_each_component_back():
@@ -51,15 +55,15 @@ def test_compound_sum_two_by_two_minor():
 
 
 def full_adjugate_inverse(m):
-    det_inv = pow_(mat_det(m), -1)
+    det_inv = pow_(laplace(m), -1)
     return grid(len(m), 2, lambda i, j: simplify(
-        mul(Rat((-1) ** (i + j)), mat_det(_minor(m, j, i)), det_inv)))
+        mul(Rat((-1) ** (i + j)), laplace(submatrix(m, j, i)), det_inv)))
 
 
 def test_symmetric_inverse_mirrors_the_full_adjugate():
     a, b, c, d, e, f = (Sym(n) for n in "abcdef")
     m = ((a, b, c), (b, d, e), (c, e, f))
-    inv = mat_inverse(m, mat_det(m))
+    inv = mat_inverse(m, minors(m))
     assert inv == full_adjugate_inverse(m)
     assert all(inv[i][j] is inv[j][i] for i in range(3) for j in range(3))
 
@@ -67,19 +71,9 @@ def test_symmetric_inverse_mirrors_the_full_adjugate():
 def test_nonsymmetric_inverse_builds_every_entry():
     a, b, c, d = (Sym(n) for n in "abcd")
     m = ((a, b), (c, d))
-    inv = mat_inverse(m, mat_det(m))
+    inv = mat_inverse(m, minors(m))
     assert inv == full_adjugate_inverse(m)
     assert inv[0][1] != inv[1][0]
-
-
-def laplace(m):
-    """det m by first-row expansion of explicit submatrices, every minor
-    built afresh: the tree the minor table must give for each minor."""
-    if len(m) == 1:
-        return m[0][0]
-    parts = [mul(Rat(-1 if j % 2 else 1), m[0][j], laplace(_minor(m, 0, j)))
-             for j in range(len(m)) if m[0][j] != ZERO]
-    return simplify(add(*parts))
 
 
 def test_minor_table_gives_the_trees_of_the_fresh_expansion():
@@ -101,5 +95,5 @@ def test_shared_minors_are_expanded_once(monkeypatch):
     monkeypatch.setattr(exformal._linalg, "add",
                         lambda *parts: expansions.append(parts) or add(*parts))
     m = tuple(tuple(Sym(f"m{i}{j}") for j in range(4)) for i in range(4))
-    assert mat_det(m) == laplace(m)
+    assert minors(m)() == laplace(m)
     assert len(expansions) == 11

@@ -2,11 +2,11 @@
 nothing outside the standard library, each module imports only the layers
 below it, no import sits inside a function, only `symbolic` reaches its
 sampling internals or builds a `Func` node directly, only `symbolic` and
-`catalog` fold verdicts, and `symbolic` divides with `/` only where a
-float is meant.  That importing `exformal.cli` loads none of the stdlib
-modules the engine does not need (`dataclasses` and what it pulls in, and
-`copy`) is checked in a fresh interpreter by
-`test_cli.TestImportCost`."""
+`catalog` fold verdicts, `symbolic` divides with `/` only where a float
+is meant, and in `_linalg` only `minors` builds a minor table.  That
+importing `exformal.cli` loads none of the stdlib modules the engine does
+not need (`dataclasses` and what it pulls in, and `copy`) is checked in a
+fresh interpreter by `test_cli.TestImportCost`."""
 
 import ast
 import importlib
@@ -189,3 +189,18 @@ def test_only_normalize_takes_a_gcd_in_symbolic():
         and getattr(node.func.value, "id", None) == "math"
     }
     assert calling == {"_normalize"}
+
+
+def test_only_minors_builds_a_minor_table_in_linalg():
+    # a determinant, cofactor or compound minor is read from the table the
+    # caller built and handed on, so no other helper builds one of its own
+    tree = _tree(os.path.join(exformal.__path__[0], "_linalg.py"))
+    calling = {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "minors"
+    }
+    assert calling <= {"minors"}, (
+        f"_linalg.py builds a minor table in {sorted(calling - {'minors'})}")
