@@ -5,6 +5,11 @@ or so).
 out: nested tuples, first index outermost.  Metrics, matrices, connection
 coefficients and every curvature tensor are built through it (`is_grid`,
 `grid_at`, `grid_items` and `grid_map` check, index, walk and map it).
+`grid` and `grid_map` list the entries in one row-major pass and then nest
+them, and `is_grid` checks the array one level at a time; none recurses.
+So `f` is called in the order of the indices, which the mirrored entries
+of `riemann` and `mat_inverse` rely on, and no closure that holds itself
+keeps `f` alive until the cyclic collector runs.
 
 `minors` is the one determinant rule: a table of the minors of a matrix,
 each expanded once along its first row and kept by its row and column
@@ -23,7 +28,7 @@ Cauchy-Binet); each builds one table of m per call.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, starmap
 from typing import Callable, Mapping, Sequence
 
 from .symbolic import Expr, Rat, ZERO, add, mul, pow_, simplify
@@ -37,26 +42,38 @@ def grid(n: int, rank: int, f: Callable):
     """Nested tuples of f(*idx) over every idx in range(n)^rank, built in
     row-major order; grid(n, 0, f) is f() and grid(n, 2, f)[i][j] is
     f(i, j)."""
-    def build(idx):
-        if len(idx) == rank:
-            return f(*idx)
-        return tuple(build(idx + (i,)) for i in range(n))
-    return build(())
+    return _nest(list(starmap(f, product(range(n), repeat=rank))), n, rank)
+
+
+def _nest(flat: list, n: int, rank: int):
+    """The entries `flat` of an n^rank array, in row-major order, nested
+    as `grid` lays them out; the one entry itself when rank is 0."""
+    if rank == 0:
+        return flat[0]
+    for _ in range(rank - 1):
+        flat = zip(*[iter(flat)] * n)
+    return tuple(flat)
 
 
 def is_grid(data, n: int, rank: int) -> bool:
-    """Whether `data` is laid out as grid(n, rank, f) with Expr entries."""
-    if rank == 0:
-        return isinstance(data, Expr)
-    return len(data) == n and all(is_grid(d, n, rank - 1) for d in data)
+    """Whether `data` is laid out as grid(n, rank, f) with Expr entries,
+    each level a tuple or a list; never raises."""
+    level = (data,)
+    for _ in range(rank):
+        if not all(isinstance(d, (tuple, list)) and len(d) == n
+                   for d in level):
+            return False
+        level = tuple(chain.from_iterable(level))
+    return all(isinstance(e, Expr) for e in level)
 
 
 def grid_map(f: Callable, data, rank: int):
     """The array of f(entry) for every entry of the rank-`rank` array
-    `data`, in the layout of `grid`."""
-    if rank == 0:
-        return f(data)
-    return tuple(grid_map(f, d, rank - 1) for d in data)
+    `data`, in the layout of `grid`; f is called in row-major order."""
+    flat = (data,)
+    for _ in range(rank):
+        flat = chain.from_iterable(flat)
+    return _nest(list(map(f, flat)), len(data) if rank else 0, rank)
 
 
 def grid_at(data, idx: Sequence[int]):
@@ -90,13 +107,27 @@ def minors(m: Matrix) -> Callable[..., Expr]:
     alternating signs, skipping a zero entry or a zero sub-minor, and
     simplified; so the sub-minors that several minors share are built
     once."""
-    table: dict[tuple, Expr] = {}
-    full = tuple(range(len(m)))
+    return _MinorTable(m)
 
-    def det(rows=full, cols=full):
-        d = table.get((rows, cols))
+
+class _MinorTable:
+    """`minors(m)`; it recurses through `self`, not through a closure that
+    holds itself, so reference counting frees the table and its trees."""
+
+    __slots__ = ("m", "table", "full")
+
+    def __init__(self, m: Matrix):
+        self.m = m
+        self.table: dict[tuple, Expr] = {}
+        self.full = tuple(range(len(m)))
+
+    def __call__(self, rows=None, cols=None) -> Expr:
+        if rows is None:
+            rows = cols = self.full
+        d = self.table.get((rows, cols))
         if d is not None:
             return d
+        m = self.m
         if len(rows) < 2:
             d = m[rows[0]][cols[0]] if rows else Rat(1)
         else:
@@ -105,14 +136,12 @@ def minors(m: Matrix) -> Callable[..., Expr]:
             for j, c in enumerate(cols):
                 if top[c] == ZERO:
                     continue
-                sub = det(below, cols[:j] + cols[j + 1:])
+                sub = self(below, cols[:j] + cols[j + 1:])
                 if sub != ZERO:
                     parts.append(mul(Rat(-1 if j % 2 else 1), top[c], sub))
             d = simplify(add(*parts))
-        table[rows, cols] = d
+        self.table[rows, cols] = d
         return d
-
-    return det
 
 
 def compound_sum(minor: Callable[..., Expr],

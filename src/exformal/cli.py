@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -910,6 +911,12 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_check.add_argument("--params", default="",
                          help="comma-separated parameter names")
     p_check.set_defaults(fn=_cmd_check_expr)
+    # Once per process: the modules, the parser and whatever else is alive
+    # now live as long as the process, so move them out of the collector's
+    # generations; no later collection then walks them inside a task.  Not
+    # at import, which would only move that cost, and not per file, which
+    # would keep each file's leftovers for good.
+    gc.freeze()
     return parser, p_run
 
 

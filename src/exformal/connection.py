@@ -20,8 +20,13 @@ metric-compatibility constraint is imposed on user-supplied coefficients.
 Most metrics met in practice are diagonal, so most Gamma components are
 zero.  The curvature loops skip every product with a factor that is the
 shared ZERO (an identity test, `is ZERO`; the parser gives every literal 0
-that node), and build -a*b as one mul(-1, a, b).  A zero missed this way
-costs time and changes no tree.  g^-1 is built on one triangle and
+that node), and build -a*b as one mul(-1, a, b).  `christoffel` takes
+each d_c g_ab once, into one table, with no `diff` of a ZERO entry; it
+walks only the nonzero entries of each row of g^-1 and skips a bracket
+whose three derivatives are ZERO.  A Gamma, Riemann component, torsion
+entry or Bianchi term with no nonzero part is ZERO without an `add`, a
+`diff` or a `simplify`.  A zero missed this way costs time and changes
+no tree.  g^-1 is built on one triangle and
 mirrored (`_linalg.mat_inverse`); `Metric` checks all n^2 entries of
 g * g^-1 = I.  Gamma's lower pair, R_{mu nu} and G_{mu nu} are built for
 every index pair, not mirrored: `verify_einstein` checks
@@ -145,19 +150,23 @@ def christoffel(g: Metric) -> Connection:
     n = chart.dim
     names = chart.names
     half = Rat(Fraction(1, 2))
+    # dg[c][a][b] = d_c g_ab, each taken once; ZERO for a ZERO entry
+    dg = grid(n, 3, lambda c, a, b: ZERO if g.g[a][b] is ZERO
+              else diff(g.g[a][b], names[c]))
+    inverse_rows = [[(r, e) for r, e in enumerate(row) if e != ZERO]
+                    for row in g.inverse]
 
     def gamma(s, a, b):
         parts = []
-        for r in range(n):
-            if g.inverse[s][r] == ZERO:
+        for r, inv in inverse_rows[s]:
+            d1, d2, d3 = dg[a][r][b], dg[b][r][a], dg[r][a][b]
+            if d1 is ZERO and d2 is ZERO and d3 is ZERO:
                 continue
-            bracket = add(
-                diff(g.g[r][b], names[a]),
-                diff(g.g[r][a], names[b]),
-                neg(diff(g.g[a][b], names[r])),
-            )
+            bracket = add(d1, d2, neg(d3))
             if bracket is not ZERO:
-                parts.append(mul(g.inverse[s][r], bracket))
+                parts.append(mul(inv, bracket))
+        if not parts:
+            return ZERO
         total = add(*parts)
         return total if total is ZERO else mul(half, total)
 
@@ -168,9 +177,14 @@ def torsion(c: Connection) -> Tensor:
     """T^sigma_{alpha beta} = Gamma^sigma_{alpha beta}
     - Gamma^sigma_{beta alpha}; identically zero for christoffel output."""
     gamma = c.gamma
-    comps = grid(c.chart.dim, 3,
-                 lambda s, a, b: add(gamma[s][a][b], neg(gamma[s][b][a])))
-    return Tensor(c.chart, "ull", comps)
+
+    def entry(s, a, b):
+        ab, ba = gamma[s][a][b], gamma[s][b][a]
+        if ab is ZERO and ba is ZERO:
+            return ZERO
+        return add(ab, neg(ba))
+
+    return Tensor(c.chart, "ull", grid(c.chart.dim, 3, entry))
 
 
 def _form_components_as_vector(a: Form) -> tuple[Expr, ...]:
@@ -231,7 +245,11 @@ def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
     where the formula is antisymmetric in m, v."""
     if m == v:
         return ZERO
-    parts = [diff(gamma[r][v][s], names[m]), neg(diff(gamma[r][m][s], names[v]))]
+    parts = []
+    if gamma[r][v][s] is not ZERO:
+        parts.append(diff(gamma[r][v][s], names[m]))
+    if gamma[r][m][s] is not ZERO:
+        parts.append(neg(diff(gamma[r][m][s], names[v])))
     for lam in range(len(names)):
         a, b = gamma[r][m][lam], gamma[lam][v][s]
         if a is not ZERO and b is not ZERO:
@@ -239,7 +257,7 @@ def _riemann_component(gamma, names, r: int, s: int, m: int, v: int) -> Expr:
         a, b = gamma[r][v][lam], gamma[lam][m][s]
         if a is not ZERO and b is not ZERO:
             parts.append(mul(_MINUS_ONE, a, b))
-    return simplify(add(*parts))
+    return simplify(add(*parts)) if parts else ZERO
 
 
 def riemann(c: Connection) -> Tensor:
@@ -325,7 +343,8 @@ def bianchi_residual(g: Metric) -> tuple[Expr, ...]:
             for r in range(n):
                 if g.inverse[m][r] == ZERO:
                     continue
-                inner = [diff(G.comp(m, v), names[r])]
+                Gmv = G.comp(m, v)
+                inner = [] if Gmv is ZERO else [diff(Gmv, names[r])]
                 for lam in range(n):
                     for a, b in ((gamma[lam][r][m], G.comp(lam, v)),
                                  (gamma[lam][r][v], G.comp(m, lam))):

@@ -345,12 +345,19 @@ def add(*args: Expr) -> Expr:
 
     Like terms are keyed by the key of their monomial, read off the term's
     own key, and a term that meets no like term is kept as it is; only a
-    merged one is rebuilt.
+    merged one is rebuilt.  An argument that is the shared ZERO is dropped
+    first: with none left the sum is ZERO, and with one left that is
+    neither a sum nor a Rat it is that term, as it is.
     """
+    stack = [a for a in args if a is not ZERO]
+    if len(stack) < 2:
+        if not stack:
+            return ZERO
+        if type(stack[0]) not in (Add, Rat):
+            return stack[0]
     rat = None  # the one Rat term, as it is, while there is only one
     rat_sum = None  # the sum of the Rat terms; None until there is one
     by_mono: dict[tuple, list] = {}  # monomial key -> [coeff, term, merged]
-    stack = list(args)
     while stack:
         a = stack.pop()
         t = type(a)
@@ -1483,16 +1490,23 @@ def _plan(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
     last entry is `e`."""
     slots: dict[Expr, int] = {}
     plan: list[tuple[Expr, tuple[int, ...]]] = []
-
-    def visit(node: Expr) -> int:
-        slot = slots.get(node)
-        if slot is None:
-            kids = tuple(map(visit, _children(node)))
+    # the path from `e` down to the node being walked: each node with an
+    # iterator over its children and the slots of those already completed
+    stack = [(e, iter(_children(e)), [])]
+    while stack:
+        node, kids, done = stack[-1]
+        for kid in kids:
+            slot = slots.get(kid)
+            if slot is None:
+                stack.append((kid, iter(_children(kid)), []))
+                break
+            done.append(slot)
+        else:
+            stack.pop()
             slot = slots[node] = len(plan)
-            plan.append((node, kids))
-        return slot
-
-    visit(e)
+            plan.append((node, tuple(done)))
+            if stack:
+                stack[-1][2].append(slot)
     return plan
 
 

@@ -12,7 +12,10 @@ index conventions):
 """
 
 import gc
+import glob
+import inspect
 import json
+import os
 import random
 import weakref
 from fractions import Fraction
@@ -23,9 +26,10 @@ import exformal.connection
 import exformal.symbolic
 from exformal._linalg import grid
 from exformal.catalog import verify_einstein
-from exformal.cli import run_scenario
+from exformal.cli import main, run_scenario
 from exformal.connection import (
     Connection,
+    Tensor,
     _levi_civita_ricci,
     bianchi_residual,
     christoffel,
@@ -36,10 +40,12 @@ from exformal.connection import (
     riemann,
     torsion,
 )
+from exformal.errors import DegreeError
 from exformal.exterior import Form, ext_d, linear_combine
 from exformal.geometry import Metric, minkowski_metric
 from exformal.symbolic import (
     Chart,
+    Expr,
     Rat,
     Sym,
     Verdict,
@@ -137,6 +143,18 @@ class TestChristoffel:
             for a in range(2):
                 for b in range(2):
                     assert c.gamma[s][a][b] == c.gamma[s][b][a]
+
+
+class TestTensor:
+    @pytest.mark.parametrize("comps", [
+        [Sym("x"), Sym("y")],                  # a rank-1 array
+        [[Sym("x"), Sym("y")], [Sym("x")]],    # a ragged one
+        [[Sym("x"), "y"], [Sym("x"), Sym("y")]],  # an entry not an Expr
+        Sym("x"),
+    ], ids=["rank_1", "ragged", "not_expr", "scalar"])
+    def test_malformed_array_is_a_degree_error(self, comps):
+        with pytest.raises(DegreeError, match="must be 2\\^2 of Expr"):
+            Tensor(Chart(["x", "y"]), "ll", comps)
 
 
 class TestTorsion:
@@ -524,6 +542,32 @@ class TestSharedStack:
         gc.collect()
         assert ref() is None
 
+    def test_a_corpus_pass_leaves_no_cycles(self, capsys):
+        # every minor table, sampling plan and component array the engine
+        # builds is freed by reference counting, with the collector off;
+        # the collector finds what is left in `gc.garbage`
+        corpus = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench", "corpus", "curvature")
+        paths = sorted(glob.glob(os.path.join(corpus, "*.json")))
+        assert paths
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for path in paths:
+                main(["run", path])
+            gc.collect()
+            ours = [o for o in gc.garbage if isinstance(o, Expr) or (
+                inspect.isfunction(o) and o.__module__.startswith("exformal"))]
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert ours == []
+
 
 def dense_stack(g):
     """The curvature stack as the formulas read, with no product skipped:
@@ -574,7 +618,10 @@ def dense_stack(g):
                 parts.append(mul(inv[m][r], add(*inner)))
         return simplify(add(*parts))
 
-    return inv, gamma, R4, (ricci, scalar), G, grid(n, 1, divergence)
+    torsion_t = grid(n, 3, lambda s, a, b: simplify(
+        add(gamma[s][a][b], neg(gamma[s][b][a]))))
+    return (inv, gamma, torsion_t, R4, (ricci, scalar), G,
+            grid(n, 1, divergence))
 
 
 def full_symmetric_metric():
@@ -604,9 +651,10 @@ class TestSparseStack:
     ], ids=["schwarzschild", "full_3d", "t_phi_block"])
     def test_equals_the_dense_formulas(self, make):
         g = make()
-        inv, gamma, R4, ricci, G, div = dense_stack(g)
+        inv, gamma, T, R4, ricci, G, div = dense_stack(g)
         assert g.inverse == inv
         assert christoffel(g).gamma == gamma
+        assert torsion(christoffel(g)).comps == T
         assert riemann(christoffel(g)).comps == R4
         got_ricci, got_scalar = _levi_civita_ricci(g)
         assert (got_ricci.comps, got_scalar) == ricci
@@ -635,9 +683,41 @@ class TestSparseStack:
         bianchi_residual(g)
         assert zero_factors == []
 
+    @pytest.mark.parametrize("make", [
+        lambda: spherical_metric("1 - 2*m/r"), full_symmetric_metric,
+    ], ids=["schwarzschild", "full_3d"])
+    def test_no_derivative_of_zero_or_twice_of_a_metric_entry(
+            self, make, monkeypatch):
+        g = make()
+        positions = {}  # id of a metric entry -> how many positions hold it
+        for row in g.g:
+            for e in row:
+                positions[id(e)] = positions.get(id(e), 0) + 1
+        of_zero, of_entry = [], {}
+        real = exformal.connection.diff
+
+        def watched(e, var):
+            if e is ZERO:
+                of_zero.append(var)
+            if id(e) in positions:
+                of_entry[id(e), var] = of_entry.get((id(e), var), 0) + 1
+            return real(e, var)
+
+        monkeypatch.setattr(exformal.connection, "diff", watched)
+        einstein_tensor(g)
+        bianchi_residual(g)
+        torsion(christoffel(g))
+        assert of_zero == []
+        assert of_entry
+        assert all(count <= positions[key[0]]
+                   for key, count in of_entry.items())
+
     def test_zero_shortcuts_return_the_shared_zero(self):
         x = Sym("x")
         assert neg(ZERO) is ZERO
+        assert add() is ZERO
+        assert add(ZERO, ZERO) is ZERO
+        assert add(ZERO, x) is x
         assert mul(x, ZERO) is ZERO
         assert mul(Rat(0), x) is ZERO
         # zero before a product that would pass the expansion budget

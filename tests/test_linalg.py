@@ -7,14 +7,45 @@ import itertools
 import pytest
 
 import exformal._linalg
-from exformal._linalg import compound_sum, grid, mat_inverse, minors
+from exformal._linalg import compound_sum, grid, grid_map, is_grid, mat_inverse, minors
 from exformal.symbolic import Rat, Sym, ZERO, add, mul, pow_, simplify, sub
 
 from helpers import laplace, submatrix
 
 
 def test_rank_zero_is_the_value():
-    assert grid(3, 0, lambda: "x") == "x"
+    value = object()
+    assert grid(3, 0, lambda: value) is value
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_f_is_called_in_row_major_order(rank):
+    calls = []
+    grid(3, rank, lambda *idx: calls.append(idx))
+    assert calls == list(itertools.product(range(3), repeat=rank))
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_grid_map_keeps_the_layout(rank):
+    seen = []
+
+    def f(idx):
+        seen.append(idx)
+        return sum(idx)
+
+    array = grid_map(f, grid(3, rank, lambda *idx: idx), rank)
+    assert array == grid(3, rank, lambda *idx: sum(idx))
+    assert seen == list(itertools.product(range(3), repeat=rank))
+
+
+def test_is_grid_refuses_without_raising():
+    x = Sym("x")
+    assert is_grid(((x, x), [x, x]), 2, 2)
+    assert not is_grid((x, x), 2, 2)        # entries where rows belong
+    assert not is_grid(x, 2, 1)
+    assert not is_grid(((x, x), (x,)), 2, 2)
+    assert not is_grid(((x, x), (x, "x")), 2, 2)
+    assert not is_grid(None, 2, 3)
 
 
 def test_index_order():
