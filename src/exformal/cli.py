@@ -36,8 +36,8 @@ from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
 from .exterior import (Form, SubmanifoldMap, VectorField, classify_closure, ext_d,
                        form_to_text, interior_product, linear_combine, pullback, wedge)
 from .geometry import Metric, build_em_form, codifferential, hodge, maxwell_residual
-from .symbolic import (Chart, ZERO, _check_residuals, diff, eval_at, is_zero,
-                       parse_expr, simplify, to_text)
+from .symbolic import (Chart, ZERO, _check_names, _check_residuals, diff, eval_at,
+                       is_zero, parse_expr, simplify, to_text)
 from .transform import (HamiltonianSystem, QuadraticLagrangian, _canonical_chart,
                         hamilton_flow_check, integrating_factor, inverse_legendre,
                         jacobian_degeneracy, legendre, poincare_cartan,
@@ -149,6 +149,16 @@ def _names(raw, where: str, scope=None) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _params(raw, where: str, scope=None) -> tuple[str, ...]:
+    """Declared parameter names: identifiers, none of them twice."""
+    names = _names(raw, where)
+    try:
+        _check_names(names, "parameter")
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from None
+    return names
+
+
 def _chart(raw, where: str) -> Chart:
     try:
         return Chart(_names(raw, where))
@@ -251,7 +261,7 @@ def _build(where: str, make, *parts):
 def load_scenario(data: dict) -> ScenarioContext:
     data = _object(data, "scenario root")
     ctx = ScenarioContext(chart=_chart(data.get("chart"), "chart"),
-                          params=_names(data.get("params", []), "params"))
+                          params=_params(data.get("params", []), "params"))
     ctx = _on_chart(ctx, ctx.chart, "chart")
 
     if "metric" in data:
@@ -862,6 +872,9 @@ def _cmd_check_expr(args) -> int:
     params = [s for s in args.params.split(",") if s] if args.params else []
     try:
         chart = Chart(chart_names)
+        for name in _params(params, "params"):
+            if name in chart.names:
+                raise ScenarioError(f"params: {name!r} is a chart coordinate")
         text = to_text(simplify(parse_expr(args.expr, chart, params)))
     except ExprSyntaxError as err:
         print(f"error: SyntaxError at position {err.position}: {err}",

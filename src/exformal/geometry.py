@@ -41,7 +41,7 @@ from .symbolic import (
     ZERO,
     ZeroVerdict,
     _check_residuals,
-    _coeff_monomial,
+    _coefficient,
     _mono_factors,
     _sample_values,
     add,
@@ -69,11 +69,11 @@ def _sqrt_positive(e: Expr) -> Expr:
     """sqrt of an expression declared positive; halves even monomial
     exponents (a(t)^6 -> a(t)^3), otherwise keeps an opaque sqrt node."""
     e = simplify(e)
-    coeff, mono = _coeff_monomial(e)
+    coeff = _coefficient(e)
     root = func("sqrt", Rat(coeff)) if coeff > 0 else None
     if isinstance(root, Rat):  # coeff is a perfect square
         halved = []
-        for b, k in _mono_factors(mono):
+        for b, k in _mono_factors(e):
             if k % 2:
                 break
             halved.append(pow_(b, k // 2))

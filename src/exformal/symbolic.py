@@ -55,6 +55,17 @@ monomial content), so a division is tried only on a numerator of two
 terms or more.  A term that is already its own normal form, a constant
 times kernel powers over normal bases (`_normal_term`), is returned
 unconverted: converting it would find nothing to cancel and rebuild it.
+The constructors do not rebuild a tree they already hold in canonical
+form.  A constant times a sum gives each term the product of the two
+coefficients (`_with_coefficient`) instead of a `mul` per term, and the
+sum of those terms only needs sorting: the terms of a canonical sum have
+distinct monomials, and so do their multiples by one term.  1 times a
+sum is the sum itself.  `substitute`, like `simplify`, returns a node
+whose children all come back as the same objects as it is, since the
+constructors would give it back from them.  Printing reads a term's sign
+off its coefficient and builds no node, and the parser builds a sum by
+one `add` and folds a term's constants before its one `mul`; an `add` or
+`mul` of the same operands in any grouping is the same canonical tree.
 
 Kernels are treated as independent variables, apart from the sin/cos link.
 That can miss a zero (exp(x)*exp(-x) - 1 stays as it is) but never invent
@@ -119,6 +130,18 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 
 
+def _check_names(names: tuple[str, ...], what: str) -> None:
+    """Refuse a name that is not an identifier, or that repeats one before
+    it, with a ValueError that calls it a `what` name."""
+    seen = set()
+    for n in names:
+        if not _IDENT_RE.match(n):
+            raise ValueError(f"{what} name {n!r} is not a valid identifier")
+        if n in seen:
+            raise ValueError(f"duplicate {what} name {n!r}")
+        seen.add(n)
+
+
 class Chart:
     """An ordered tuple of coordinate names, e.g. (t, x, y, z).  Immutable;
     two charts are equal when their names are."""
@@ -129,13 +152,7 @@ class Chart:
         names = tuple(names)
         if len(names) < 1:
             raise ValueError("chart needs at least one coordinate")
-        seen = set()
-        for n in names:
-            if not _IDENT_RE.match(n):
-                raise ValueError(f"coordinate name {n!r} is not a valid identifier")
-            if n in seen:
-                raise ValueError(f"duplicate coordinate name {n!r}")
-            seen.add(n)
+        _check_names(names, "coordinate")
         object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
@@ -318,26 +335,30 @@ def rational(value) -> Rat:
     return Rat(value)
 
 
-def _coeff_monomial(term: Expr) -> tuple[int | Fraction, Expr]:
-    """Split a (non-Add) canonical term into rational coefficient x rest."""
-    if isinstance(term, Rat):
-        return term.value, ONE
-    if isinstance(term, Mul) and isinstance(term.factors[0], Rat):
-        rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Mul(rest)
-        return term.factors[0].value, mono
-    return 1, term
+def _coefficient(term: Expr) -> int | Fraction:
+    """The rational coefficient of a (non-Add) canonical term."""
+    if type(term) is Rat:
+        return term.value
+    if type(term) is Mul and type(term.factors[0]) is Rat:
+        return term.factors[0].value
+    return 1
 
 
-def _scale(coeff: int | Fraction, mono: Expr) -> Expr:
-    """coeff * mono for an Add-free canonical monomial."""
-    if isinstance(mono, Rat):
-        return Rat(coeff * mono.value)
-    if coeff == 1:
-        return mono
-    if isinstance(mono, Mul):
-        return Mul((Rat(coeff),) + mono.factors)
-    return Mul((Rat(coeff), mono))
+def _with_coefficient(c: int | Fraction, term: Expr) -> Expr:
+    """The (non-Add) canonical term with its rational coefficient replaced
+    by the nonzero `c`, built from the term's own factors without a
+    throwaway node; the term itself when `c` and its coefficient are 1."""
+    t = type(term)
+    if t is Rat:
+        return Rat(c)
+    if t is not Mul:
+        return term if c == 1 else Mul((Rat(c), term))
+    fs = term.factors
+    if type(fs[0]) is not Rat:
+        return term if c == 1 else Mul((Rat(c),) + fs)
+    if c != 1:
+        return Mul((Rat(c),) + fs[1:])
+    return fs[1] if len(fs) == 2 else Mul(fs[1:])
 
 
 def add(*args: Expr) -> Expr:
@@ -383,7 +404,7 @@ def add(*args: Expr) -> Expr:
         else:
             slot[0] += c
             slot[2] = True
-    terms = [_scale(c, _coeff_monomial(term)[1]) if merged else term
+    terms = [_with_coefficient(c, term) if merged else term
              for c, term, merged in by_mono.values() if c != 0]
     if rat_sum:
         terms.append(rat or Rat(rat_sum))
@@ -464,7 +485,13 @@ def mul(*args: Expr) -> Expr:
 def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
     """The term `first` times each sum to its positive power, distributed
     one sum factor at a time with like terms merged before the next; the
-    term products are charged against `_EXPANSION_BUDGET`."""
+    term products are charged against `_EXPANSION_BUDGET`.
+
+    While the running product is one constant it scales the next sum's
+    terms, each given the product of the two coefficients without a `mul`;
+    a constant of 1 takes them as they are, and 1 times a single sum is
+    that sum.  A product of one term and a sum has no like terms, so its
+    terms are sorted into the sum without going through `add`."""
     terms = [first]
     merged = True  # no two of `terms` are like terms
     spent = 0
@@ -481,7 +508,17 @@ def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
                 raise ExformalError(f"expanding {what} takes more than "
                                     f"{_EXPANSION_BUDGET} term products")
             merged = len(terms) == 1  # one term times a sum has no like terms
-            terms = [mul(t, u) for t in terms for u in a.terms]
+            c = terms[0].value if merged and type(terms[0]) is Rat else None
+            if c == 1:
+                terms = a.terms
+            elif c is not None:
+                terms = [_with_coefficient(c * _coefficient(u), u) for u in a.terms]
+            else:
+                terms = [mul(t, u) for t in terms for u in a.terms]
+    if terms is a.terms:
+        return a
+    if merged:
+        return Add(tuple(sorted(terms, key=_by_key)))
     return add(*terms)
 
 
@@ -654,24 +691,27 @@ def diff(e: Expr, name: str) -> Expr:
 
 def _rebuild(e: Expr, child: Callable[[Expr], Expr]) -> Expr:
     """`e` rebuilt through the canonical constructors from `child` of each
-    direct subexpression; a Rat or Sym comes back as it is."""
-    if isinstance(e, (Rat, Sym)):
+    direct subexpression.  When every child comes back as the same object,
+    `e` itself is returned: the constructors give a canonical tree back
+    from its own children.  A Rat or Sym comes back as it is."""
+    kids = _children(e)
+    new = [child(c) for c in kids]
+    if all(map(operator.is_, new, kids)):
         return e
     if isinstance(e, Add):
-        return add(*(child(t) for t in e.terms))
+        return add(*new)
     if isinstance(e, Mul):
-        return mul(*(child(f) for f in e.factors))
+        return mul(*new)
     if isinstance(e, Pow):
-        return pow_(child(e.base), e.exp)
-    if isinstance(e, Func):
-        if e.opaque:  # a profile has no special values to fold
-            return Func(e.name, child(e.arg), e.order)
-        return func(e.name, child(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+        return pow_(new[0], e.exp)
+    if e.opaque:  # a profile has no special values to fold
+        return Func(e.name, new[0], e.order)
+    return func(e.name, new[0])
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace symbols by expressions; rebuilds canonically."""
+    """Replace symbols by expressions; rebuilds canonically, and a subtree
+    that holds none of the replaced symbols comes back as it is."""
     if isinstance(e, Sym):
         return mapping.get(e.name, e)
     return _rebuild(e, lambda c: substitute(c, mapping))
@@ -697,12 +737,13 @@ def substitute_function(e: Expr, name: str, var: str, profile: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _mono_factors(mono: Expr) -> list[tuple[Expr, int]]:
-    if isinstance(mono, Mul):
-        return [_as_base_exp(f) for f in mono.factors if not isinstance(f, Rat)]
-    if isinstance(mono, Rat):
+def _mono_factors(term: Expr) -> list[tuple[Expr, int]]:
+    """The (base, exponent) factors of a term, its coefficient left out."""
+    if isinstance(term, Mul):
+        return [_as_base_exp(f) for f in term.factors if not isinstance(f, Rat)]
+    if isinstance(term, Rat):
         return []
-    return [_as_base_exp(mono)]
+    return [_as_base_exp(term)]
 
 
 # Rational normal form.  Within one `_Rational`, the kernels (Sym, and
@@ -1097,13 +1138,12 @@ def _normal_base(b: Add) -> bool:
     numbers: dict[Expr, int] = {}
     p = {}
     for t in b.terms:
-        c, mono = _coeff_monomial(t)
         m = ()
-        for f, k in _mono_factors(mono):
+        for f, k in _mono_factors(t):
             if k < 0 or not _kept_kernel(f, k):
                 return False
             m = _mono_mul(m, (0,) * numbers.setdefault(f, len(numbers)) + (k,))
-        p[m] = c
+        p[m] = _coefficient(t)
     return not any(_corner(p)) and _normalize(list(numbers), p)[0] == 1
 
 
@@ -1199,8 +1239,10 @@ def _pow_token(base: Expr, exp: int) -> str:
     return b if exp == 1 else f"{b}^{exp}"
 
 
-def _term_text(t: Expr) -> str:
-    """Render an Add-free term as numerator/denominator tokens."""
+def _term_text(t: Expr) -> tuple[bool, str]:
+    """Whether the Add-free term `t` is negative, and the text of its
+    magnitude as numerator/denominator tokens: the sign is flipped here,
+    on the coefficient, so no negated term is built to print."""
     coeff = 1
     num: list[str] = []
     den: list[str] = []
@@ -1214,6 +1256,9 @@ def _term_text(t: Expr) -> str:
             num.append(_pow_token(b, e))
         else:
             den.append(_pow_token(b, -e))
+    negative = coeff < 0
+    if negative:
+        coeff = -coeff
     if coeff.numerator != 1 or not num:
         num.insert(0, _digits(coeff.numerator))
     if coeff.denominator != 1:
@@ -1221,7 +1266,7 @@ def _term_text(t: Expr) -> str:
     out = "*".join(num)
     for d in den:
         out += f"/{d}"
-    return out
+    return negative, out
 
 
 def to_text(e: Expr) -> str:
@@ -1241,21 +1286,16 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Add):
         pieces = []
         for t in e.terms:
-            c, _ = _coeff_monomial(t)
-            if c < 0 and pieces:
-                pieces.append(f" - {_term_text(_scale(-1, t))}")
-            elif pieces:
-                pieces.append(f" + {_term_text(t)}")
-            else:
-                sign = "-" if c < 0 else ""
-                body = _term_text(_scale(-1, t)) if c < 0 else _term_text(t)
-                pieces.append(sign + body)
+            negative, body = _term_text(t)
+            if pieces:
+                pieces.append(" - " if negative else " + ")
+            elif negative:
+                pieces.append("-")
+            pieces.append(body)
         return "".join(pieces)
     # Mul / Pow: render through the term printer
-    c, _ = _coeff_monomial(e)
-    if c < 0:
-        return "-" + _term_text(_scale(-1, e))
-    return _term_text(e)
+    negative, body = _term_text(e)
+    return "-" + body if negative else body
 
 
 # ---------------------------------------------------------------------------
@@ -1278,6 +1318,12 @@ def to_text(e: Expr) -> str:
 # as a function argument or ends the parse.  So a divisor in parentheses
 # that holds a single term is inverted factor by factor, and a/(s)^k reads
 # back as the tree `to_text` prints that way, without expanding s^k.
+# `_product` folds the term's literal constants into one coefficient
+# first, so that its one `mul` meets a single Rat, and a sum is built by
+# one `add` over all of its terms.  Both give the tree that multiplying
+# and adding one operand at a time gives: the constructors are canonical,
+# and the constants and sums are formed in the same order, so each error
+# is the one that order meets first.
 
 
 def _factor(base: Expr, exp: int) -> tuple[Expr, int]:
@@ -1289,86 +1335,76 @@ def _factor(base: Expr, exp: int) -> tuple[Expr, int]:
 
 
 def _product(factors: list[tuple[Expr, int]]) -> Expr:
-    """A term's factors multiplied out in one `mul`."""
+    """A term's factors multiplied out in one `mul`, after its constants
+    are folded into one coefficient (each raised by `pow_`, which checks
+    its size), in the order the term reads them."""
     if len(factors) == 1:
         return pow_(*factors[0])
-    return mul(*[pow_(b, k) for b, k in factors])
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_]*'*)|(?P<op>[-+*/^()]))"
-)
-
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ExprSyntaxError(
-                f"unexpected character {stripped[0]!r}", at,
-                expected=("number", "identifier", "operator"),
-            )
-        if m.group("num") is not None:
-            out.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            out.append(_Token("ident", m.group("ident"), m.start("ident")))
+    c = 1
+    rest = []
+    for b, k in factors:
+        if type(b) is Rat:
+            c *= b.value if k == 1 else pow_(b, k).value
         else:
-            out.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
+            rest.append(b if k == 1 else pow_(b, k))
+    if c != 1 or not rest:
+        return mul(Rat(c), *rest)
+    return rest[0] if len(rest) == 1 else mul(*rest)
+
+
+# A token is the tuple of the groups of one match: the whitespace before
+# it, then its number, identifier, operator or stray character, at most one
+# of them not empty.  The token with all four empty ends the text; a
+# position is counted only for an error.
+_TOKEN_RE = re.compile(
+    r"(\s*)(?:(\d+(?:\.\d+)?)|([A-Za-z][A-Za-z0-9_]*'*)|([-+*/^()])|(.)|\Z)",
+    re.DOTALL,
+)
+_STRAY = operator.itemgetter(4)
 
 
 class _Parser:
     def __init__(self, text: str, chart: Chart, params: Iterable[str]):
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
         self.i = 0
         self.coords = set(chart.names)
         self.params = set(params)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        if any(map(_STRAY, self.tokens)):
+            i = next(i for i, tok in enumerate(self.tokens) if tok[4])
             raise ExprSyntaxError(
-                f"expected {expected[0]}, found {tok.text or 'end of input'}",
-                tok.pos,
-                expected=expected,
+                f"unexpected character {self.tokens[i][4]!r}", self.position(i),
+                expected=("number", "identifier", "operator"),
             )
-        return self.take()
+
+    def position(self, i: int) -> int:
+        """The offset in the text of token `i`."""
+        before = sum(len("".join(tok)) for tok in self.tokens[:i])
+        return before + len(self.tokens[i][0])
+
+    def found(self, expected: tuple[str, ...]) -> ExprSyntaxError:
+        """The error for a token that is not the first of `expected`."""
+        _, num, ident, op, _ = self.tokens[self.i]
+        return ExprSyntaxError(
+            f"expected {expected[0]}, found {num or ident or op or 'end of input'}",
+            self.position(self.i), expected=expected,
+        )
+
+    def close(self) -> None:
+        if self.tokens[self.i][3] != ")":
+            raise self.found(("')'",))
+        self.i += 1
 
     def parse(self) -> Expr:
         try:
             e = _product(self.expr())
         except RecursionError:  # each nesting level is a few parser frames
             raise ExprSyntaxError("expression nested too deeply",
-                                  self.peek().pos) from None
-        tok = self.peek()
-        if tok.kind != "end":
+                                  self.position(self.i)) from None
+        _, num, ident, op, _ = self.tokens[self.i]
+        if num or ident or op:
             raise ExprSyntaxError(
-                f"unexpected trailing input {tok.text!r}", tok.pos,
+                f"unexpected trailing input {num or ident or op!r}",
+                self.position(self.i),
                 expected=("'+'", "'-'", "'*'", "'/'", "end of input"),
             )
         return e
@@ -1376,89 +1412,101 @@ class _Parser:
     def expr(self) -> list[tuple[Expr, int]]:
         """The next sum; a single term comes back as its factors."""
         factors = self.term()
-        while self.peek().kind in ("+", "-"):
-            e = _product(factors)
-            op = self.take()
+        op = self.tokens[self.i][3]
+        if op != "+" and op != "-":
+            return factors
+        terms = [_product(factors)]
+        while op == "+" or op == "-":
+            self.i += 1
             rhs = _product(self.term())
-            factors = [(add(e, rhs) if op.kind == "+" else sub(e, rhs), 1)]
-        return factors
+            terms.append(rhs if op == "+" else neg(rhs))
+            op = self.tokens[self.i][3]
+        return [(add(*terms), 1)]
 
     def term(self) -> list[tuple[Expr, int]]:
         factors = self.factor()
-        while self.peek().kind in ("*", "/"):
-            if self.take().kind == "*":
+        op = self.tokens[self.i][3]
+        while op == "*" or op == "/":
+            self.i += 1
+            if op == "*":
                 factors += self.factor()
             else:
                 factors += [_factor(b, -k) for b, k in self.factor()]
+            op = self.tokens[self.i][3]
         return factors
 
     def factor(self) -> list[tuple[Expr, int]]:
-        if self.peek().kind == "-":
-            self.take()
-            return [(Rat(-1), 1)] + self.factor()
+        tokens = self.tokens
+        if tokens[self.i][3] == "-":
+            self.i += 1
+            return [(_MINUS_ONE, 1)] + self.factor()
         factors = self.atom()
-        if self.peek().kind != "^":
+        if tokens[self.i][3] != "^":
             return factors
-        self.take()
+        self.i += 1
         sign = 1
-        if self.peek().kind == "-":
-            self.take()
+        if tokens[self.i][3] == "-":
+            self.i += 1
             sign = -1
-        tok = self.expect("num", ("integer exponent",))
-        if "." in tok.text:
+        at = self.i
+        if not tokens[at][1]:
+            raise self.found(("integer exponent",))
+        if "." in tokens[at][1]:
             raise ExprSyntaxError(
-                "exponent must be an integer", tok.pos,
+                "exponent must be an integer", self.position(at),
                 expected=("integer exponent",),
             )
-        return [_factor(_product(factors), sign * self.number(tok, int))]
+        self.i += 1
+        return [_factor(_product(factors), sign * self.number(at, int))]
 
-    @staticmethod
-    def number(tok: _Token, convert: Callable[[str], object]):
+    def number(self, i: int, convert: Callable[[str], object]):
         try:
-            return convert(tok.text)
+            return convert(self.tokens[i][1])
         except ValueError:  # past the interpreter's integer string limit
-            raise ExprSyntaxError("number has too many digits", tok.pos) from None
+            raise ExprSyntaxError("number has too many digits",
+                                  self.position(i)) from None
 
     def atom(self) -> list[tuple[Expr, int]]:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            value = self.number(tok, Fraction if "." in tok.text else int)
+        at = self.i
+        _, num, ident, op, _ = self.tokens[at]
+        if num:
+            self.i += 1
+            value = self.number(at, Fraction if "." in num else int)
             return [(ZERO if value == 0 else ONE if value == 1 else Rat(value), 1)]
-        if tok.kind == "(":
-            self.take()
+        if op == "(":
+            self.i += 1
             factors = self.expr()
-            self.expect(")", ("')'",))
+            self.close()
             return factors
-        if tok.kind == "ident":
-            self.take()
-            name = tok.text.rstrip("'")
-            order = len(tok.text) - len(name)
-            if self.peek().kind == "(":
-                self.take()
+        if ident:
+            self.i += 1
+            name = ident.rstrip("'")
+            order = len(ident) - len(name)
+            if self.tokens[self.i][3] == "(":
+                self.i += 1
                 arg = _product(self.expr())
-                self.expect(")", ("')'",))
+                self.close()
                 if name in BUILTIN_FUNCTIONS:
                     if order:
                         raise ExprSyntaxError(
                             f"primes are not allowed on built-in {name}",
-                            tok.pos,
+                            self.position(at),
                             expected=("opaque function name",),
                         )
                     return [(func(name, arg), 1)]
                 return [(Func(name, arg, order), 1)]
             if order:
                 raise ExprSyntaxError(
-                    f"derivative {tok.text} must be applied to an argument",
-                    tok.pos,
+                    f"derivative {ident} must be applied to an argument",
+                    self.position(at),
                     expected=("'('",),
                 )
             if name in self.coords or name in self.params:
                 return [(Sym(name), 1)]
-            raise UnknownSymbolError(name, tok.pos)
+            raise UnknownSymbolError(name, self.position(at))
         raise ExprSyntaxError(
-            f"expected an operand, found {tok.text or 'end of input'}",
-            tok.pos,
+            f"expected an operand, found {op or 'end of input'}",
+            self.position(at),
             expected=("number", "identifier", "'('", "'-'"),
         )
 

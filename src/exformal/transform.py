@@ -42,7 +42,8 @@ from .symbolic import (
     ZERO,
     ZeroVerdict,
     _check_residuals,
-    _coeff_monomial,
+    _coefficient,
+    _with_coefficient,
     add,
     depends_on,
     diff,
@@ -311,7 +312,7 @@ def _exp_of(e: Expr) -> Expr:
     powers = []
     rest = []
     for t in terms:
-        c, mono = _coeff_monomial(t)
+        c, mono = _coefficient(t), _with_coefficient(1, t)
         if isinstance(mono, Func) and mono.name == "ln" and c.denominator == 1:
             powers.append(pow_(mono.arg, int(c)))
         else:

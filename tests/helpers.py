@@ -1,5 +1,6 @@
-"""Seeded generators, numeric oracles and the reference determinant
-expansion shared across the test modules.
+"""Seeded generators, numeric oracles and the references shared across
+the test modules: the determinant expansion, the term-by-term product of
+constants and sums, and the reference parser.
 
 Everything takes an explicit random.Random so each test pins its seed; no
 global RNG state is touched.
@@ -8,11 +9,18 @@ global RNG state is touched.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from typing import Callable, Iterable
 
+from exformal.errors import DomainError, ExprSyntaxError, UnknownSymbolError
 from exformal.symbolic import (
+    BUILTIN_FUNCTIONS,
+    Add,
     Chart,
     Expr,
+    Func,
+    ONE,
     Rat,
     Sym,
     ZERO,
@@ -23,6 +31,7 @@ from exformal.symbolic import (
     mul,
     pow_,
     simplify,
+    sub,
     _children,
 )
 from exformal.exterior import Form, SubmanifoldMap
@@ -183,3 +192,219 @@ def form_components_close(a: Form, b: Form, rng: random.Random,
             if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
                 return False
     return True
+
+
+def termwise_product(first: Expr, *sums: Expr) -> Expr:
+    """`first` times each sum, distributed by a `mul` of every pair of
+    terms and one `add` per sum: the product the kernel's shortcuts for a
+    constant times a sum must give."""
+    terms = [first]
+    for s in sums:
+        out = add(*(mul(t, u) for t in terms for u in s.terms))
+        terms = out.terms if isinstance(out, Add) else [out]
+    return add(*terms)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser for `test_parse_reference`.  It adds a sum one operand
+# at a time, multiplies every factor of a term through `pow_` and `mul`,
+# constants included, and reads the text through `_Token` objects.  The
+# engine's parser, which builds each sum by one `add` and folds a term's
+# constants first, must give the same tree, or the same error with the
+# same message and position.
+# ---------------------------------------------------------------------------
+
+
+def _factor(base: Expr, exp: int) -> tuple[Expr, int]:
+    """The factor base^exp of a term, refused as soon as a zero base takes
+    a negative exponent."""
+    if exp < 0 and base == ZERO:
+        raise DomainError("0 raised to a negative power")
+    return base, exp
+
+
+def _product(factors: list[tuple[Expr, int]]) -> Expr:
+    """A term's factors multiplied out in one `mul`."""
+    if len(factors) == 1:
+        return pow_(*factors[0])
+    return mul(*[pow_(b, k) for b, k in factors])
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_]*'*)|(?P<op>[-+*/^()]))"
+)
+
+
+class _Token:
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind, text, pos):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+def _tokenize(text: str) -> list[_Token]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ExprSyntaxError(
+                f"unexpected character {stripped[0]!r}", at,
+                expected=("number", "identifier", "operator"),
+            )
+        if m.group("num") is not None:
+            out.append(_Token("num", m.group("num"), m.start("num")))
+        elif m.group("ident") is not None:
+            out.append(_Token("ident", m.group("ident"), m.start("ident")))
+        else:
+            out.append(_Token(m.group("op"), m.group("op"), m.start("op")))
+        pos = m.end()
+    out.append(_Token("end", "", len(text)))
+    return out
+
+
+class _Parser:
+    def __init__(self, text: str, chart: Chart, params: Iterable[str]):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.coords = set(chart.names)
+        self.params = set(params)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(
+                f"expected {expected[0]}, found {tok.text or 'end of input'}",
+                tok.pos,
+                expected=expected,
+            )
+        return self.take()
+
+    def parse(self) -> Expr:
+        try:
+            e = _product(self.expr())
+        except RecursionError:  # each nesting level is a few parser frames
+            raise ExprSyntaxError("expression nested too deeply",
+                                  self.peek().pos) from None
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(
+                f"unexpected trailing input {tok.text!r}", tok.pos,
+                expected=("'+'", "'-'", "'*'", "'/'", "end of input"),
+            )
+        return e
+
+    def expr(self) -> list[tuple[Expr, int]]:
+        """The next sum; a single term comes back as its factors."""
+        factors = self.term()
+        while self.peek().kind in ("+", "-"):
+            e = _product(factors)
+            op = self.take()
+            rhs = _product(self.term())
+            factors = [(add(e, rhs) if op.kind == "+" else sub(e, rhs), 1)]
+        return factors
+
+    def term(self) -> list[tuple[Expr, int]]:
+        factors = self.factor()
+        while self.peek().kind in ("*", "/"):
+            if self.take().kind == "*":
+                factors += self.factor()
+            else:
+                factors += [_factor(b, -k) for b, k in self.factor()]
+        return factors
+
+    def factor(self) -> list[tuple[Expr, int]]:
+        if self.peek().kind == "-":
+            self.take()
+            return [(Rat(-1), 1)] + self.factor()
+        factors = self.atom()
+        if self.peek().kind != "^":
+            return factors
+        self.take()
+        sign = 1
+        if self.peek().kind == "-":
+            self.take()
+            sign = -1
+        tok = self.expect("num", ("integer exponent",))
+        if "." in tok.text:
+            raise ExprSyntaxError(
+                "exponent must be an integer", tok.pos,
+                expected=("integer exponent",),
+            )
+        return [_factor(_product(factors), sign * self.number(tok, int))]
+
+    @staticmethod
+    def number(tok: _Token, convert: Callable[[str], object]):
+        try:
+            return convert(tok.text)
+        except ValueError:  # past the interpreter's integer string limit
+            raise ExprSyntaxError("number has too many digits", tok.pos) from None
+
+    def atom(self) -> list[tuple[Expr, int]]:
+        tok = self.peek()
+        if tok.kind == "num":
+            self.take()
+            value = self.number(tok, Fraction if "." in tok.text else int)
+            return [(ZERO if value == 0 else ONE if value == 1 else Rat(value), 1)]
+        if tok.kind == "(":
+            self.take()
+            factors = self.expr()
+            self.expect(")", ("')'",))
+            return factors
+        if tok.kind == "ident":
+            self.take()
+            name = tok.text.rstrip("'")
+            order = len(tok.text) - len(name)
+            if self.peek().kind == "(":
+                self.take()
+                arg = _product(self.expr())
+                self.expect(")", ("')'",))
+                if name in BUILTIN_FUNCTIONS:
+                    if order:
+                        raise ExprSyntaxError(
+                            f"primes are not allowed on built-in {name}",
+                            tok.pos,
+                            expected=("opaque function name",),
+                        )
+                    return [(func(name, arg), 1)]
+                return [(Func(name, arg, order), 1)]
+            if order:
+                raise ExprSyntaxError(
+                    f"derivative {tok.text} must be applied to an argument",
+                    tok.pos,
+                    expected=("'('",),
+                )
+            if name in self.coords or name in self.params:
+                return [(Sym(name), 1)]
+            raise UnknownSymbolError(name, tok.pos)
+        raise ExprSyntaxError(
+            f"expected an operand, found {tok.text or 'end of input'}",
+            tok.pos,
+            expected=("number", "identifier", "'('", "'-'"),
+        )
+
+
+def reference_parse_expr(text: str, chart: Chart,
+                         params: Iterable[str] = ()) -> Expr:
+    """Parse `text` against a chart and parameter list, as the reference
+    parser does.
+
+    Bare identifiers must be chart coordinates or declared parameters;
+    non-built-in identifiers applied with call syntax become opaque
+    function symbols.
+    """
+    return _Parser(text, chart, params).parse()

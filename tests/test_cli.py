@@ -348,6 +348,23 @@ class TestSubcommands:
         assert code == 2
         assert "UnknownSymbol" in err
 
+    @pytest.mark.parametrize("params, message", [
+        ("x,y", "'x' is a chart coordinate"),
+        ("m,m", "duplicate parameter name 'm'"),
+        ("1a", "parameter name '1a' is not a valid identifier"),
+        ("a b", "parameter name 'a b' is not a valid identifier")])
+    def test_check_expr_refuses_a_bad_parameter(self, params, message):
+        # the rule a scenario's `params` follows, and a parameter may not
+        # name a coordinate, as a scenario's root chart may not
+        code, out, err = run_cli("check-expr", "x*y", "--chart", "x",
+                                 "--params", params)
+        assert (code, out, err) == (2, "", f"error: params: {message}\n")
+
+    def test_check_expr_takes_declared_parameters(self):
+        code, out, err = run_cli("check-expr", "m*x + m", "--chart", "x",
+                                 "--params", "m,c")
+        assert (code, out, err) == (0, "m + m*x\n", "")
+
     def test_check_expr_integer_past_digit_limit(self):
         code, out, err = run_cli("check-expr", "2^99999", "--chart", "x")
         assert code == 2 and out == ""
@@ -606,6 +623,18 @@ MALFORMED = {
                         "connection"),
     "chart_text": ({"chart": "xy"}, "chart"),
     "params_text": ({"chart": ["x"], "params": "ab"}, "params"),
+    "params_repeated": ({"chart": ["x"], "params": ["m", "m"], "tasks": [
+        {"op": "parse_expr", "expr": "m*x"}]},
+        "params: duplicate parameter name 'm'"),
+    "params_leading_digit": ({"chart": ["x"], "params": ["1a"]},
+                             "params: parameter name '1a' is not a valid "
+                             "identifier"),
+    "params_with_space": ({"chart": ["x"], "params": ["a b"]},
+                          "params: parameter name 'a b' is not a valid "
+                          "identifier"),
+    "params_empty_name": ({"chart": ["x"], "params": [""]},
+                          "params: parameter name '' is not a valid "
+                          "identifier"),
     "legendre_q_text": ({"chart": ["x"], "tasks": [
         {"op": "legendre", "q": "q", "v": ["v"], "mass": [["1"]]}]}, "q"),
     "legendre_q_param": ({"chart": ["x"], "params": ["m"], "tasks": [

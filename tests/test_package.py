@@ -3,10 +3,10 @@ nothing outside the standard library, each module imports only the layers
 below it, no import sits inside a function, only `symbolic` reaches its
 sampling internals or builds a `Func` node directly, only `symbolic` and
 `catalog` fold verdicts, `symbolic` divides with `/` only where a float
-is meant, and in `_linalg` only `minors` builds a minor table.  That
-importing `exformal.cli` loads none of the stdlib modules the engine does
-not need (`dataclasses` and what it pulls in, and `copy`) is checked in a
-fresh interpreter by `test_cli.TestImportCost`."""
+is meant, printing builds no node, and in `_linalg` only `minors` builds
+a minor table.  That importing `exformal.cli` loads none of the stdlib
+modules the engine does not need (`dataclasses` and what it pulls in, and
+`copy`) is checked in a fresh interpreter by `test_cli.TestImportCost`."""
 
 import ast
 import importlib
@@ -204,3 +204,26 @@ def test_only_minors_builds_a_minor_table_in_linalg():
     }
     assert calling <= {"minors"}, (
         f"_linalg.py builds a minor table in {sorted(calling - {'minors'})}")
+
+
+# The node classes and the constructors of `symbolic`, and the helper that
+# writes a term with another coefficient.
+BUILDERS = {"Rat", "Sym", "Func", "Pow", "Mul", "Add", "rational", "add",
+            "mul", "pow_", "neg", "sub", "div", "func", "opaque",
+            "_with_coefficient"}
+
+
+def test_printing_builds_no_node():
+    # `_term_text` flips a negative term's sign on its coefficient as it
+    # prints, so printing a tree builds no negated term and no monomial
+    tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
+    printers = {"to_text", "_term_text", "_pow_token"}
+    bodies = [top for top in tree.body if getattr(top, "name", None) in printers]
+    assert {top.name for top in bodies} == printers
+    calls = {
+        f"{top.name} calls {node.func.id}"
+        for top in bodies
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUILDERS
+    }
+    assert not calls, sorted(calls)

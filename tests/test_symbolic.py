@@ -21,6 +21,7 @@ from exformal.errors import (
     UnknownSymbolError,
 )
 from exformal.symbolic import (
+    Add,
     Chart,
     Rat,
     Sym,
@@ -36,6 +37,7 @@ from exformal.symbolic import (
     interpretation_table,
     is_zero,
     mul,
+    neg,
     opaque,
     parse_expr,
     pow_,
@@ -47,7 +49,7 @@ from exformal.symbolic import (
     to_text,
 )
 
-from helpers import off_domain_constants, rand_expr
+from helpers import off_domain_constants, rand_expr, termwise_product
 
 CH = Chart(("t", "x", "y", "z"))
 
@@ -633,6 +635,59 @@ class TestNormalFormShortcuts:
         assert 500 < recognised < 2500  # both branches are exercised
 
 
+class TestKernelShortcuts:
+    """A constant times a sum scales the sum's terms without a `mul` per
+    term, 1 times a sum is the sum itself, and each gives the tree that the
+    term-by-term product gives."""
+
+    CONSTANTS = [1, -1, 2, -3, 12, Fraction(1, 2), Fraction(-2, 3),
+                 Fraction(5, 7), Fraction(-7, 5)]
+
+    @staticmethod
+    def sums():
+        """Seeded canonical sums, with a negative power of a sum, built-in
+        and profile calls and constant terms among them."""
+        rng = random.Random(2024)
+        out = [parse_expr(text, CH) for text in (
+            "x + 1", "1/2 - x", "2*x/3 - 3/2*y", "t - x + 1/(x + y)^2",
+            "sin(x)*y - 2*a'(t) + 5", "x^-2 + 4*x^2/7 - z/(1 + t)")]
+        while len(out) < 40:
+            s = rand_expr(rng, ("x", "y", "z"))
+            if isinstance(s, Add):
+                out.append(s)
+        return out
+
+    def test_constant_times_sum_is_the_termwise_product(self):
+        sums = self.sums()
+        for s, u in zip(sums, sums[1:] + sums[:1]):
+            for c in map(Rat, self.CONSTANTS):
+                assert mul(c, s) == termwise_product(c, s)
+                assert mul(s, c) == termwise_product(c, s)
+                assert mul(c, s, u) == termwise_product(c, s, u)
+            assert pow_(s, 2) == termwise_product(ONE, s, s)
+            assert neg(s) == termwise_product(Rat(-1), s)
+            assert neg(neg(s)) == s
+
+    def test_one_times_a_sum_is_the_sum(self):
+        for s in self.sums():
+            assert mul(ONE, s) is s
+            assert mul(s) is s
+            assert mul(Rat(2), Rat(Fraction(1, 2)), s) is s
+
+    def test_a_scaled_term_is_its_coefficient_times_its_rest(self):
+        # the coefficient 1 leaves a bare factor or a Mul of the rest
+        s = parse_expr("2*x + x*y/3 + sin(x)", CH)
+        assert to_text(mul(Rat(Fraction(1, 2)), s)) == "x + sin(x)/2 + x*y/6"
+        assert to_text(mul(Rat(3), s)) == "3*sin(x) + 6*x + x*y"
+
+    def test_budget_charges_a_constant_times_a_sum(self):
+        # the scaled terms are term products, charged as before
+        big = add(*(pow_(Sym("x"), k) for k in range(1, 10_002)))
+        with pytest.raises(ExformalError, match="a sum of 10001 terms to "
+                                                "the power 1"):
+            mul(Rat(2), big)
+
+
 class TestCoefficientDomain:
     """An integral constant is a Python int, any other a Fraction."""
 
@@ -1016,6 +1071,16 @@ class TestSubstitute:
     def test_symbol(self):
         e = parse_expr("x^2 + y", CH)
         assert substitute(e, {"x": Rat(3)}) == add(Rat(9), Sym("y"))
+
+    def test_a_tree_without_the_symbol_comes_back_as_it_is(self):
+        e = parse_expr("x^2*sin(y) + a'(t)/(1 + x)^2 - 3*f(x*y)", CH)
+        assert substitute(e, {"z": Sym("t")}) is e
+        assert substitute(e, {}) is e
+        out = substitute(e, {"t": Rat(2)})
+        assert out == parse_expr("x^2*sin(y) + a'(2)/(1 + x)^2 - 3*f(x*y)", CH)
+        kept = [t for t in e.terms if "t" not in symbolic.free_symbols(t)]
+        assert len(kept) == 2
+        assert all(any(u is t for u in out.terms) for t in kept)
 
     def test_function_profile(self):
         e = parse_expr("a'(t) + a(t)", CH)
