@@ -88,10 +88,9 @@ class VerificationReport:
     """A verifier's checks, the values it shows and its notes, appended to
     as the verifier runs."""
 
-    __slots__ = ("scenario", "checks", "values", "notes")
+    __slots__ = ("checks", "values", "notes")
 
-    def __init__(self, scenario: str):
-        self.scenario = scenario
+    def __init__(self):
         self.checks = []
         self.values = {}
         self.notes = []
@@ -120,8 +119,7 @@ def _residual_check(name: str, residuals: dict, seed: int) -> CheckResult:
 
 
 def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
-                   metric: Metric, seed: int = 0,
-                   scenario: str = "maxwell") -> VerificationReport:
+                   metric: Metric, seed: int = 0) -> VerificationReport:
     """Check dF = 0, d*F = *J, and the Poynting energy balance.
 
     J carries contravariant current components (rho, J^1, J^2, J^3); it
@@ -155,7 +153,7 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
         *(mul(E[i], J[1 + i]) for i in range(3)),
     )
 
-    report = VerificationReport(scenario=scenario)
+    report = VerificationReport()
     report.checks.append(
         _residual_check("dF = 0 (Faraday + no monopoles)", r1.components, seed)
     )
@@ -177,8 +175,7 @@ def verify_maxwell(E: Sequence[Expr], B: Sequence[Expr], J: Sequence[Expr],
 
 def verify_hamiltonian(H: Expr, k: int = 1,
                        corrupted: bool = False,
-                       seed: int = 0,
-                       scenario: str = "hamiltonian") -> VerificationReport:
+                       seed: int = 0) -> VerificationReport:
     """Flow-kernel check for the canonical 1-form, plus d(d theta) = 0
     and {H, H} = 0 sanity.
 
@@ -189,7 +186,7 @@ def verify_hamiltonian(H: Expr, k: int = 1,
     theta = poincare_cartan(sys)
     dtheta = ext_d(theta)
     residual = _flow_residual(sys, dtheta, 1 if corrupted else -1)
-    report = VerificationReport(scenario=scenario)
+    report = VerificationReport()
     report.checks.append(
         _residual_check("flow field lies in ker(d theta)", residual.components,
                         seed)
@@ -218,8 +215,7 @@ def _nonzero_text(t) -> str:
 
 
 def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
-                    seed: int = 0,
-                    scenario: str = "einstein") -> VerificationReport:
+                    seed: int = 0) -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
     Levi-Civita connection, and optionally G - kappa*T (T as rows T[m][v])."""
     try:
@@ -227,7 +223,7 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
     except ValueError:
         raise ChartError(f"kappa_name must be an identifier that is not a "
                          f"coordinate, got {kappa_name!r}") from None
-    report = VerificationReport(scenario=scenario)
+    report = VerificationReport()
     n = g.chart.dim
     G = einstein_tensor(g)
 
@@ -333,41 +329,31 @@ def _maxwell_scenario(control: bool, seed: int) -> VerificationReport:
     if control:
         E = (Sym("x"), zero, zero)
         B = (zero, zero, zero)
-        name = "maxwell/static-E-gauss-violation"
     else:
         f = parse_expr("f(z - t)", chart)
         E = (f, zero, zero)
         B = (zero, f, zero)
-        name = "maxwell/vacuum-plane-wave"
-    return verify_maxwell(E, B, (zero, zero, zero, zero), g, seed, name)
+    return verify_maxwell(E, B, (zero, zero, zero, zero), g, seed)
 
 
 def _hamiltonian_scenario(control: bool, seed: int) -> VerificationReport:
     chart = _canonical_chart(1)
     H = parse_expr("(p^2 + q^2)/2", chart)
-    name = (
-        "hamiltonian/harmonic-oscillator-corrupted-flow"
-        if control
-        else "hamiltonian/harmonic-oscillator"
-    )
-    return verify_hamiltonian(H, 1, corrupted=control, seed=seed,
-                              scenario=name)
+    return verify_hamiltonian(H, 1, corrupted=control, seed=seed)
 
 
 def _einstein_scenario(control: bool, seed: int) -> VerificationReport:
     if control:
         g = minkowski_metric(Chart(("t", "x", "y", "z")))
         T = grid(4, 2, lambda m, v: ONE if m == v == 0 else ZERO)
-        return verify_einstein(g, T, seed=seed,
-                               scenario="einstein/minkowski-with-dust-T")
+        return verify_einstein(g, T, seed=seed)
     zeroT = grid(4, 2, lambda m, v: ZERO)
     chart = Chart(("t", "r", "th", "ph"))
     rows = [["-(1 - 2*m/r)", "0", "0", "0"], ["0", "1/(1 - 2*m/r)", "0", "0"],
             ["0", "0", "r^2", "0"], ["0", "0", "0", "r^2*sin(th)^2"]]
     g = Metric(chart, [[parse_expr(e, chart, ("m",)) for e in row]
                        for row in rows], det_sign=-1)
-    return verify_einstein(g, zeroT, seed=seed,
-                           scenario="einstein/schwarzschild-vacuum")
+    return verify_einstein(g, zeroT, seed=seed)
 
 
 _SCENARIOS = {

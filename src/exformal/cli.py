@@ -27,9 +27,10 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .catalog import (ENGINE_CONVENTIONS, _nonzero_text, correspondence_table,
                       verify_einstein, verify_hamiltonian, verify_maxwell)
-from .connection import (Connection, _levi_civita_ricci, bianchi_residual,
-                         christoffel, covariant_derivative_1form, einstein_tensor,
-                         evolutionary_commutator, riemann, torsion)
+from .connection import (Connection, bianchi_residual, christoffel,
+                         covariant_derivative_1form, einstein_tensor,
+                         evolutionary_commutator, ricci_and_scalar, riemann,
+                         torsion)
 from .errors import (DegenerateLagrangianError, ExformalError, ExprSyntaxError,
                      NotVerifiableError, PatternMismatchError, ScenarioError,
                      UnknownSymbolError)
@@ -538,7 +539,7 @@ def _op_riemann(ctx, seed):
 
 @_op("ricci_and_scalar", needs=("metric",))
 def _op_ricci_and_scalar(ctx, seed):
-    ric, scal = _levi_civita_ricci(ctx.metric)
+    ric, scal = ricci_and_scalar(ctx.metric)
     return _value(
         {"ricci_nonzero": _nonzero_text(ric), "scalar": to_text(scal)},
         expectable=to_text(scal),
@@ -868,10 +869,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_expr(args) -> int:
-    chart_names = [s for s in args.chart.split(",") if s]
-    params = [s for s in args.params.split(",") if s] if args.params else []
+    chart_names = args.chart.split(",") if args.chart else []
+    params = args.params.split(",") if args.params else []
     try:
-        chart = Chart(chart_names)
+        chart = _chart(chart_names, "chart")
         for name in _params(params, "params"):
             if name in chart.names:
                 raise ScenarioError(f"params: {name!r} is a chart coordinate")

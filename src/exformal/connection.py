@@ -17,6 +17,12 @@ Index conventions (normative for every identity tested here):
 Connections may be nonsymmetric everywhere except christoffel output; no
 metric-compatibility constraint is imposed on user-supplied coefficients.
 
+The Levi-Civita stack of a metric g is christoffel(g) -> ricci_and_scalar(g)
+-> einstein_tensor(g) -> bianchi_residual(g), each stage built once per
+`Metric` object by `_stage`.  The Ricci stage `ricci_and_scalar(g)` builds
+only the n^3 Riemann components R^rho_{mu rho nu} it contracts;
+`riemann(c)` builds the whole tensor of any connection, torsion included.
+
 Most metrics met in practice are diagonal, so most Gamma components are
 zero.  The curvature loops skip every product with a factor that is the
 shared ZERO (an identity test, `is ZERO`; the parser gives every literal 0
@@ -41,7 +47,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, wraps
-from typing import Callable
 
 from .errors import ChartMismatchError, DegreeError
 from ._linalg import grid, grid_at, grid_items, grid_map, is_grid
@@ -276,11 +281,16 @@ def riemann(c: Connection) -> Tensor:
     return Tensor(c.chart, "ulll", grid(c.chart.dim, 4, component))
 
 
-def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
-                       g: Metric) -> tuple[Tensor, Expr]:
-    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}, from the
-    simplified Riemann components `component(rho, sigma, mu, nu)`."""
+@_stage
+def ricci_and_scalar(g: Metric) -> tuple[Tensor, Expr]:
+    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu} of the
+    Levi-Civita connection, contracted from the n^3 Riemann components
+    R^rho_{mu rho nu} alone; each comes from the one curvature rule
+    `riemann` uses, so R_{mu nu} is the contraction of
+    `riemann(christoffel(g))`."""
     n = g.chart.dim
+    component = partial(_riemann_component, christoffel(g).gamma,
+                        g.chart.names)
 
     def contracted(m, v):
         return add(*(component(r, m, r, v) for r in range(n)))
@@ -294,28 +304,11 @@ def _ricci_contraction(component: Callable[[int, int, int, int], Expr],
     return ricci_t, scalar
 
 
-def ricci_and_scalar(R4: Tensor, g: Metric) -> tuple[Tensor, Expr]:
-    """R_{mu nu} = R^rho_{mu rho nu} and R = g^{mu nu} R_{mu nu}."""
-    if R4.chart != g.chart:
-        raise ChartMismatchError("curvature and metric charts differ")
-    return _ricci_contraction(R4.comp, g)
-
-
-@_stage
-def _levi_civita_ricci(g: Metric) -> tuple[Tensor, Expr]:
-    """Ricci tensor and scalar of the Levi-Civita connection, contracted
-    from the n^3 Riemann components R^rho_{mu rho nu} alone; each comes
-    from the one curvature rule `riemann` uses, so the result equals
-    `ricci_and_scalar(riemann(christoffel(g)), g)`."""
-    return _ricci_contraction(
-        partial(_riemann_component, christoffel(g).gamma, g.chart.names), g)
-
-
 @_stage
 def einstein_tensor(g: Metric) -> Tensor:
-    """G_{mu nu} = R_{mu nu} - (1/2) g_{mu nu} R through the full
-    christoffel -> riemann -> ricci pipeline."""
-    ricci, scalar = _levi_civita_ricci(g)
+    """G_{mu nu} = R_{mu nu} - (1/2) g_{mu nu} R, from the Ricci stage
+    `ricci_and_scalar(g)`."""
+    ricci, scalar = ricci_and_scalar(g)
     minus_half = Rat(Fraction(-1, 2))
 
     def entry(m, v):

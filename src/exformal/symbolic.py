@@ -1769,15 +1769,19 @@ def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
                    center: bool = False) -> Iterator[float | None]:
     """Values of `e` under `guard` at the points of `_sample_points(seed,
     center)` over the symbols of `e` and `names`, None where a DomainError
-    is raised; the plan and the profiles (those of `seed`) are built once."""
+    is raised or the value is not finite (a float overflow makes inf, and
+    inf - inf makes nan); the plan and the profiles (those of `seed`) are
+    built once."""
     plan = _plan(e)
     symbols = set(names).union(n.name for n, _ in plan if isinstance(n, Sym))
     fns = _interpretations(plan, seed)
     for env in _sample_points(sorted(symbols), seed, center):
         try:
-            yield _eval_plan(plan, env, fns, guard)
+            v = _eval_plan(plan, env, fns, guard)
         except DomainError:
             yield None
+        else:
+            yield v if math.isfinite(v) else None
 
 
 def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:

@@ -103,6 +103,17 @@ class TestMaxwellVerifier:
         )
         assert rep.verdict is Verdict.PASS
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_current_past_the_float_range_is_never_a_pass(self, seed):
+        # d*F = *J fails: F = 0 and rho is not 0.  Both of its terms
+        # overflow a float at every point, so no point can be sampled
+        z = ZERO
+        rho = parse_expr("17*10^307*exp(x^2 + 1) - 17*10^307*exp(y^2 + 1)",
+                         CH4)
+        rep = verify_maxwell([z] * 3, [z] * 3, [rho, z, z, z],
+                             minkowski_metric(CH4), seed)
+        assert rep.verdict is Verdict.UNKNOWN
+
 
 class TestHamiltonianVerifier:
     def test_harmonic_oscillator(self):
@@ -139,13 +150,11 @@ class TestEinsteinVerifier:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_schwarzschild_reference_passes_dust_control_fails(self, seed):
         rep = reference_report("einstein", seed)
-        assert rep.scenario == "einstein/schwarzschild-vacuum"
         assert rep.verdict is Verdict.PASS
         assert all(c.verdict is Verdict.PASS for c in rep.checks)
         # the Einstein tensor cancels to exact zeros, no sampling needed
         assert rep.values["G_nonzero"] == "0"
         control = control_report("einstein", seed)
-        assert control.scenario == "einstein/minkowski-with-dust-T"
         assert control.verdict is Verdict.FAIL
 
     def test_dust_control_fails(self):

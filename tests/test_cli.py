@@ -352,13 +352,27 @@ class TestSubcommands:
         ("x,y", "'x' is a chart coordinate"),
         ("m,m", "duplicate parameter name 'm'"),
         ("1a", "parameter name '1a' is not a valid identifier"),
-        ("a b", "parameter name 'a b' is not a valid identifier")])
+        ("a b", "parameter name 'a b' is not a valid identifier"),
+        (",m", "parameter name '' is not a valid identifier")])
     def test_check_expr_refuses_a_bad_parameter(self, params, message):
         # the rule a scenario's `params` follows, and a parameter may not
         # name a coordinate, as a scenario's root chart may not
         code, out, err = run_cli("check-expr", "x*y", "--chart", "x",
                                  "--params", params)
         assert (code, out, err) == (2, "", f"error: params: {message}\n")
+
+    @pytest.mark.parametrize("chart, params, message", [
+        ("x,,", ",m,", "chart: coordinate name '' is not a valid identifier"),
+        (",x", "", "chart: coordinate name '' is not a valid identifier"),
+        ("x,", "m", "chart: coordinate name '' is not a valid identifier"),
+        ("", "", "chart: chart needs at least one coordinate")])
+    def test_check_expr_refuses_an_empty_coordinate(self, chart, params,
+                                                    message):
+        # an empty name is refused as a scenario's chart refuses it, not
+        # dropped
+        code, out, err = run_cli("check-expr", "x*m", "--chart", chart,
+                                 "--params", params)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_check_expr_takes_declared_parameters(self):
         code, out, err = run_cli("check-expr", "m*x + m", "--chart", "x",

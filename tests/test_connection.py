@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+import exformal.cli
 import exformal.connection
 import exformal.symbolic
 from exformal._linalg import grid
@@ -30,7 +31,6 @@ from exformal.cli import main, run_scenario
 from exformal.connection import (
     Connection,
     Tensor,
-    _levi_civita_ricci,
     bianchi_residual,
     christoffel,
     covariant_derivative_1form,
@@ -331,14 +331,14 @@ class TestRiemann:
 class TestRicciEinstein:
     def test_flat(self):
         g = minkowski_metric(CH4)
-        ric, scal = ricci_and_scalar(riemann(christoffel(g)), g)
+        ric, scal = ricci_and_scalar(g)
         assert not ric.nonzero()
         assert scal == ZERO
         assert not einstein_tensor(g).nonzero()
 
     def test_two_sphere(self):
         g = sphere_metric()
-        ric, scal = ricci_and_scalar(riemann(christoffel(g)), g)
+        ric, scal = ricci_and_scalar(g)
         assert ric.comp(0, 0) == Rat(1)
         assert ric.comp(1, 1) == parse_expr("sin(theta)^2", g.chart)
         assert scal == Rat(2)
@@ -355,7 +355,7 @@ class TestRicciEinstein:
 
     def test_frw_ricci_tt(self):
         g = frw_metric()
-        ric, _ = ricci_and_scalar(riemann(christoffel(g)), g)
+        ric, _ = ricci_and_scalar(g)
         assert ric.comp(0, 0) == parse_expr("-3*a''(t)/a(t)", CH4)
 
     def test_frw_einstein_tt(self):
@@ -371,12 +371,17 @@ class TestRicciEinstein:
         lambda: rand_diag_metric(random.Random(47), CHARTS[3]),
     ], ids=["sphere", "frw", "random_diagonal"])
     def test_direct_contraction_matches_full_riemann(self, make):
-        """The Levi-Civita Ricci stage contracts only the n^3 components
-        R^r_{m r v}; it equals the contraction of the whole tensor, built
-        on an equal metric that shares no stage with the first."""
-        ric, scal = _levi_civita_ricci(make())
+        """The Ricci stage builds only the n^3 components R^r_{m r v}; it
+        equals the contraction of the whole tensor, built on an equal
+        metric that shares no stage with the first."""
+        ric, scal = ricci_and_scalar(make())
         g = make()
-        full_ric, full_scal = ricci_and_scalar(riemann(christoffel(g)), g)
+        n = g.chart.dim
+        R4 = riemann(christoffel(g))
+        full_ric = Tensor(g.chart, "ll", grid(n, 2, lambda m, v: add(
+            *(R4.comp(r, m, r, v) for r in range(n)))))
+        full_scal = simplify(add(*(mul(g.inverse[m][v], full_ric.comp(m, v))
+                                   for m in range(n) for v in range(n))))
         assert ric == full_ric
         assert scal == full_scal
 
@@ -472,7 +477,7 @@ class TestCurvedVacuum:
         g = spherical_metric(f, g_thth=g_thth, params=params)
         gamma = christoffel(g)
         R4 = riemann(gamma)
-        ricci, scalar = ricci_and_scalar(R4, g)
+        ricci, scalar = ricci_and_scalar(g)
         stages = [gamma.comps, R4.comps, ricci.comps, scalar,
                   einstein_tensor(g).comps]
         assert off_domain_constants(stages) == []
@@ -493,21 +498,29 @@ class TestSharedStack:
     that object only."""
 
     @staticmethod
-    def count_ricci_builds(monkeypatch):
-        """Count Ricci builds: each contracts the Riemann components once,
-        through `_ricci_contraction`."""
-        calls = []
-        body = exformal.connection._ricci_contraction
+    def watch_ricci_stage(monkeypatch):
+        """Every result of `ricci_and_scalar`, through each binding that
+        calls it: `connection`'s own, which `einstein_tensor` reads, and
+        `cli`'s, patched as the benchmark's tracer patches them.  A build
+        returns a new pair and a reuse the kept one, so the distinct
+        results count the builds."""
+        results = []
+        stage = exformal.connection.ricci_and_scalar
 
-        def counted(component, g):
-            calls.append(g)
-            return body(component, g)
+        def watched(g):
+            results.append(stage(g))
+            return results[-1]
 
-        monkeypatch.setattr(exformal.connection, "_ricci_contraction", counted)
-        return calls
+        for module in (exformal.connection, exformal.cli):
+            monkeypatch.setattr(module, "ricci_and_scalar", watched)
+        return results
+
+    @staticmethod
+    def builds(results):
+        return len({id(r) for r in results})
 
     def test_riemann_built_once_per_scenario(self, monkeypatch, tmp_path):
-        calls = self.count_ricci_builds(monkeypatch)
+        results = self.watch_ricci_stage(monkeypatch)
         scenario = {
             "chart": ["theta", "phi"],
             "metric": {"matrix": [["1", "0"], ["0", "sin(theta)^2"]],
@@ -520,16 +533,28 @@ class TestSharedStack:
         p.write_text(json.dumps(scenario), encoding="utf-8")
         code, report = run_scenario(str(p))
         assert code == 0, report
-        assert len(calls) == 1
+        assert len(results) > 1
+        assert self.builds(results) == 1
 
     def test_equal_metrics_do_not_share(self, monkeypatch):
-        calls = self.count_ricci_builds(monkeypatch)
+        results = self.watch_ricci_stage(monkeypatch)
         g1, g2 = sphere_metric(), sphere_metric()
         assert christoffel(g1) is christoffel(g1)
         assert christoffel(g1) is not christoffel(g2)
         assert einstein_tensor(g1) is not einstein_tensor(g2)
         assert bianchi_residual(g1) is bianchi_residual(g1)
-        assert len(calls) == 2
+        assert self.builds(results) == 2
+
+    def test_engine_and_cli_run_the_public_stage(self, monkeypatch, capsys):
+        # the Einstein tensor and the `ricci_and_scalar` op both reach the
+        # Ricci stage through a binding the tracer can see
+        results = self.watch_ricci_stage(monkeypatch)
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench", "corpus", "curvature",
+            "de_sitter.json")
+        assert main(["run", path]) == 0, capsys.readouterr().out
+        assert len(results) > 1
+        assert self.builds(results) == 1
 
     def test_bianchi_residual_is_a_tuple(self):
         assert isinstance(bianchi_residual(sphere_metric()), tuple)
@@ -656,7 +681,7 @@ class TestSparseStack:
         assert christoffel(g).gamma == gamma
         assert torsion(christoffel(g)).comps == T
         assert riemann(christoffel(g)).comps == R4
-        got_ricci, got_scalar = _levi_civita_ricci(g)
+        got_ricci, got_scalar = ricci_and_scalar(g)
         assert (got_ricci.comps, got_scalar) == ricci
         assert einstein_tensor(g).comps == G
         assert bianchi_residual(g) == div

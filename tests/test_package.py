@@ -1,10 +1,11 @@
 """Package hygiene: every exported name exists, the runtime imports
 nothing outside the standard library, each module imports only the layers
-below it, no import sits inside a function, only `symbolic` reaches its
-sampling internals or builds a `Func` node directly, only `symbolic` and
-`catalog` fold verdicts, `symbolic` divides with `/` only where a float
-is meant, printing builds no node, and in `_linalg` only `minors` builds
-a minor table.  That importing `exformal.cli` loads none of the stdlib
+below it, no import sits inside a function, no module imports a private
+name of `connection`, only `symbolic` reaches its sampling internals or
+builds a `Func` node directly, only `symbolic` and `catalog` fold
+verdicts, `symbolic` divides with `/` only where a float is meant,
+printing builds no node, and in `_linalg` only `minors` builds a minor
+table.  That importing `exformal.cli` loads none of the stdlib
 modules the engine does not need (`dataclasses` and what it pulls in, and
 `copy`) is checked in a fresh interpreter by `test_cli.TestImportCost`."""
 
@@ -108,6 +109,16 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not inside, f"{path} imports inside {inside}"
+
+
+# `connection` is reached only through its public names, so each stage of
+# the curvature stack has one binding per module that the benchmark's
+# tracer can wrap; a private twin of a stage would be invisible to it.
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
+def test_no_private_name_of_connection_is_imported(path):
+    private = [n for target, names in _own_imports(_tree(path))
+               if target == "connection" for n in names if n.startswith("_")]
+    assert not private, f"{path} imports {private} from connection"
 
 
 # The sampling internals of `symbolic`: every other module samples through

@@ -1045,6 +1045,14 @@ class TestIsZero:
         # 10^400 is past the float range, so no point can be evaluated
         assert is_zero(parse_expr("10^400*x", CH)) is ZeroVerdict.UNKNOWN
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_non_finite_value_redraws_until_unknown(self, seed):
+        # each product overflows a float to inf at every point of the box,
+        # and inf - inf is nan, which is within no tolerance: the point is
+        # redrawn, never counted as zero
+        e = parse_expr("17*10^307*exp(x^2 + 1) - 17*10^307*exp(y^2 + 1)", CH)
+        assert is_zero(e, seed) is ZeroVerdict.UNKNOWN
+
 
 class TestFoldVerdicts:
     KINDS = list(ZeroVerdict) + list(Verdict)
