@@ -8,8 +8,10 @@ coefficients and every curvature tensor are built through it (`is_grid`,
 `grid` and `grid_map` list the entries in one row-major pass and then nest
 them, and `is_grid` checks the array one level at a time; none recurses.
 So `f` is called in the order of the indices, which the mirrored entries
-of `riemann` and `mat_inverse` rely on, and no closure that holds itself
-keeps `f` alive until the cyclic collector runs.
+rely on (those of `mat_inverse`, the negated pair of `riemann`, and the
+symmetric pair of Gamma's lower indices, R_{mu nu} and G_{mu nu} in
+`connection`), and no closure that holds itself keeps `f` alive until the
+cyclic collector runs.
 
 `minors` is the one determinant rule: a table of the minors of a matrix,
 each expanded once along its first row and kept by its row and column

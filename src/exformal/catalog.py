@@ -217,7 +217,13 @@ def _nonzero_text(t) -> str:
 def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
                     seed: int = 0) -> VerificationReport:
     """Einstein tensor report: Bianchi residual, vanishing torsion of the
-    Levi-Civita connection, and optionally G - kappa*T (T as rows T[m][v])."""
+    Levi-Civita connection, symmetry of G, and optionally G - kappa*T (T as
+    rows T[m][v]).
+
+    Gamma's lower pair and G are built on one triangle, so the torsion and
+    symmetry rows compare each entry with itself, and `torsion` and `sub`
+    give ZERO for them without algebra.  Both rows stay: they are this
+    report's rows, and dropping them would change every Einstein report."""
     try:
         Chart(g.chart.names + (kappa_name,))
     except ValueError:

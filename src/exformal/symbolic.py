@@ -555,7 +555,10 @@ def neg(e: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return add(a, neg(b))
+    """a - b.  When `a is b` it is ZERO at once, with no algebra: every tree
+    is canonical, so add(a, neg(a)) is ZERO too.  The one difference is a
+    sum of more than `_EXPANSION_BUDGET` terms, whose `neg` raises."""
+    return ZERO if a is b else add(a, neg(b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -1561,7 +1564,9 @@ def _plan(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
 def _eval_plan(plan: list[tuple[Expr, tuple[int, ...]]], env: Mapping[str, float],
                fns: Mapping[str, Callable[[float], float]], guard: float) -> float:
     """Value of the last plan entry; each entry is computed once, so a
-    DomainError names the first failing node of the tree's post-order."""
+    DomainError names the first failing node of the tree's post-order.  A
+    value that is not finite (a sum or product that overflows to inf, or
+    inf - inf, which is nan) is a DomainError too."""
     vals: list[float] = []
     for e, kids in plan:
         if isinstance(e, Add):
@@ -1600,6 +1605,8 @@ def _eval_plan(plan: list[tuple[Expr, tuple[int, ...]]], env: Mapping[str, float
         else:
             v = _eval_func(e.name, vals[kids[0]], guard)
         vals.append(v)
+    if not math.isfinite(vals[-1]):
+        raise DomainError("value is not finite")
     return vals[-1]
 
 
@@ -1637,6 +1644,7 @@ def eval_at(e: Expr, assignment: Mapping[str, float],
 
     fn_table keys follow `fn_key`: "a" for a, "a'" for its first formal
     derivative, and so on.  Each distinct subexpression is evaluated once.
+    A value that leaves the float range raises DomainError.
     """
     return _eval_plan(_plan(e), assignment, fn_table or {}, 0.0)
 
@@ -1769,9 +1777,8 @@ def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
                    center: bool = False) -> Iterator[float | None]:
     """Values of `e` under `guard` at the points of `_sample_points(seed,
     center)` over the symbols of `e` and `names`, None where a DomainError
-    is raised or the value is not finite (a float overflow makes inf, and
-    inf - inf makes nan); the plan and the profiles (those of `seed`) are
-    built once."""
+    is raised, as it is for a value that is not finite; the plan and the
+    profiles (those of `seed`) are built once."""
     plan = _plan(e)
     symbols = set(names).union(n.name for n, _ in plan if isinstance(n, Sym))
     fns = _interpretations(plan, seed)
@@ -1781,7 +1788,7 @@ def _sample_values(e: Expr, seed: int, guard: float, names: Iterable[str] = (),
         except DomainError:
             yield None
         else:
-            yield v if math.isfinite(v) else None
+            yield v
 
 
 def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:

@@ -773,6 +773,22 @@ class TestTaskErrors:
         assert report["values"] == {"error": error}
         assert captured.err == f"error: task[0] op={task['op']}: {error}\n"
 
+    def test_a_sum_past_the_float_range_is_a_task_error(self, tmp_path,
+                                                        capsys):
+        # each product overflows to inf, and inf - inf is nan: an Error,
+        # not a Value of nan
+        scenario = {"chart": ["x", "y"], "tasks": [
+            {"op": "eval_at",
+             "expr": "17*10^307*exp(x^2 + 1) - 17*10^307*exp(y^2 + 1)",
+             "at": {"x": 0.5, "y": 0.25}}]}
+        assert run_in_process(tmp_path, scenario, "--format", "json") == 2
+        captured = capsys.readouterr()
+        (report,) = json.loads(captured.out)["tasks"]
+        assert report["verdict"] == "Error"
+        assert report["values"] == {"error": "DomainError: value is not finite"}
+        assert captured.err == ("error: task[0] op=eval_at: DomainError: "
+                                "value is not finite\n")
+
 
     def test_legendre_names_must_be_distinct_identifiers(self, tmp_path,
                                                          capsys):

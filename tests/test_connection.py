@@ -144,6 +144,17 @@ class TestChristoffel:
                 for b in range(2):
                     assert c.gamma[s][a][b] == c.gamma[s][b][a]
 
+    @pytest.mark.parametrize("make", [sphere_metric, frw_metric],
+                             ids=["sphere", "frw"])
+    def test_lower_pair_is_one_object(self, make):
+        gamma = christoffel(make()).gamma
+        n = len(gamma)
+        pairs = [(s, a, b) for s in range(n) for a in range(n)
+                 for b in range(a + 1, n)]
+        for s, a, b in pairs:
+            assert gamma[s][b][a] is gamma[s][a][b]
+        assert any(gamma[s][a][b] != ZERO for s, a, b in pairs)
+
 
 class TestTensor:
     @pytest.mark.parametrize("comps", [
@@ -174,6 +185,47 @@ class TestTorsion:
 
     def test_zero_connection(self):
         assert not torsion(Connection.zero(CH2)).nonzero()
+
+    def test_nonsymmetric_connection_keeps_both_entries(self):
+        # a user-supplied connection is kept as given, so two different
+        # coefficients in the pair (0, 1) and (1, 0) give nonzero torsion
+        # at both positions
+        x, y = Sym("x"), Sym("y")
+        gamma = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+        gamma[1][0][1], gamma[1][1][0] = x, y
+        c = Connection(CH2, gamma)
+        assert c.gamma[1][0][1] is x and c.gamma[1][1][0] is y
+        t = torsion(c)
+        assert t.comp(1, 0, 1) == sub(x, y) != ZERO
+        assert t.comp(1, 1, 0) == sub(y, x) != ZERO
+        assert set(t.nonzero()) == {(1, 0, 1), (1, 1, 0)}
+
+    def test_one_object_in_both_slots_is_the_shared_zero(self):
+        # an entry whose two coefficients are one object is ZERO with no
+        # algebra; on canonical trees add(a, neg(a)) gives the same
+        rng = random.Random(2026)
+        for chart in (CH2, CHARTS[3]):
+            c = rand_connection(rng, chart, symmetric=True, density=0.7)
+            t = torsion(c)
+            n = chart.dim
+            shared = 0
+            for s in range(n):
+                for a in range(n):
+                    for b in range(n):
+                        ab = c.gamma[s][a][b]
+                        if ab is c.gamma[s][b][a]:
+                            shared += ab is not ZERO
+                            assert t.comp(s, a, b) is ZERO
+                            assert add(ab, neg(ab)) is ZERO
+            assert shared
+
+    def test_one_sum_past_the_budget_in_both_slots_is_zero(self):
+        # add(a, neg(a)) would raise here, since neg of a sum of more than
+        # 10,000 terms goes past the expansion budget
+        big = add(*(pow_(Sym("x"), k) for k in range(1, 10_002)))
+        gamma = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+        gamma[0][0][1] = gamma[0][1][0] = big
+        assert not torsion(Connection(CH2, gamma)).nonzero()
 
 
 class TestCovariantDerivative:
@@ -384,6 +436,36 @@ class TestRicciEinstein:
                                    for m in range(n) for v in range(n))))
         assert ric == full_ric
         assert scal == full_scal
+
+    @pytest.mark.parametrize("make", [lambda: full_symmetric_metric(),
+                                      lambda: rotating_metric()],
+                             ids=["full_3d", "t_phi_block"])
+    def test_mirrored_entries_are_one_object(self, make):
+        g = make()
+        ricci, _ = ricci_and_scalar(g)
+        G = einstein_tensor(g)
+        n = g.chart.dim
+        pairs = [(m, v) for m in range(n) for v in range(m + 1, n)]
+        for m, v in pairs:
+            assert ricci.comp(v, m) is ricci.comp(m, v)
+            assert G.comp(v, m) is G.comp(m, v)
+        assert any(G.comp(m, v) != ZERO for m, v in pairs)
+
+    def test_ricci_stage_builds_only_mu_up_to_nu(self, monkeypatch):
+        """On a 4D chart the Ricci stage evaluates the curvature rule for
+        the 4 * 10 components R^r_{m r v} with m <= v, 40 instead of 64."""
+        calls = []
+        rule = exformal.connection._riemann_component
+
+        def counted(gamma, names, r, s, m, v):
+            calls.append((s, v))
+            return rule(gamma, names, r, s, m, v)
+
+        monkeypatch.setattr(exformal.connection, "_riemann_component", counted)
+        ricci, _ = ricci_and_scalar(frw_metric())
+        assert len(calls) == 40
+        assert all(m <= v for m, v in calls)
+        assert ricci.comp(0, 0) != ZERO
 
     def test_einstein_symmetry_random(self):
         rng = random.Random(47)

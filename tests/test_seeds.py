@@ -7,7 +7,8 @@ seeds 0-9; each report is checked with the benchmark's own `corpus.check`
 against the known answers `bench/corpus.py` and `bench/forms.py` keep
 (none is taken from engine output).  Every bundled scenario runs on the
 same seeds, and each run must give the exit code and the task verdicts of
-its seed-0 run.
+its seed-0 run.  `verify_einstein` at T = 0 on the Kerr metric of
+`test_golden`, a vacuum solution, must Pass on every seed.
 Like `report_digest.py`, this only reads `bench/`.
 """
 
@@ -22,6 +23,7 @@ import sys
 import pytest
 
 from exformal.cli import main
+from test_golden import KERR
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -84,3 +86,13 @@ def outcome(path: str, seed: int):
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
 def test_scenario_outcome_is_the_seed_zero_outcome(path, seed):
     assert outcome(path, seed) == outcome(path, 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_kerr_vacuum_passes(seed, tmp_path):
+    path = tmp_path / "kerr.json"
+    path.write_text(json.dumps(dict(KERR, tasks=[
+        {"op": "verify_einstein", "T": [["0"] * 4] * 4}])), encoding="utf-8")
+    result = run(str(path), seed)
+    assert (result["code"], [t["verdict"] for t in result["tasks"]]) == (
+        0, ["Pass"]), result["stderr"]

@@ -687,6 +687,26 @@ class TestKernelShortcuts:
                                                 "the power 1"):
             mul(Rat(2), big)
 
+    def test_an_expression_minus_itself_is_the_shared_zero(self):
+        # sub(a, a) answers with ZERO and no algebra; on canonical trees
+        # that is what add(a, neg(a)) gives
+        rng = random.Random(2026)
+        for a in self.sums() + [rand_expr(rng, CH.names) for _ in range(40)]:
+            assert add(a, neg(a)) is ZERO
+            assert sub(a, a) is ZERO
+        assert sub(ZERO, ZERO) is ZERO
+        x = Sym("x")
+        assert sub(x, Sym("x")) is ZERO  # equal, not one object
+        assert sub(x, ONE) == add(x, Rat(-1))
+
+    def test_an_expression_past_the_budget_minus_itself_is_zero(self):
+        # the one place where the shortcut and add(a, neg(a)) differ: neg of
+        # a sum of more than _EXPANSION_BUDGET terms raises
+        big = add(*(pow_(Sym("x"), k) for k in range(1, 10_002)))
+        with pytest.raises(ExformalError, match="10001 terms"):
+            neg(big)
+        assert sub(big, big) is ZERO
+
 
 class TestCoefficientDomain:
     """An integral constant is a Python int, any other a Fraction."""
@@ -865,7 +885,7 @@ EVAL_PINS = [
         '-0.0028609536951343553',
         '0.7421269429813493',
         '-0.025312831433365934',
-        'nan',
+        'DomainError: value is not finite',
         '7.44565375622913e+263',
         'DomainError: division by zero',
     ]),
