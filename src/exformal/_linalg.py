@@ -7,11 +7,10 @@ coefficients and every curvature tensor are built through it (`is_grid`,
 `grid_at`, `grid_items` and `grid_map` check, index, walk and map it).
 `grid` and `grid_map` list the entries in one row-major pass and then nest
 them, and `is_grid` checks the array one level at a time; none recurses.
-So `f` is called in the order of the indices, which the mirrored entries
-rely on (those of `mat_inverse`, the negated pair of `riemann`, and the
-symmetric pair of Gamma's lower indices, R_{mu nu} and G_{mu nu} in
-`connection`), and no closure that holds itself keeps `f` alive until the
-cyclic collector runs.
+So `f` is called in the order of the indices, and no closure that holds
+itself keeps `f` alive until the cyclic collector runs.  `mirrored` is the
+one rule for an array built on one triangle of its last two indices and
+mirrored, or negated, onto the other: it relies on that order.
 
 `minors` is the one determinant rule: a table of the minors of a matrix,
 each expanded once along its first row and kept by its row and column
@@ -45,6 +44,24 @@ def grid(n: int, rank: int, f: Callable):
     row-major order; grid(n, 0, f) is f() and grid(n, 2, f)[i][j] is
     f(i, j)."""
     return _nest(list(starmap(f, product(range(n), repeat=rank))), n, rank)
+
+
+def mirrored(rule: Callable, flip: Callable | None = None) -> Callable:
+    """The entry rule, for `grid`, of an array symmetric in its last two
+    indices, or antisymmetric with `flip` = `neg`: `rule` is called for
+    (..., a, b) with a <= b only, and the entry (..., b, a) is the object
+    built for (..., a, b), or flip of it; `grid` reaches (..., a, b) first
+    in row-major order."""
+    built = {}
+
+    def entry(*idx):
+        *head, a, b = idx
+        if a > b:
+            out = built[(*head, b, a)]
+            return out if flip is None else flip(out)
+        built[idx] = out = rule(*idx)
+        return out
+    return entry
 
 
 def _nest(flat: list, n: int, rank: int):
@@ -167,25 +184,19 @@ def mat_inverse(m: Matrix, minor: Callable[..., Expr]) -> Matrix:
     cofactors and det m are read from `minor`, the one minor table of `m`
     (`minors`); a zero cofactor gives a zero entry without a product.
     The inverse of a symmetric matrix is symmetric, so when `m` equals its
-    transpose entry by entry only the entries with i <= j are built and
-    the others mirror them; `Metric` still checks all n^2 entries of
+    transpose entry by entry only the entries with i <= j are built, and
+    `mirrored` gives the others; `Metric` still checks all n^2 entries of
     g * g^-1 = I."""
     inv_det = pow_(minor(), -1)
     n = len(m)
     full = tuple(range(n))
     symmetric = all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
-    built = {}
 
     def entry(i, j):
-        if symmetric and i > j:  # grid reaches (j, i) first
-            return built[j, i]
         cofactor = minor(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
         if cofactor == ZERO:
-            out = ZERO
-        else:
-            sign = Rat(-1 if (i + j) % 2 else 1)
-            out = simplify(mul(sign, cofactor, inv_det))
-        built[i, j] = out
-        return out
+            return ZERO
+        sign = Rat(-1 if (i + j) % 2 else 1)
+        return simplify(mul(sign, cofactor, inv_det))
 
-    return grid(n, 2, entry)
+    return grid(n, 2, mirrored(entry) if symmetric else entry)

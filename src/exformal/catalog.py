@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .connection import bianchi_residual, christoffel, einstein_tensor, torsion
+from .connection import bianchi_residual, einstein_tensor
 from .errors import ChartError
 from .exterior import Form, ext_d, form_to_text
 from .geometry import Metric, build_em_form, maxwell_residual, minkowski_metric
@@ -216,14 +216,8 @@ def _nonzero_text(t) -> str:
 
 def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
                     seed: int = 0) -> VerificationReport:
-    """Einstein tensor report: Bianchi residual, vanishing torsion of the
-    Levi-Civita connection, symmetry of G, and optionally G - kappa*T (T as
-    rows T[m][v]).
-
-    Gamma's lower pair and G are built on one triangle, so the torsion and
-    symmetry rows compare each entry with itself, and `torsion` and `sub`
-    give ZERO for them without algebra.  Both rows stay: they are this
-    report's rows, and dropping them would change every Einstein report."""
+    """Einstein tensor report: the contracted Bianchi residual div G, and
+    optionally G - kappa*T (T as rows T[m][v])."""
     try:
         Chart(g.chart.names + (kappa_name,))
     except ValueError:
@@ -236,18 +230,6 @@ def verify_einstein(g: Metric, T=None, kappa_name: str = "kappa",
     bianchi = {g.chart.names[v]: e for v, e in enumerate(bianchi_residual(g))}
     report.checks.append(
         _residual_check("contracted Bianchi identity div G = 0", bianchi, seed)
-    )
-    tors = torsion(christoffel(g))
-    report.checks.append(
-        _residual_check("torsion(christoffel(g)) = 0", tors.nonzero(), seed)
-    )
-    sym_residuals = {
-        (m, v): sub(G.comp(m, v), G.comp(v, m))
-        for m in range(n)
-        for v in range(m + 1, n)
-    }
-    report.checks.append(
-        _residual_check("G symmetry", sym_residuals, seed)
     )
     if T is not None:
         kappa = Sym(kappa_name)

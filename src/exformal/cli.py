@@ -176,9 +176,10 @@ def _coordinate(raw, where: str, scope: ScenarioContext) -> str:
     return raw
 
 
-def _point(raw, where: str, scope=None) -> dict:
+def _point(raw, where: str, scope: ScenarioContext) -> dict:
     """Finite numeric values by symbol name: JSON numbers only, so neither a
-    string, a bool, NaN nor a number past the float range is read."""
+    string, a bool, NaN nor a number past the float range is read, and each
+    name a coordinate of the scope's chart or a declared parameter."""
     try:
         point = {name: float(x) for name, x in _object(raw, where).items()
                  if type(x) in (int, float)}
@@ -186,6 +187,8 @@ def _point(raw, where: str, scope=None) -> dict:
         point = {}
     if len(point) != len(raw) or not all(map(math.isfinite, point.values())):
         raise ScenarioError(f"{where}: expected numbers, got {raw!r}")
+    for name in point:
+        _coordinate(name, where, scope)
     return point
 
 

@@ -20,7 +20,8 @@ metric-compatibility constraint is imposed on user-supplied coefficients.
 The Levi-Civita stack of a metric g is christoffel(g) -> ricci_and_scalar(g)
 -> einstein_tensor(g) -> bianchi_residual(g), each stage built once per
 `Metric` object by `_stage`.  The Ricci stage `ricci_and_scalar(g)` builds
-only the n^3 Riemann components R^rho_{mu rho nu} it contracts;
+only the n^2(n+1)/2 Riemann components R^rho_{mu rho nu}, mu <= nu, that
+it contracts;
 `riemann(c)` builds the whole tensor of any connection, torsion included.
 
 Most metrics met in practice are diagonal, so most Gamma components are
@@ -32,16 +33,14 @@ walks only the nonzero entries of each row of g^-1 and skips a bracket
 whose three derivatives are ZERO.  A Gamma, Riemann component, torsion
 entry or Bianchi term with no nonzero part is ZERO without an `add`, a
 `diff` or a `simplify`.  A zero missed this way costs time and changes
-no tree.  g^-1 is built on one triangle and
-mirrored (`_linalg.mat_inverse`); `Metric` checks all n^2 entries of
-g * g^-1 = I.  Gamma's lower pair, R_{mu nu} and G_{mu nu} are symmetric
-for the Levi-Civita connection, so each is built on one triangle too: the
-entry with the pair (b, a), b > a, is the object built for (a, b), which
-`grid` reaches first.  On a 4-dim chart the Ricci stage contracts 40
-Riemann components instead of 64.  A user-supplied `Connection` is kept
-as given, torsion included.  `verify_einstein` still reports
-torsion(christoffel(g)) = 0 and the symmetry of G; each row now compares
-an entry with itself, which `torsion` and `sub` answer with ZERO at once.
+no tree.  g^-1 (`_linalg.mat_inverse`), and for the Levi-Civita
+connection Gamma's lower pair, R_{mu nu} and G_{mu nu}, are symmetric, so
+each is built on one triangle by `_linalg.mirrored`: the entry with the
+pair (b, a), b > a, is the object built for (a, b).  `riemann` builds the
+components with mu <= nu by the same rule and negates the others.
+`Metric` checks all n^2 entries of g * g^-1 = I.  On a 4-dim chart the
+Ricci stage contracts 40 Riemann components instead of 64.  A
+user-supplied `Connection` is kept as given, torsion included.
 Each Ricci component sums Riemann components that were simplified one at
 a time: summing their raw terms before one `simplify` expands far more,
 and on Kerr-Newman goes past the expansion budget.
@@ -53,7 +52,7 @@ from fractions import Fraction
 from functools import partial, wraps
 
 from .errors import ChartMismatchError, DegreeError
-from ._linalg import grid, grid_at, grid_items, grid_map, is_grid
+from ._linalg import grid, grid_at, grid_items, grid_map, is_grid, mirrored
 from .exterior import Form
 from .geometry import Metric
 from .symbolic import (
@@ -151,22 +150,6 @@ def _stage(build):
     return stage
 
 
-def _mirrored(rule):
-    """The entry rule of an array symmetric in its last two indices:
-    `rule` is called for (..., a, b) with a <= b only, and the entry
-    (..., b, a) is the object built for (..., a, b), which `grid` reaches
-    first in row-major order."""
-    built = {}
-
-    def entry(*idx):
-        *head, a, b = idx
-        if a > b:
-            return built[(*head, b, a)]
-        built[idx] = out = rule(*idx)
-        return out
-    return entry
-
-
 @_stage
 def christoffel(g: Metric) -> Connection:
     """Levi-Civita coefficients of a nonsingular metric, symmetric in the
@@ -196,12 +179,15 @@ def christoffel(g: Metric) -> Connection:
         total = add(*parts)
         return total if total is ZERO else mul(half, total)
 
-    return Connection(chart, grid(n, 3, _mirrored(gamma)))
+    return Connection(chart, grid(n, 3, mirrored(gamma)))
 
 
 def torsion(c: Connection) -> Tensor:
     """T^sigma_{alpha beta} = Gamma^sigma_{alpha beta}
-    - Gamma^sigma_{beta alpha}; identically zero for christoffel output."""
+    - Gamma^sigma_{beta alpha}; identically zero for christoffel output.
+    An entry whose two coefficients are one object, as in christoffel's
+    mirrored lower pair, is ZERO with no algebra; on canonical trees a - a
+    is ZERO anyway."""
     gamma = c.gamma
 
     def entry(s, a, b):
@@ -291,15 +277,7 @@ def riemann(c: Connection) -> Tensor:
     connection; antisymmetric in mu, nu.  Only the n^3(n-1)/2 components
     with mu < nu are built; those with mu > nu are their negations."""
     rule = partial(_riemann_component, c.gamma, c.chart.names)
-    built = {}
-
-    def component(r, s, m, v):
-        if m > v:  # grid reaches (r, s, v, m) first
-            return neg(built[r, s, v, m])
-        built[r, s, m, v] = out = rule(r, s, m, v)
-        return out
-
-    return Tensor(c.chart, "ulll", grid(c.chart.dim, 4, component))
+    return Tensor(c.chart, "ulll", grid(c.chart.dim, 4, mirrored(rule, neg)))
 
 
 @_stage
@@ -317,7 +295,7 @@ def ricci_and_scalar(g: Metric) -> tuple[Tensor, Expr]:
     def contracted(m, v):
         return add(*(component(r, m, r, v) for r in range(n)))
 
-    ricci_t = Tensor(g.chart, "ll", grid(n, 2, _mirrored(contracted)))
+    ricci_t = Tensor(g.chart, "ll", grid(n, 2, mirrored(contracted)))
     scalar = simplify(add(*(
         mul(g.inverse[m][v], ricci_t.comp(m, v))
         for m in range(n) for v in range(n)
@@ -339,7 +317,7 @@ def einstein_tensor(g: Metric) -> Tensor:
             return ricci.comp(m, v)
         return add(ricci.comp(m, v), mul(minus_half, g.g[m][v], scalar))
 
-    return Tensor(g.chart, "ll", grid(g.chart.dim, 2, _mirrored(entry)))
+    return Tensor(g.chart, "ll", grid(g.chart.dim, 2, mirrored(entry)))
 
 
 @_stage

@@ -157,6 +157,13 @@ class TestEinsteinVerifier:
         control = control_report("einstein", seed)
         assert control.verdict is Verdict.FAIL
 
+    def test_reports_only_the_checks_it_computes(self):
+        bianchi = "contracted Bianchi identity div G = 0"
+        rep = reference_report("einstein")
+        assert [c.name for c in rep.checks] == [bianchi, "G - kappa*T = 0"]
+        rep = verify_einstein(minkowski_metric(CH4))
+        assert [c.name for c in rep.checks] == [bianchi]
+
     def test_dust_control_fails(self):
         rep = control_report("einstein")
         assert rep.verdict is Verdict.FAIL

@@ -620,6 +620,11 @@ MALFORMED = {
         {"op": "eval_at", "expr": "x", "at": {"x": True}}]}, "at"),
     "eval_at_past_float_range": ({"chart": ["x"], "tasks": [
         {"op": "eval_at", "expr": "x", "at": {"x": 1e400}}]}, "at"),
+    "eval_at_unknown_name": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x^2", "at": {"x": 2, "X": 5, "zz": 1}}]},
+        "at"),
+    "eval_at_undeclared_parameter": ({"chart": ["x"], "tasks": [
+        {"op": "eval_at", "expr": "x", "at": {"x": 1, "m": 2}}]}, "at"),
     "short_T_row": ({"chart": ["x", "y"], "metric": EUCLIDEAN2, "tasks": [
         {"op": "verify_einstein", "T": [["0", "0"], ["0"]]}]}, "T[1]"),
     "kappa_coordinate": ({"chart": ["t", "x"], "metric": EUCLIDEAN2, "tasks": [
@@ -690,6 +695,18 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert f": {field}" in captured.err or f" {field}:" in captured.err
+
+    def test_an_eval_at_point_names_coordinates_and_parameters(self, tmp_path,
+                                                                capsys):
+        scenario = {"chart": ["x"], "params": ["m"], "tasks": [
+            {"op": "eval_at", "expr": "m*x^2", "at": {"x": 2, "m": 3},
+             "expect": "12.0"}]}
+        assert run_in_process(tmp_path, scenario) == 0
+        scenario["tasks"][0]["at"]["X"] = 5
+        assert run_in_process(tmp_path, scenario) == 2
+        assert capsys.readouterr().err.endswith(
+            "task[0] op 'eval_at' at: 'X' is neither a coordinate nor a "
+            "parameter\n")
 
 
 class TestRejectedInputs:

@@ -1,13 +1,15 @@
 """The component-array layout: `grid` nests f(*idx) first index outermost;
-the minor table `minors`, against a fresh Laplace expansion; the inverse
-by adjugate; and the compound-minor rule `compound_sum`."""
+the one-triangle rule `mirrored`; the minor table `minors`, against a
+fresh Laplace expansion; the inverse by adjugate; and the compound-minor
+rule `compound_sum`."""
 
 import itertools
 
 import pytest
 
 import exformal._linalg
-from exformal._linalg import compound_sum, grid, grid_map, is_grid, mat_inverse, minors
+from exformal._linalg import (compound_sum, grid, grid_at, grid_map, is_grid,
+                              mat_inverse, minors, mirrored)
 from exformal.symbolic import Rat, Sym, ZERO, add, mul, pow_, simplify, sub
 
 from helpers import laplace, submatrix
@@ -83,6 +85,48 @@ def test_compound_sum_two_by_two_minor():
     m = ((a, b, c), (d, e, f))
     got = compound_sum(minors(m), {(0, 2): w}, (0, 1))
     assert simplify(sub(got, mul(w, sub(mul(a, f), mul(c, d))))) == ZERO
+
+
+@pytest.mark.parametrize("rank", range(2, 5))
+def test_mirrored_builds_one_triangle(rank):
+    calls = []
+
+    def rule(*idx):
+        calls.append(idx)
+        return [idx]  # a new object per call
+
+    def flip(e):
+        return ("flipped", e)
+
+    n = 3
+    same = grid(n, rank, mirrored(rule))
+    flipped = grid(n, rank, mirrored(rule, flip))
+    indices = list(itertools.product(range(n), repeat=rank))
+    triangle = [idx for idx in indices if idx[-2] <= idx[-1]]
+    assert calls == triangle + triangle
+    for idx in indices:
+        *head, a, b = idx
+        if a <= b:
+            assert grid_at(same, idx) == grid_at(flipped, idx) == [idx]
+        else:
+            built = (*head, b, a)
+            assert grid_at(same, idx) is grid_at(same, built)
+            kind, entry = grid_at(flipped, idx)
+            assert kind == "flipped" and entry is grid_at(flipped, built)
+
+
+@pytest.mark.parametrize("symmetric, cofactors", [(True, 6), (False, 9)])
+def test_inverse_builds_the_cofactors_it_needs(symmetric, cofactors):
+    a, b, c, d, e, f = (Sym(n) for n in "abcdef")
+    m = ((a, b, c), (b if symmetric else d, d, e), (c, e, f))
+    table, reads = minors(m), []
+
+    def minor(*idx):
+        reads.append(idx)
+        return table(*idx)
+
+    assert mat_inverse(m, minor) == full_adjugate_inverse(m)
+    assert sum(1 for idx in reads if idx) == cofactors
 
 
 def full_adjugate_inverse(m):
