@@ -3,9 +3,11 @@
 Everything downstream (forms, metrics, connections, transforms) computes
 over the expression trees defined here.  Design points:
 
-* constants are exact rationals: a Python `int` when integral, else a
-  `fractions.Fraction`, whose every operation is a Python-level call with
-  a gcd (see `Rat`); floating point enters only in numeric evaluation
+* constants are exact rationals, each held as its numerator and
+  denominator in lowest terms (see `Rat`); the constructors, the parser
+  and the printers fold them on those two ints, reduced by one helper,
+  `_reduced`, and `Rat.value` still gives an `int` when integral, else a
+  `fractions.Fraction`; floating point enters only in numeric evaluation
   (`eval_at` and the one sampler, `_sample_values`), which computes each
   distinct subexpression once per point;
 * trees are immutable and built through canonicalizing constructors, so
@@ -219,20 +221,47 @@ class Expr:
 
 
 class Rat(Expr):
-    """Exact rational constant.  `value` is an `int` when the constant is
-    integral and a `Fraction` with denominator above 1 otherwise: every
-    `Fraction` operation is a Python-level call that takes a gcd, and most
-    coefficients the engine meets are small integers.  Floats are refused,
-    since `Fraction(0.1)` is not 1/10."""
+    """Exact rational constant, held as the two ints of its `key`
+    (0, num, den): numerator and denominator in lowest terms, den > 0.  The
+    constructors and printers fold constants on those ints (`_reduced`), so
+    building or printing a tree makes no `Fraction`.  `value` is the
+    constant as an `int` when it is integral and as a `Fraction` with
+    denominator above 1 otherwise, made from the pair when asked.  Floats
+    are refused, since `Fraction(0.1)` is not 1/10, and a string with a
+    zero denominator is a DomainError."""
 
-    __slots__ = ("value",)
+    __slots__ = ()
 
     def __init__(self, value):
         if type(value) is not int:
             value = _exact(value)
-        self.value = value
-        self.key = (0, value.numerator, value.denominator)
-        self._h = hash(self.key)
+        self.key = key = (0, value.numerator, value.denominator)
+        self._h = hash(key)
+
+    @property
+    def value(self) -> int | Fraction:
+        _, n, d = self.key
+        return n if d == 1 else Fraction(n, d)
+
+
+def _rat(n: int, d: int) -> Rat:
+    """The Rat n/d, made without checks from a pair in lowest terms with
+    d > 0."""
+    r = object.__new__(Rat)
+    r.key = key = (0, n, d)
+    r._h = hash(key)
+    return r
+
+
+def _reduced(n: int, d: int) -> Rat:
+    """The Rat n/d for d > 0: the one place where a constant's pair is
+    brought to lowest terms."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return _rat(n, d)
 
 
 def _exact(value) -> int | Fraction:
@@ -240,7 +269,10 @@ def _exact(value) -> int | Fraction:
     if not isinstance(value, Fraction):
         if isinstance(value, float):
             raise TypeError(f"a float is not an exact constant: {value!r}")
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:  # a string such as "1/0"
+            raise DomainError(f"constant {value!r} has a zero denominator") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -335,29 +367,35 @@ def rational(value) -> Rat:
     return Rat(value)
 
 
-def _coefficient(term: Expr) -> int | Fraction:
-    """The rational coefficient of a (non-Add) canonical term."""
+def _coefficient_rat(term: Expr) -> Rat:
+    """The rational coefficient of a (non-Add) canonical term, as a Rat."""
     if type(term) is Rat:
-        return term.value
+        return term
     if type(term) is Mul and type(term.factors[0]) is Rat:
-        return term.factors[0].value
-    return 1
+        return term.factors[0]
+    return ONE
 
 
-def _with_coefficient(c: int | Fraction, term: Expr) -> Expr:
+def _coefficient(term: Expr) -> int | Fraction:
+    """The rational coefficient of a (non-Add) canonical term, as a value."""
+    return _coefficient_rat(term).value
+
+
+def _with_coefficient(c: Rat, term: Expr) -> Expr:
     """The (non-Add) canonical term with its rational coefficient replaced
-    by the nonzero `c`, built from the term's own factors without a
-    throwaway node; the term itself when `c` and its coefficient are 1."""
+    by the nonzero constant `c`, built from the term's own factors without
+    a throwaway node; the term itself when `c` and its coefficient are 1."""
     t = type(term)
     if t is Rat:
-        return Rat(c)
+        return c
+    one = c.key == ONE.key
     if t is not Mul:
-        return term if c == 1 else Mul((Rat(c), term))
+        return term if one else Mul((c, term))
     fs = term.factors
     if type(fs[0]) is not Rat:
-        return term if c == 1 else Mul((Rat(c),) + fs)
-    if c != 1:
-        return Mul((Rat(c),) + fs[1:])
+        return term if one else Mul((c,) + fs)
+    if not one:
+        return Mul((c,) + fs[1:])
     return fs[1] if len(fs) == 2 else Mul(fs[1:])
 
 
@@ -376,9 +414,11 @@ def add(*args: Expr) -> Expr:
             return ZERO
         if type(stack[0]) not in (Add, Rat):
             return stack[0]
+    # Coefficients are summed as (numerator, denominator) pairs over the
+    # product of the denominators, unless they are equal, and reduced once.
     rat = None  # the one Rat term, as it is, while there is only one
-    rat_sum = None  # the sum of the Rat terms; None until there is one
-    by_mono: dict[tuple, list] = {}  # monomial key -> [coeff, term, merged]
+    rat_num, rat_den = None, 1  # the sum of the Rat terms; None until one
+    by_mono: dict[tuple, list] = {}  # monomial key -> [num, den, term, merged]
     while stack:
         a = stack.pop()
         t = type(a)
@@ -386,28 +426,36 @@ def add(*args: Expr) -> Expr:
             stack.extend(a.terms)
             continue
         if t is Rat:
-            if rat_sum is None:
-                rat, rat_sum = a, a.value
+            _, n, d = a.key
+            if rat_num is None:
+                rat, rat_num, rat_den = a, n, d
+            elif d == rat_den:
+                rat, rat_num = None, rat_num + n
             else:
-                rat, rat_sum = None, rat_sum + a.value
+                rat, rat_num, rat_den = None, rat_num * d + n * rat_den, rat_den * d
             continue
         if t is Mul and type(a.factors[0]) is Rat:
-            c = a.factors[0].value
-            rest = a.key[1][1:]  # the keys of the factors after `c`
+            factor_keys = a.key[1]
+            _, n, d = factor_keys[0]
+            rest = factor_keys[1:]  # the keys of the factors after the coefficient
             mono_key = rest[0] if len(rest) == 1 else (5, rest)
         else:
-            c = 1
+            n = d = 1
             mono_key = a.key
         slot = by_mono.get(mono_key)
         if slot is None:
-            by_mono[mono_key] = [c, a, False]
+            by_mono[mono_key] = [n, d, a, False]
         else:
-            slot[0] += c
-            slot[2] = True
-    terms = [_with_coefficient(c, term) if merged else term
-             for c, term, merged in by_mono.values() if c != 0]
-    if rat_sum:
-        terms.append(rat or Rat(rat_sum))
+            sd = slot[1]
+            if d == sd:
+                slot[0] += n
+            else:
+                slot[0], slot[1] = slot[0] * d + n * sd, sd * d
+            slot[3] = True
+    terms = [_with_coefficient(_reduced(n, d), term) if merged else term
+             for n, d, term, merged in by_mono.values() if n]
+    if rat_num:
+        terms.append(rat or _reduced(rat_num, rat_den))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -431,7 +479,7 @@ def mul(*args: Expr) -> Expr:
     such as (x + 1)^5000 is refused instead of stalling.
     """
     coeff = None  # the one Rat factor, as it is, while there is only one
-    value = None  # the product of the Rat factors; None until there is one
+    num, den = 0, 1  # the product of the Rat factors; 0 until there is one
     bases: dict[tuple, list] = {}
     stack = list(args)
     while stack:
@@ -441,12 +489,13 @@ def mul(*args: Expr) -> Expr:
             stack.extend(a.factors)
             continue
         if t is Rat:
-            if not a.value:
+            _, n, d = a.key
+            if not n:
                 return ZERO
-            if value is None:
-                coeff, value = a, a.value
+            if not num:
+                coeff, num, den = a, n, d
             else:
-                coeff, value = None, value * a.value
+                coeff, num, den = None, num * n, den * d
             continue
         if t is Pow:
             b, e = a.base, a.exp
@@ -457,8 +506,8 @@ def mul(*args: Expr) -> Expr:
             bases[b.key] = [b, e]
         else:
             slot[1] += e
-    if value is None:
-        coeff, value = ONE, 1
+    if not num:
+        coeff, num = ONE, 1
 
     # each base is an atom or a sum (a Mul is flattened, a Pow unwrapped),
     # so a power other than 1 is a Pow node unless it is a sum to expand
@@ -474,11 +523,11 @@ def mul(*args: Expr) -> Expr:
 
     if factors:
         factors.sort(key=_by_key)
-        if value != 1:
-            factors.insert(0, coeff or Rat(value))
+        if num != den:  # the product is not 1 (den > 0)
+            factors.insert(0, coeff or _reduced(num, den))
         first = factors[0] if len(factors) == 1 else Mul(tuple(factors))
     else:
-        first = coeff or Rat(value)
+        first = coeff or _reduced(num, den)
     return _expand(first, expand) if expand else first
 
 
@@ -508,11 +557,16 @@ def _expand(first: Expr, sums: list[tuple[Add, int]]) -> Expr:
                 raise ExformalError(f"expanding {what} takes more than "
                                     f"{_EXPANSION_BUDGET} term products")
             merged = len(terms) == 1  # one term times a sum has no like terms
-            c = terms[0].value if merged and type(terms[0]) is Rat else None
-            if c == 1:
+            c = terms[0].key if merged and type(terms[0]) is Rat else None
+            if c == ONE.key:
                 terms = a.terms
             elif c is not None:
-                terms = [_with_coefficient(c * _coefficient(u), u) for u in a.terms]
+                _, cn, cd = c
+                scaled = []
+                for u in a.terms:
+                    _, n, d = _coefficient_rat(u).key
+                    scaled.append(_with_coefficient(_reduced(cn * n, cd * d), u))
+                terms = scaled
             else:
                 terms = [mul(t, u) for t in terms for u in a.terms]
     if terms is a.terms:
@@ -533,14 +587,16 @@ def pow_(base: Expr, exp: int) -> Expr:
     if exp == 1:
         return base
     if isinstance(base, Rat):
-        v = base.value
-        if v == 0 and exp < 0:
+        _, n, d = base.key
+        if n == 0 and exp < 0:
             raise DomainError("0 raised to a negative power")
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-        if abs(exp) * bits > _POWER_BITS and abs(v) != 1:
+        bits = max(n.bit_length(), d.bit_length())
+        if abs(exp) * bits > _POWER_BITS and not (d == 1 and abs(n) == 1):
             raise ExformalError(f"raising a constant of {bits} bits to the power "
                                 f"{exp} takes more than {_POWER_BITS} bits")
-        return Rat(v**exp if exp > 0 else Fraction(v)**exp)
+        if exp < 0:  # (n/d)^-k = (d/n)^k, the sign moved to the numerator
+            n, d, exp = (d, n, -exp) if n > 0 else (-d, -n, -exp)
+        return _rat(n**exp, d**exp)  # powers of coprime ints stay coprime
     if isinstance(base, Mul):
         return mul(*(pow_(f, exp) for f in base.factors))
     if isinstance(base, Pow):
@@ -570,8 +626,8 @@ def func(name: str, arg: Expr) -> Expr:
     if name not in BUILTIN_FUNCTIONS:
         raise ValueError(f"not a built-in function: {name}")
     if isinstance(arg, Rat):
-        v = arg.value
-        if v == 0:
+        _, num, den = arg.key
+        if num == 0:
             if name in ("sin", "tan"):
                 return ZERO
             if name in ("cos", "exp"):
@@ -580,16 +636,15 @@ def func(name: str, arg: Expr) -> Expr:
                 return ZERO
             if name == "ln":
                 raise DomainError("ln(0)")
-        if v == 1:
+        if num == 1 == den:
             if name == "ln":
                 return ZERO
             if name == "sqrt":
                 return ONE
-        if name == "sqrt" and v >= 0:
-            num, den = v.numerator, v.denominator
+        if name == "sqrt" and num >= 0:
             rn, rd = math.isqrt(num), math.isqrt(den)
             if rn * rn == num and rd * rd == den:
-                return Rat(Fraction(rn, rd))
+                return _rat(rn, rd)  # roots of coprime squares are coprime
     return Func(name, arg)
 
 
@@ -685,7 +740,7 @@ def diff(e: Expr, name: str) -> Expr:
         elif e.name == "ln":
             outer = pow_(u, -1)
         elif e.name == "sqrt":
-            outer = mul(Rat(Fraction(1, 2)), pow_(func("sqrt", u), -1))
+            outer = mul(_rat(1, 2), pow_(func("sqrt", u), -1))
         else:  # pragma: no cover
             raise ValueError(e.name)
         return mul(outer, d)
@@ -1245,27 +1300,30 @@ def _pow_token(base: Expr, exp: int) -> str:
 def _term_text(t: Expr) -> tuple[bool, str]:
     """Whether the Add-free term `t` is negative, and the text of its
     magnitude as numerator/denominator tokens: the sign is flipped here,
-    on the coefficient, so no negated term is built to print."""
-    coeff = 1
+    on the coefficient, so no negated term is built to print.  A canonical
+    term has at most one constant factor, so its pair is printed as it is,
+    in lowest terms."""
+    cn = cd = 1
     num: list[str] = []
     den: list[str] = []
     factors = t.factors if isinstance(t, Mul) else (t,)
     for f in factors:
         if isinstance(f, Rat):
-            coeff *= f.value
+            _, n, d = f.key
+            cn, cd = cn * n, cd * d
             continue
         b, e = _as_base_exp(f)
         if e > 0:
             num.append(_pow_token(b, e))
         else:
             den.append(_pow_token(b, -e))
-    negative = coeff < 0
+    negative = cn < 0
     if negative:
-        coeff = -coeff
-    if coeff.numerator != 1 or not num:
-        num.insert(0, _digits(coeff.numerator))
-    if coeff.denominator != 1:
-        den.insert(0, _digits(coeff.denominator))
+        cn = -cn
+    if cn != 1 or not num:
+        num.insert(0, _digits(cn))
+    if cd != 1:
+        den.insert(0, _digits(cd))
     out = "*".join(num)
     for d in den:
         out += f"/{d}"
@@ -1279,9 +1337,8 @@ def to_text(e: Expr) -> str:
     same extension, so parse(to_text(e)) == e for canonical trees.
     """
     if isinstance(e, Rat):
-        v = e.value
-        num = _digits(v.numerator)
-        return num if v.denominator == 1 else f"{num}/{_digits(v.denominator)}"
+        _, n, d = e.key
+        return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Func):
@@ -1343,15 +1400,16 @@ def _product(factors: list[tuple[Expr, int]]) -> Expr:
     its size), in the order the term reads them."""
     if len(factors) == 1:
         return pow_(*factors[0])
-    c = 1
+    num = den = 1
     rest = []
     for b, k in factors:
         if type(b) is Rat:
-            c *= b.value if k == 1 else pow_(b, k).value
+            _, n, d = (b if k == 1 else pow_(b, k)).key
+            num, den = num * n, den * d
         else:
             rest.append(b if k == 1 else pow_(b, k))
-    if c != 1 or not rest:
-        return mul(Rat(c), *rest)
+    if num != den or not rest:  # the constant is not 1 (den > 0)
+        return mul(_reduced(num, den), *rest)
     return rest[0] if len(rest) == 1 else mul(*rest)
 
 

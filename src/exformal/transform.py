@@ -312,7 +312,7 @@ def _exp_of(e: Expr) -> Expr:
     powers = []
     rest = []
     for t in terms:
-        c, mono = _coefficient(t), _with_coefficient(1, t)
+        c, mono = _coefficient(t), _with_coefficient(ONE, t)
         if isinstance(mono, Func) and mono.name == "ln" and c.denominator == 1:
             powers.append(pow_(mono.arg, int(c)))
         else:

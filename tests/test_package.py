@@ -4,6 +4,7 @@ below it, no import sits inside a function, no module imports a private
 name of `connection`, only `symbolic` reaches its sampling internals or
 builds a `Func` node directly, only `symbolic` and `catalog` fold
 verdicts, `symbolic` divides with `/` only where a float is meant,
+its constructors and printers fold constants without `Fraction`,
 printing builds no node, and in `_linalg` only `minors` builds a minor
 table.  That importing `exformal.cli` loads none of the stdlib
 modules the engine does not need (`dataclasses` and what it pulls in, and
@@ -189,7 +190,8 @@ def test_symbolic_divides_only_in_float_code():
 
 def test_only_normalize_takes_a_gcd_in_symbolic():
     # the content and lead rule of a base is stated once, in `_normalize`;
-    # `_normal_base` asks it instead of restating it
+    # `_normal_base` asks it instead of restating it; a constant's pair is
+    # brought to lowest terms in one place, `_reduced`
     tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
     calling = {
         getattr(top, "name", f"line {top.lineno}")
@@ -199,7 +201,30 @@ def test_only_normalize_takes_a_gcd_in_symbolic():
         and isinstance(node.func, ast.Attribute) and node.func.attr == "gcd"
         and getattr(node.func.value, "id", None) == "math"
     }
-    assert calling == {"_normalize"}
+    assert calling == {"_normalize", "_reduced"}
+
+
+# The constructors, the parser's term product and the printers fold
+# constants on the (numerator, denominator) pair of a Rat's key.
+PAIR_FOLDERS = {"add", "mul", "_expand", "_with_coefficient", "pow_",
+                "_product", "_term_text", "to_text"}
+
+
+def test_constants_fold_without_fractions():
+    # a `Fraction` operation is a Python-level call with a gcd; these
+    # functions neither make one nor read the `value` that would
+    tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
+    bodies = [top for top in tree.body
+              if getattr(top, "name", None) in PAIR_FOLDERS]
+    assert {top.name for top in bodies} == PAIR_FOLDERS
+    uses = {
+        f"{top.name} uses {getattr(node, 'id', None) or node.attr}"
+        for top in bodies
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "value")
+    }
+    assert not uses, sorted(uses)
 
 
 def test_only_minors_builds_a_minor_table_in_linalg():

@@ -23,6 +23,8 @@ from exformal.errors import (
 from exformal.symbolic import (
     Add,
     Chart,
+    Mul,
+    Pow,
     Rat,
     Sym,
     Verdict,
@@ -781,6 +783,112 @@ class TestCoefficientDomain:
         with pytest.raises(ExformalError, match="expanding a product of 100 "
                                                 "sums takes more than 10000"):
             parse_expr(text, CH)
+
+
+class TestConstantFolding:
+    """Constants are folded on the reduced (numerator, denominator) pair of
+    each Rat's key; seeded constants, 0, +-1, small fractions, about 2^200
+    and about 1/3^50 among them, are checked against `Fraction`."""
+
+    X, Y = Sym("x"), Sym("y")
+
+    @staticmethod
+    def constants(rng, n):
+        edges = [0, 1, -1, 2**200 + 1, -(2**200) + 3, Fraction(1, 3**50),
+                 Fraction(-(2**200), 3**50), Fraction(3**50, 2**200 + 1)]
+        out = []
+        for _ in range(n):
+            kind = rng.randrange(4)
+            if kind == 0:
+                out.append(rng.choice(edges))
+            elif kind == 1:
+                out.append(rng.randint(-40, 40))
+            elif kind == 2:
+                out.append(Fraction(rng.randint(-30, 30), rng.randint(1, 30)))
+            else:
+                out.append(Fraction(rng.randint(-2**200, 2**200),
+                                    rng.choice((3**50, rng.randint(1, 2**70)))))
+        return out
+
+    @staticmethod
+    def coefficients(e):
+        """{keys of a term's other factors: its coefficient} of a canonical
+        tree."""
+        out = {}
+        for t in (e.terms if isinstance(e, Add) else (e,)):
+            fs = t.factors if isinstance(t, Mul) else (t,)
+            c = fs[0].value if isinstance(fs[0], Rat) else 1
+            out[tuple(f.key for f in fs if not isinstance(f, Rat))] = c
+        return {m: c for m, c in out.items() if c}
+
+    @staticmethod
+    def assert_reduced(e, want):
+        assert isinstance(e, Rat) and e.value == want
+        _, n, d = e.key
+        assert d > 0 and math.gcd(n, d) == 1 and Fraction(n, d) == want
+
+    def test_folds_match_fraction_arithmetic(self):
+        rng = random.Random(28)
+        cs = self.constants(rng, 2000)
+        x, y = self.X, self.Y
+        trees = []
+        for a, b in zip(cs[::2], cs[1::2]):
+            ra, rb = Rat(a), Rat(b)
+            self.assert_reduced(ra, Fraction(a))
+            for got, want in ((add(ra, rb), a + b), (mul(ra, rb), a * b),
+                              (sub(ra, rb), a - b)):
+                self.assert_reduced(got, want)
+                trees.append(got)
+            for k in range(-3, 4):
+                if a == 0 and k < 0:
+                    with pytest.raises(DomainError, match="0 raised to a negative"):
+                        pow_(ra, k)
+                    continue
+                got = pow_(ra, k)
+                self.assert_reduced(got, Fraction(a) ** k)
+                trees.append(got)
+            # like terms merge their coefficients
+            got = add(mul(ra, x), mul(rb, pow_(y, 2)), mul(rb, x))
+            want = {(x.key,): a + b, (Pow(y, 2).key,): b}
+            assert self.coefficients(got) == {m: c for m, c in want.items() if c}
+            trees.append(got)
+            # a constant times a sum scales each term's coefficient
+            s = add(mul(rb, x), mul(Rat(b + 1), pow_(y, 2)), Rat(a - b))
+            got = mul(ra, s)
+            want = {(x.key,): a * b, (Pow(y, 2).key,): a * (b + 1), (): a * (a - b)}
+            assert self.coefficients(got) == {m: c for m, c in want.items() if c}
+            trees.append(got)
+        assert off_domain_constants(trees) == []
+
+    def test_parse_and_print_match_fraction_arithmetic(self):
+        rng = random.Random(29)
+        ch = Chart(("x",))
+        x = self.X
+        for _ in range(300):
+            p, r = rng.randint(-60, 60), rng.choice((rng.randint(-60, 60), 2**200))
+            q, w = rng.randint(1, 60), rng.choice((rng.randint(1, 60), 3**50))
+            e = parse_expr(f"{p}/{q}*x + {r}/{w}*x^2", ch)
+            want = {(x.key,): Fraction(p, q), (Pow(x, 2).key,): Fraction(r, w)}
+            assert self.coefficients(e) == {m: c for m, c in want.items() if c}
+            assert parse_expr(to_text(e), ch) == e
+            assert off_domain_constants(e) == []
+            c = Fraction(p, q) * Fraction(r, w)
+            mag = abs(c)
+            body = (f"{mag.numerator}*x" if mag.numerator != 1 else "x") + (
+                f"/{mag.denominator}" if mag.denominator != 1 else "")
+            want_text = ("-" if c < 0 else "") + body if c else "0"
+            assert to_text(mul(Rat(c), x)) == want_text
+            assert to_text(Rat(c)) == (str(c.numerator) if c.denominator == 1
+                                       else f"{c.numerator}/{c.denominator}")
+
+    def test_a_zero_denominator_is_a_domain_error(self):
+        # as `parse_expr("1/0")` is; `Fraction("1/0")` raises ZeroDivisionError
+        for make in (Rat, rational):
+            for text in ("1/0", "3/0", "-2/0"):
+                with pytest.raises(DomainError, match="zero denominator"):
+                    make(text)
+        with pytest.raises(DomainError, match="0 raised to a negative power"):
+            parse_expr("1/0", CH)
 
 
 class TestPrintRoundTrip:
