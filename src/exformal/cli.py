@@ -11,12 +11,17 @@ outcome stays Unknown whatever the task's "expect"); 2 input errors
 (missing file, JSON or expression ParseError, unresolved names, values of
 the wrong shape) and engine errors inside a task, which report that
 task's verdict as Error.
+
+The command line is read from one table, `COMMANDS`, that each
+subcommand's handler declares with `_command` (its positionals, options
+and help text), the way `_op` declares task ops; no parser module is
+imported or built.  Argument errors exit 2 with the usage lines and
+messages of Python 3.11's argument parser, and help prints fixed text
+whatever the terminal width.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
 import math
@@ -810,31 +815,104 @@ def _emit_json(report: dict, out) -> None:
     out.write("\n")
 
 
-def _cmd_run(args) -> int:
+# ---------------------------------------------------------------------------
+# Command line
+# ---------------------------------------------------------------------------
+
+
+class _Arg(NamedTuple):
+    """A command's `--name` option.  `kind` reads its value: `int`, `str`,
+    or a tuple of the values allowed; None makes it a flag, which takes no
+    value and reads True when given.  An option not given reads `default`
+    (or the environment variable `env` when that is set), read like a
+    given value, unless it is `required`."""
+    kind: type | tuple | None
+    default: object = False
+    required: bool = False
+    env: str | None = None
+
+
+class CommandSpec(NamedTuple):
+    """A subcommand: its handler, its positionals in order, its options
+    (`--name` → `_Arg`, in the order its help lists them) and the help text
+    `-h` prints.  The help's first paragraph is the usage every error of
+    the command prints."""
+    handler: Callable
+    positionals: tuple
+    options: dict
+    help: str
+
+
+COMMANDS: dict[str, CommandSpec] = {}
+
+_HELP = """\
+usage: exformal [-h] {run,table,check-expr} ...
+
+Symbolic exterior-calculus verification engine
+
+positional arguments:
+  {run,table,check-expr}
+    run                 execute a JSON scenario file
+    table               print the correspondence table
+    check-expr          parse an expression, echo canonical form
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def _command(name: str, positionals: tuple, help_text: str, **options):
+    """Declare the handler below it as subcommand `name` (see CommandSpec);
+    the handler takes each positional and option by name."""
+    def register(handler):
+        COMMANDS[name] = CommandSpec(
+            handler, positionals,
+            {f"--{key}": arg for key, arg in options.items()}, help_text)
+        return handler
+    return register
+
+
+@_command("run", ("file",), seed=_Arg(int, "0", env="EXFORMAL_SEED"),
+          format=_Arg(("text", "json"), "text"), strict=_Arg(None),
+          parallel=_Arg(None), help_text="""\
+usage: exformal run [-h] [--seed SEED] [--format {text,json}] [--strict]
+                    [--parallel]
+                    file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           sampling seed (env EXFORMAL_SEED)
+  --format {text,json}
+  --strict              treat Unknown verdicts as failures
+  --parallel            accepted and ignored: tasks always run in order
+""")
+def _cmd_run(file, seed, format, strict, parallel) -> int:
     try:
-        code, report = run_scenario(args.file, seed=args.seed,
-                                    strict=args.strict)
+        code, report = run_scenario(file, seed=seed, strict=strict)
     except FileNotFoundError:
-        print(f"error: file not found: {args.file}", file=sys.stderr)
+        print(f"error: file not found: {file}", file=sys.stderr)
         return 2
     except OSError as e:  # a directory, or a file without read permission
-        print(f"error: cannot read {args.file}: {e.strerror}", file=sys.stderr)
+        print(f"error: cannot read {file}: {e.strerror}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:
         print(
-            f"error: ParseError in {args.file}: line {e.lineno} "
+            f"error: ParseError in {file}: line {e.lineno} "
             f"column {e.colno}: {e.msg}",
             file=sys.stderr,
         )
         return 2
     except UnicodeDecodeError as e:
-        print(f"error: ParseError in {args.file}: byte {e.start}: not UTF-8",
+        print(f"error: ParseError in {file}: byte {e.start}: not UTF-8",
               file=sys.stderr)
         return 2
     except ExformalError as e:
-        print(f"error: ValidationError in {args.file}: {e}", file=sys.stderr)
+        print(f"error: ValidationError in {file}: {e}", file=sys.stderr)
         return 2
-    if args.format == "json":
+    if format == "json":
         _emit_json(report, sys.stdout)
     else:
         _emit_text(report, sys.stdout)
@@ -845,9 +923,16 @@ def _cmd_run(args) -> int:
     return code
 
 
-def _cmd_table(args) -> int:
+@_command("table", (), format=_Arg(("text", "json"), "text"), help_text="""\
+usage: exformal table [-h] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""")
+def _cmd_table(format) -> int:
     rows = correspondence_table()
-    if args.format == "json":
+    if format == "json":
         payload = [
             {
                 "degree": e.degree,
@@ -871,15 +956,27 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_check_expr(args) -> int:
-    chart_names = args.chart.split(",") if args.chart else []
-    params = args.params.split(",") if args.params else []
+@_command("check-expr", ("expr",), chart=_Arg(str, required=True),
+          params=_Arg(str, ""), help_text="""\
+usage: exformal check-expr [-h] --chart CHART [--params PARAMS] expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help       show this help message and exit
+  --chart CHART    comma-separated coordinate names
+  --params PARAMS  comma-separated parameter names
+""")
+def _cmd_check_expr(expr, chart, params) -> int:
+    chart_names = chart.split(",") if chart else []
+    param_names = params.split(",") if params else []
     try:
-        chart = _chart(chart_names, "chart")
-        for name in _params(params, "params"):
-            if name in chart.names:
+        coords = _chart(chart_names, "chart")
+        for name in _params(param_names, "params"):
+            if name in coords.names:
                 raise ScenarioError(f"params: {name!r} is a chart coordinate")
-        text = to_text(simplify(parse_expr(args.expr, chart, params)))
+        text = to_text(simplify(parse_expr(expr, coords, param_names)))
     except ExprSyntaxError as err:
         print(f"error: SyntaxError at position {err.position}: {err}",
               file=sys.stderr)
@@ -896,54 +993,158 @@ def _cmd_check_expr(args) -> int:
     return 0
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The `exformal` parser and its `run` subparser, built on first use."""
-    parser = argparse.ArgumentParser(
-        prog="exformal",
-        description="Symbolic exterior-calculus verification engine",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+def _exit_with_error(help_text: str, prog: str, message: str):
+    usage = help_text.partition("\n\n")[0]
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    sys.exit(2)
 
-    p_run = subs.add_parser("run", help="execute a JSON scenario file")
-    p_run.add_argument("file")
-    p_run.add_argument("--seed", type=int,
-                       help="sampling seed (env EXFORMAL_SEED)")
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
-    p_run.add_argument("--strict", action="store_true",
-                       help="treat Unknown verdicts as failures")
-    p_run.add_argument("--parallel", action="store_true",
-                       help="accepted and ignored: tasks always run in order")
-    p_run.set_defaults(fn=_cmd_run)
 
-    p_table = subs.add_parser("table", help="print the correspondence table")
-    p_table.add_argument("--format", choices=("text", "json"), default="text")
-    p_table.set_defaults(fn=_cmd_table)
+def _option(token: str, names: tuple, fail) -> tuple[str, str | None] | None:
+    """The option `token` names and its `=value` (None without one), or
+    None when the token is a positional.  A token names an option when it
+    is `-h`, or `--name` or `--name=value` with `--name` one of `names` or
+    a prefix of exactly one of them."""
+    if token == "-h":
+        return "--help", None
+    if not token.startswith("--") or token == "--":
+        return None
+    name, eq, value = token.partition("=")
+    if name not in names:
+        matches = [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if not matches:
+            return None
+        name = matches[0]
+    return name, (value if eq else None)
 
-    p_check = subs.add_parser("check-expr",
-                              help="parse an expression, echo canonical form")
-    p_check.add_argument("expr")
-    p_check.add_argument("--chart", required=True,
-                         help="comma-separated coordinate names")
-    p_check.add_argument("--params", default="",
-                         help="comma-separated parameter names")
-    p_check.set_defaults(fn=_cmd_check_expr)
-    # Once per process: the modules, the parser and whatever else is alive
-    # now live as long as the process, so move them out of the collector's
-    # generations; no later collection then walks them inside a task.  Not
-    # at import, which would only move that cost, and not per file, which
-    # would keep each file's leftovers for good.
-    gc.freeze()
-    return parser, p_run
+
+def _option_value(label: str, kind, text: str, fail):
+    """`text` read as `kind` (see `_Arg`), or exit naming the argument."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            fail(f"argument {label}: invalid int value: {text!r}")
+    if isinstance(kind, tuple) and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        fail(f"argument {label}: invalid choice: {text!r} "
+             f"(choose from {choices})")
+    return text
+
+
+def _parse(argv: list) -> tuple[Callable, dict]:
+    """The handler `argv` calls and its arguments, read by the grammar
+    `COMMANDS` declares; exits 0 after printing help and 2 on an error.
+
+    The grammar is that of Python's argument parser on every call this
+    front-end documents:
+    options and positionals come in any order, an option takes its value
+    as `--name value` or `--name=value` and may be abbreviated to a unique
+    prefix, `--` makes every later token a positional, and a missing,
+    malformed or extra argument exits 2 with the command's usage and
+    that parser's message.  Unlike there, a token that names no option,
+    such as `-x^2`, is a positional.
+    """
+    def fail_main(message):
+        _exit_with_error(_HELP, "exformal", message)
+
+    for i, token in enumerate(argv):
+        found = _option(token, ("--help",), fail_main)
+        if found is None:
+            break
+        if found[1] is not None:
+            fail_main(f"argument -h/--help: ignored explicit argument "
+                      f"{found[1]!r}")
+        sys.stdout.write(_HELP)
+        sys.exit(0)
+    else:
+        fail_main("the following arguments are required: command")
+    spec = COMMANDS[_option_value("command", tuple(COMMANDS), token,
+                                  fail_main)]
+    args, extra = _parse_command(spec, f"exformal {token}", argv[i + 1:])
+    if extra:
+        fail_main(f"unrecognized arguments: {' '.join(extra)}")
+    return spec.handler, args
+
+
+def _parse_command(spec: CommandSpec, prog: str, argv: list):
+    """A command's arguments by name, and the positionals left over."""
+    def fail(message):
+        _exit_with_error(spec.help, prog, message)
+
+    # every token is read as an option or a positional before any is used,
+    # as the standard parser does, so an ambiguous prefix anywhere is the
+    # error
+    names = ("--help", *spec.options)
+    tokens = []
+    for i, text in enumerate(argv):
+        if text == "--":
+            tokens.append(("--", None))
+            tokens.extend((None, rest) for rest in argv[i + 1:])
+            break
+        tokens.append(_option(text, names, fail) or (None, text))
+
+    given, positionals = {}, []
+    k = 0
+    while k < len(tokens):
+        name, text = tokens[k]
+        k += 1
+        if name is None:
+            positionals.append(text)
+            continue
+        if name == "--":
+            continue
+        arg = spec.options.get(name)  # None for --help
+        if arg is None or arg.kind is None:
+            if text is not None:
+                label = "-h/--help" if arg is None else name
+                fail(f"argument {label}: ignored explicit argument {text!r}")
+            if arg is None:
+                sys.stdout.write(spec.help)
+                sys.exit(0)
+            given[name] = True
+            continue
+        if text is None:
+            if k == len(tokens) or tokens[k][0] is not None:
+                fail(f"argument {name}: expected one argument")
+            text = tokens[k][1]
+            k += 1
+        given[name] = _option_value(name, arg.kind, text, fail)
+
+    args = dict(zip(spec.positionals, positionals))
+    missing = list(spec.positionals[len(positionals):])
+    for name, arg in spec.options.items():
+        if name in given:
+            args[name[2:]] = given[name]
+        elif arg.required:
+            missing.append(name)
+        elif arg.kind is None:
+            args[name[2:]] = arg.default
+        else:
+            default = os.environ.get(arg.env, arg.default) if arg.env \
+                else arg.default
+            args[name[2:]] = _option_value(name, arg.kind, default, fail)
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return args, positionals[len(spec.positionals):]
+
+
+_gc_frozen = False
 
 
 def main(argv=None) -> int:
-    parser, p_run = _parser()
-    # read on every call; a string default goes through type=int, so a bad
-    # EXFORMAL_SEED is reported as an invalid --seed
-    p_run.set_defaults(seed=os.environ.get("EXFORMAL_SEED", "0"))
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    global _gc_frozen
+    if not _gc_frozen:
+        # Once per process: the modules and whatever else is alive now
+        # live as long as the process, so move them out of the collector's
+        # generations; no later collection then walks them inside a task.
+        # Not at import, which would only move that cost, and not per
+        # file, which would keep each file's leftovers for good.
+        gc.freeze()
+        _gc_frozen = True
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    return handler(**args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,6 @@
 """Scenario file execution: exit codes, determinism, operation coverage,
 and the auxiliary subcommands."""
 
-import argparse
 import json
 import os
 import re
@@ -495,27 +494,26 @@ class TestInProcessMain:
 
 
 class TestParserCache:
-    @pytest.fixture
-    def constructions(self, monkeypatch):
-        """Counts every ArgumentParser built, subparsers included."""
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._parser.cache_clear()
-        return built
-
-    def test_second_call_builds_no_parser(self, constructions, capsys):
+    def test_second_call_builds_no_parser(self, capsys):
+        reference = scenario_path("reference.json")
         assert main(["table", "--format", "json"]) == 0
-        assert len(constructions) == 4   # exformal, run, table, check-expr
         first = capsys.readouterr().out
         assert main(["table", "--format", "json"]) == 0
-        assert len(constructions) == 4
         assert capsys.readouterr().out == first
+        # the command table needs no parser module: neither importing the
+        # front-end nor calling it twice loads argparse or what it pulls in
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import exformal.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    for _ in range(2):",
+            f"        exformal.cli.main(['run', {reference!r}, '--format', 'json'])",
+            "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
 
     def test_env_seed_is_read_on_every_call(self, monkeypatch, capsys):
         seeds = []
@@ -535,28 +533,164 @@ class TestParserCache:
         assert main(["run", scenario_path("reference.json")]) == 0
         assert "summary: 8 tasks, 0 failed" in capsys.readouterr().out
 
-    def test_import_builds_no_parser(self):
-        code = "\n".join([
-            "import argparse",
-            "built = []",
-            "init = argparse.ArgumentParser.__init__",
-            "def counting_init(self, *args, **kwargs):",
-            "    built.append(1)",
-            "    init(self, *args, **kwargs)",
-            "argparse.ArgumentParser.__init__ = counting_init",
-            "import exformal.cli",
-            "print(len(built))",
-        ])
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n"
+
+class TestCommandLine:
+    """The command table reads argv as argparse (Python 3.11) does.  The
+    error rows were recorded from an argparse front-end: each exits 2 and
+    prints its parser's usage lines, then the last line given."""
+
+    USAGE = {"exformal": "help_exformal.txt", "exformal run": "help_run.txt",
+             "exformal table": "help_table.txt",
+             "exformal check-expr": "help_check-expr.txt"}
+
+    @pytest.mark.parametrize("argv, last", [
+        ([], "exformal: error: the following arguments are required: "
+             "command"),
+        (["foo"], "exformal: error: argument command: invalid choice: 'foo' "
+                  "(choose from 'run', 'table', 'check-expr')"),
+        (["foo", "-h"], "exformal: error: argument command: invalid choice: "
+                        "'foo' (choose from 'run', 'table', 'check-expr')"),
+        (["run"], "exformal run: error: the following arguments are "
+                  "required: file"),
+        (["run", "--seed", "3"], "exformal run: error: the following "
+                                 "arguments are required: file"),
+        (["run", "x.json", "--format", "xml"],
+         "exformal run: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'text', 'json')"),
+        (["run", "x.json", "--format", "xml", "-h"],
+         "exformal run: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'text', 'json')"),
+        (["run", "x.json", "--seed"],
+         "exformal run: error: argument --seed: expected one argument"),
+        (["run", "x.json", "--seed", "--strict"],
+         "exformal run: error: argument --seed: expected one argument"),
+        (["run", "x.json", "--seed", "-h"],
+         "exformal run: error: argument --seed: expected one argument"),
+        (["run", "x.json", "--format", "--"],
+         "exformal run: error: argument --format: expected one argument"),
+        (["run", "x.json", "--seed", "abc"],
+         "exformal run: error: argument --seed: invalid int value: 'abc'"),
+        (["run", "x.json", "--seed="],
+         "exformal run: error: argument --seed: invalid int value: ''"),
+        (["run", "x.json", "--s", "3"], "exformal run: error: ambiguous "
+                                        "option: --s could match --seed, "
+                                        "--strict"),
+        (["run", "x.json", "--s=3"], "exformal run: error: ambiguous option: "
+                                     "--s=3 could match --seed, --strict"),
+        (["run", "x.json", "--strict=1"], "exformal run: error: argument "
+                                          "--strict: ignored explicit "
+                                          "argument '1'"),
+        (["run", "x.json", "--help=1"], "exformal run: error: argument "
+                                        "-h/--help: ignored explicit "
+                                        "argument '1'"),
+        (["run", "x.json", "extra"],
+         "exformal: error: unrecognized arguments: extra"),
+        (["run", "x.json", "-x"],
+         "exformal: error: unrecognized arguments: -x"),
+        (["run", "x.json", "extra", "-x"],
+         "exformal: error: unrecognized arguments: extra -x"),
+        (["run", "x.json", "--", "-h"],
+         "exformal: error: unrecognized arguments: -h"),
+        (["check-expr", "x"], "exformal check-expr: error: the following "
+                              "arguments are required: --chart"),
+        (["check-expr"], "exformal check-expr: error: the following "
+                         "arguments are required: expr, --chart"),
+        (["check-expr", "x", "--chart"],
+         "exformal check-expr: error: argument --chart: expected one "
+         "argument"),
+        (["check-expr", "--", "-x", "--chart", "x"],
+         "exformal check-expr: error: the following arguments are "
+         "required: --chart"),
+        (["check-expr", "x", "y", "--chart", "x"],
+         "exformal: error: unrecognized arguments: y"),
+        (["table", "--format"],
+         "exformal table: error: argument --format: expected one argument"),
+        (["table", "--f", "xml"], "exformal table: error: argument --format: "
+                                  "invalid choice: 'xml' (choose from "
+                                  "'text', 'json')"),
+        (["table", "extra"], "exformal: error: unrecognized arguments: "
+                             "extra"),
+    ])
+    def test_errors_match_argparse(self, argv, last, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        prog = last.partition(": error: ")[0]
+        with open(os.path.join(GOLDEN, self.USAGE[prog]),
+                  encoding="utf-8") as fh:
+            usage = fh.read().partition("\n\n")[0]
+        assert (out, err) == ("", f"{usage}\n{last}\n")
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["run", "R", "--seed=7", "--format=json"],
+         ["run", "R", "--seed", "7", "--format", "json"]),
+        (["run", "R", "--form", "json", "--se", "3"],
+         ["run", "R", "--format", "json", "--seed", "3"]),
+        (["run", "R", "--seed", "-1"], ["run", "R", "--seed=-1"]),
+        (["run", "--", "R"], ["run", "R"]),
+        (["run", "--seed", "3", "R"], ["run", "R", "--seed", "3"]),
+        (["run", "R", "--format", "json", "--format", "text"], ["run", "R"]),
+        (["run", "R", "--st", "--par"], ["run", "R", "--strict",
+                                         "--parallel"]),
+        (["table", "--fo", "json"], ["table", "--format", "json"]),
+        (["check-expr", "--chart", "x", "x*m", "--pa", "m"],
+         ["check-expr", "x*m", "--chart", "x", "--params", "m"]),
+        (["check-expr", "-1", "--chart=x"], ["check-expr", "--chart", "x",
+                                             "--", "-1"]),
+    ])
+    def test_spellings_argparse_accepted(self, argv, same_as, capsys):
+        def output(words):
+            reference = scenario_path("reference.json")
+            code = main([reference if w == "R" else w for w in words])
+            return code, *capsys.readouterr()
+        code, out, err = output(argv)
+        assert (code, err) == (0, "") and out
+        assert output(same_as) == (code, out, err)
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["run", "R", "-h"], "help_run.txt"),
+        (["run", "R", "--seed", "3", "--help"], "help_run.txt"),
+        (["run", "x.json", "--format", "json", "-h", "extra"],
+         "help_run.txt"),
+        (["run", "x.json", "--strict", "-h", "--seed"], "help_run.txt"),
+        (["run", "R", "--he"], "help_run.txt"),
+        (["--he"], "help_exformal.txt"),
+        (["-h", "run"], "help_exformal.txt"),
+        (["check-expr", "x", "-h"], "help_check-expr.txt"),
+    ])
+    def test_help_after_other_arguments(self, argv, golden, capsys):
+        reference = scenario_path("reference.json")
+        with pytest.raises(SystemExit) as exc:
+            main([reference if w == "R" else w for w in argv])
+        assert exc.value.code == 0
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+            assert capsys.readouterr() == (fh.read(), "")
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_does_not_follow_the_terminal_width(self, columns,
+                                                     monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        with open(os.path.join(GOLDEN, "help_run.txt"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    @pytest.mark.parametrize("expr, printed", [
+        ("-x^2", "-x^2"), ("-x", "-x"), ("-(x + 1)", "-1 - x")])
+    def test_a_leading_minus_is_an_expression(self, expr, printed):
+        # a token that names no option is a positional, even when it
+        # starts with `-` and holds no space
+        code, out, err = run_cli("check-expr", expr, "--chart", "x")
+        assert (code, out, err) == (0, f"{printed}\n", "")
 
 
 class TestImportCost:
     # stdlib modules the engine does not need; `dataclasses` alone pulls
-    # in `inspect`, `ast`, `dis` and `tokenize` at import
-    UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+    # in `inspect`, `ast`, `dis` and `tokenize` at import, and `argparse`
+    # pulls in `gettext`
+    UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
+                "argparse", "gettext"}
 
     def test_import_loads_no_unneeded_stdlib_module(self):
         code = "\n".join([

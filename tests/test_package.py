@@ -7,8 +7,11 @@ verdicts, `symbolic` divides with `/` only where a float is meant,
 its constructors and printers fold constants without `Fraction`,
 printing builds no node, and in `_linalg` only `minors` builds a minor
 table.  That importing `exformal.cli` loads none of the stdlib
-modules the engine does not need (`dataclasses` and what it pulls in, and
-`copy`) is checked in a fresh interpreter by `test_cli.TestImportCost`."""
+modules the engine does not need (`dataclasses` and what it pulls in,
+`copy`, and `argparse` and its `gettext`) is checked in a fresh
+interpreter by `test_cli.TestImportCost`, and that calling `main` loads
+no `argparse`, `gettext` or `locale` either by
+`test_cli.TestParserCache`."""
 
 import ast
 import importlib
