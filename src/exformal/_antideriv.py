@@ -13,8 +13,6 @@ rather than guessing.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .symbolic import (
     Add,
     Expr,
@@ -59,7 +57,7 @@ def _anti_term(term: Expr, var: str) -> Expr | None:
 
     if isinstance(base, Sym) and base.name == var:
         anti = func("ln", base) if k == -1 else mul(
-            Rat(Fraction(1, k + 1)), pow_(base, k + 1)
+            pow_(Rat(k + 1), -1), pow_(base, k + 1)
         )
     elif isinstance(base, Add):
         slope = _affine_slope(base, var)
@@ -68,7 +66,7 @@ def _anti_term(term: Expr, var: str) -> Expr | None:
         if k == -1:
             anti = div(func("ln", base), slope)
         else:
-            anti = div(mul(Rat(Fraction(1, k + 1)), pow_(base, k + 1)), slope)
+            anti = div(mul(pow_(Rat(k + 1), -1), pow_(base, k + 1)), slope)
     elif isinstance(base, Func) and k == 1 and base.name in ("sin", "cos", "exp"):
         slope = _affine_slope(base.arg, var)
         if slope is None:

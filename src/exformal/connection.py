@@ -48,7 +48,6 @@ and on Kerr-Newman goes past the expansion budget.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial, wraps
 
 from .errors import ChartMismatchError, DegreeError
@@ -65,6 +64,7 @@ from .symbolic import (
     diff,
     mul,
     neg,
+    pow_,
     simplify,
 )
 
@@ -158,7 +158,7 @@ def christoffel(g: Metric) -> Connection:
     chart = g.chart
     n = chart.dim
     names = chart.names
-    half = Rat(Fraction(1, 2))
+    half = pow_(Rat(2), -1)
     # dg[c][a][b] = d_c g_ab, each taken once; ZERO for a ZERO entry
     dg = grid(n, 3, lambda c, a, b: ZERO if g.g[a][b] is ZERO
               else diff(g.g[a][b], names[c]))
@@ -310,7 +310,7 @@ def einstein_tensor(g: Metric) -> Tensor:
     `ricci_and_scalar(g)`; built for mu <= nu, and G_{nu mu} is the object
     built for G_{mu nu}."""
     ricci, scalar = ricci_and_scalar(g)
-    minus_half = Rat(Fraction(-1, 2))
+    minus_half = pow_(Rat(-2), -1)
 
     def entry(m, v):
         if g.g[m][v] is ZERO or scalar is ZERO:

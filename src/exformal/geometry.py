@@ -41,7 +41,7 @@ from .symbolic import (
     ZERO,
     ZeroVerdict,
     _check_residuals,
-    _coefficient,
+    _coefficient_rat,
     _mono_factors,
     _sample_values,
     add,
@@ -69,8 +69,8 @@ def _sqrt_positive(e: Expr) -> Expr:
     """sqrt of an expression declared positive; halves even monomial
     exponents (a(t)^6 -> a(t)^3), otherwise keeps an opaque sqrt node."""
     e = simplify(e)
-    coeff = _coefficient(e)
-    root = func("sqrt", Rat(coeff)) if coeff > 0 else None
+    coeff = _coefficient_rat(e)
+    root = func("sqrt", coeff) if coeff.key[1] > 0 else None
     if isinstance(root, Rat):  # coeff is a perfect square
         halved = []
         for b, k in _mono_factors(e):

@@ -4,12 +4,12 @@ Everything downstream (forms, metrics, connections, transforms) computes
 over the expression trees defined here.  Design points:
 
 * constants are exact rationals, each held as its numerator and
-  denominator in lowest terms (see `Rat`); the constructors, the parser
-  and the printers fold them on those two ints, reduced by one helper,
-  `_reduced`, and `Rat.value` still gives an `int` when integral, else a
-  `fractions.Fraction`; floating point enters only in numeric evaluation
-  (`eval_at` and the one sampler, `_sample_values`), which computes each
-  distinct subexpression once per point;
+  denominator in lowest terms (see `Rat`); every exact computation (the
+  constructors, the parser, the printers, the rational normal form) runs
+  on ints, reduced by one helper, `_reduced`, and a `fractions.Fraction`
+  is left only where a constant enters or leaves (see `Rat`); floating
+  point enters only in numeric evaluation (`eval_at` and the one sampler,
+  `_sample_values`), which computes each distinct subexpression once per point;
 * trees are immutable and built through canonicalizing constructors, so
   `simplify` is idempotent by construction; it keeps its result on the
   node it simplified, so no tree is simplified twice;
@@ -37,9 +37,9 @@ all simplify to themselves is kept as it is, and only a node with a
 changed child is rebuilt from the new children.  The exception is a tree
 with a sum raised to a negative power or with any power of cos(u) as a
 factor, which it puts in a rational normal form: one expanded numerator over a
-factored denominator prod b_i^k_i.  The numerator is a Laurent polynomial with
-rational coefficients in kernels (symbols, and built-in or opaque function
-calls with a simplified argument); each base b_i is a polynomial with no
+factored denominator s*prod b_i^k_i.  The numerator is a Laurent polynomial
+with integer coefficients in kernels (symbols, and built-in or opaque function
+calls with a simplified argument) and s is a positive int; each base b_i has no
 monomial content, coprime integer coefficients and a positive leading
 coefficient, so 1/(1 - 2*m/r) becomes r/(r - 2*m).  Sums go over the LCM of
 their denominators; after each step the numerator is reduced modulo
@@ -223,12 +223,14 @@ class Expr:
 class Rat(Expr):
     """Exact rational constant, held as the two ints of its `key`
     (0, num, den): numerator and denominator in lowest terms, den > 0.  The
-    constructors and printers fold constants on those ints (`_reduced`), so
-    building or printing a tree makes no `Fraction`.  `value` is the
-    constant as an `int` when it is integral and as a `Fraction` with
-    denominator above 1 otherwise, made from the pair when asked.  Floats
-    are refused, since `Fraction(0.1)` is not 1/10, and a string with a
-    zero denominator is a DomainError."""
+    engine computes on those ints (`_reduced`), so building, simplifying,
+    evaluating or printing a tree makes no `Fraction`.  One is left only
+    where a constant enters or leaves: `Rat(value)` checks its input
+    through `_exact`, the parser reads a decimal literal as one, and `value`
+    is the constant as an `int` when it is integral and as a `Fraction`
+    otherwise, made from the pair when asked.  Floats are refused, since
+    `Fraction(0.1)` is not 1/10, and a string with a zero denominator is a
+    DomainError."""
 
     __slots__ = ()
 
@@ -274,16 +276,6 @@ def _exact(value) -> int | Fraction:
         except ZeroDivisionError:  # a string such as "1/0"
             raise DomainError(f"constant {value!r} has a zero denominator") from None
     return value.numerator if value.denominator == 1 else value
-
-
-def _quotient(a: int | Fraction, b: int | Fraction) -> int | Fraction:
-    """a / b exactly, an int when b divides a; plain `/` would give a float
-    for two ints."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _exact(Fraction(a, b))
 
 
 class Sym(Expr):
@@ -374,11 +366,6 @@ def _coefficient_rat(term: Expr) -> Rat:
     if type(term) is Mul and type(term.factors[0]) is Rat:
         return term.factors[0]
     return ONE
-
-
-def _coefficient(term: Expr) -> int | Fraction:
-    """The rational coefficient of a (non-Add) canonical term, as a value."""
-    return _coefficient_rat(term).value
 
 
 def _with_coefficient(c: Rat, term: Expr) -> Expr:
@@ -808,9 +795,10 @@ def _mono_factors(term: Expr) -> list[tuple[Expr, int]]:
 # Func, built-in or profile, with a simplified argument) are numbered in
 # the order met.  A monomial is the tuple of their exponents, negative ones
 # allowed, without trailing zeros; a polynomial is a dict {monomial:
-# nonzero int or Fraction coefficient}; a value is (numerator polynomial,
-# {base number: positive exponent}), the denominator being a product of
-# numbered bases.
+# nonzero int coefficient}; a value is (numerator polynomial, {base number:
+# positive exponent}, scale), the denominator being the positive int scale
+# times a product of numbered bases.  A constant n/d enters as
+# ({(): n}, {}, d), and `expr` writes each coefficient c as c/scale.
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -856,9 +844,11 @@ def _corner(p: dict, pick=min) -> tuple:
     return tuple(out)
 
 
-def _normalize(kernels: list[Expr], p: dict) -> tuple[int | Fraction, dict]:
-    """(c, b) with p = c*b, b with coprime integer coefficients and a
-    positive leading coefficient; kernels[i] is the kernel of exponent i.
+def _normalize(kernels: list[Expr], p: dict) -> tuple[int, dict]:
+    """(c, b) with p = c*b for an integer polynomial p: c is the gcd of its
+    coefficients, negated when the leading one is negative, so b has coprime
+    integer coefficients and a positive leading coefficient; kernels[i] is
+    the kernel of exponent i.
     The leading term is the constant one when there is one, else the first
     under lex order with the kernel of larger key the more significant; so
     1 - 2*m/r gives r - 2*m and 1 - L*r^2 stays as it is.  The order depends
@@ -866,13 +856,7 @@ def _normalize(kernels: list[Expr], p: dict) -> tuple[int | Fraction, dict]:
     same in every simplification.  This is the one statement of the base
     rule: `_Rational.invert` makes its bases with it, and `_normal_base`
     asks it whether a sum is one."""
-    den = 1
-    for c in p.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    g = 0
-    for c in p.values():
-        g = math.gcd(g, c.numerator * (den // c.denominator))
-    content = _quotient(g, den)
+    content = math.gcd(*p.values())
     if () in p:
         lead = ()
     else:
@@ -882,7 +866,7 @@ def _normalize(kernels: list[Expr], p: dict) -> tuple[int | Fraction, dict]:
                                           for i in used))
     if p[lead] < 0:
         content = -content
-    return content, {m: _quotient(c, content) for m, c in p.items()}
+    return content, {m: c // content for m, c in p.items()}
 
 
 def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None:
@@ -898,7 +882,9 @@ def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None
     not proves a nonzero remainder.  Each quotient term is a term of p / b
     when b divides p, and degrees in each kernel add under multiplication,
     so a quotient term of degree above deg(p) - deg(b) in a kernel proves
-    one too.
+    one too.  By Gauss's lemma, p / b has integer coefficients when b
+    divides p, since `p` has integer coefficients and `b` coprime ones, so
+    the first quotient coefficient that is not an integer proves one too.
     """
     low = tuple(min(x, 0) for x in _corner(p))
     up = _mono_neg(low)
@@ -916,7 +902,9 @@ def _divide_exact(p: dict, b: dict, spend: Callable[[int], None]) -> dict | None
         if len(m) > len(high) or any(x > y for x, y in zip(m, high)):
             return None
         spend(len(b))
-        c = _quotient(p[lp], cb)
+        c, r = divmod(p[lp], cb)
+        if r:
+            return None
         q[_mono_mul(m, low)] = c
         for mb, c2 in b.items():
             t = _mono_mul(m, mb)
@@ -969,7 +957,7 @@ class _Rational:
         self.bases: list[dict] = []
         self.base_numbers: dict[frozenset, int] = {}
         self.powers: dict[int, list[dict]] = {}  # base number -> [1, b, b^2, ...]
-        self.values: dict[Expr, tuple[dict, dict]] = {}
+        self.values: dict[Expr, tuple[dict, dict, int]] = {}
         self.budget = _EXPANSION_BUDGET
 
     def spend(self, work: int) -> None:
@@ -983,15 +971,16 @@ class _Rational:
 
     # -- Expr -> value ------------------------------------------------------
 
-    def value(self, e: Expr) -> tuple[dict, dict]:
+    def value(self, e: Expr) -> tuple[dict, dict, int]:
         v = self.values.get(e)
         if v is None:
             v = self.values[e] = self._convert(e)
         return v
 
-    def _convert(self, e: Expr) -> tuple[dict, dict]:
+    def _convert(self, e: Expr) -> tuple[dict, dict, int]:
         if isinstance(e, Rat):
-            return ({(): e.value} if e.value else {}), {}
+            _, n, d = e.key
+            return ({(): n} if n else {}), {}, d
         if isinstance(e, Add):
             return self.add([self.value(t) for t in e.terms])
         if isinstance(e, Mul):
@@ -1006,7 +995,7 @@ class _Rational:
         if isinstance(kernel, Rat):
             return self.value(pow_(kernel, exp))
         mono = (0,) * self.number(kernel) + (exp,)
-        return self.cancel({mono: 1}, {})
+        return (*self.cancel({mono: 1}, {}), 1)
 
     def number(self, kernel: Expr) -> int:
         i = self.numbers.get(kernel)
@@ -1019,10 +1008,13 @@ class _Rational:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def add(self, values: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+    def add(self, values: list[tuple[dict, dict, int]]) -> tuple[dict, dict, int]:
         """Sum over the least common multiple of the denominators."""
+        scale = math.lcm(*[s for _, _, s in values])
         groups: dict[tuple, dict] = {}
-        for num, den in values:
+        for num, den, s in values:
+            if s != scale:
+                num = {m: c * (scale // s) for m, c in num.items()}
             _poly_add_into(groups.setdefault(tuple(sorted(den.items())), {}), num)
         lcm: dict[int, int] = {}
         for den in groups:
@@ -1035,42 +1027,45 @@ class _Rational:
                 if k > have.get(b, 0):
                     num = self.product(num, self.base_power(b, k - have.get(b, 0)))
             _poly_add_into(total, num)
-        return self.cancel(total, lcm)
+        return (*self.cancel(total, lcm), scale)
 
-    def mul(self, values: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+    def mul(self, values: list[tuple[dict, dict, int]]) -> tuple[dict, dict, int]:
         num: dict = {(): 1}
         den: dict[int, int] = {}
-        for n, d in sorted(values, key=lambda v: len(v[0])):
+        scale = 1
+        for n, d, s in sorted(values, key=lambda v: len(v[0])):
             num = self.product(num, n)
+            scale *= s
             for b, k in d.items():
                 den[b] = den.get(b, 0) + k
-        return self.cancel(num, den)
+        return (*self.cancel(num, den), scale)
 
-    def power(self, v: tuple[dict, dict], k: int) -> tuple[dict, dict]:
-        num, den = v
+    def power(self, v: tuple[dict, dict, int], k: int) -> tuple[dict, dict, int]:
+        num, den, scale = v
         out = num
         for _ in range(k - 1):
             out = self.product(out, num)
-        return self.cancel(out, {b: e * k for b, e in den.items()})
+        return (*self.cancel(out, {b: e * k for b, e in den.items()}), scale**k)
 
-    def invert(self, v: tuple[dict, dict]) -> tuple[dict, dict]:
-        """1/v: the old denominator, expanded, over the numerator's base."""
-        num, den = v
+    def invert(self, v: tuple[dict, dict, int]) -> tuple[dict, dict, int]:
+        """1/v: the old denominator, expanded, over the numerator's base; the
+        numerator's content becomes the scale."""
+        num, den, scale = v
         if not num:
             raise DomainError("0 raised to a negative power")
         if len(num) == 1:
-            ((mono, c),) = num.items()
-            out = {_mono_neg(mono): _quotient(1, c)}
+            ((mono, content),) = num.items()
+            down = _mono_neg(mono)
             new_den = {}
         else:
             down = _mono_neg(_corner(num))
             content, base = _normalize(self.kernels, {_mono_mul(m, down): c
                                                       for m, c in num.items()})
-            out = {down: _quotient(1, content)}
             new_den = {self.base_number(base): 1}
+        out = {down: scale if content > 0 else -scale}
         for b, k in den.items():
             out = self.product(out, self.base_power(b, k))
-        return self.cancel(out, new_den)
+        return (*self.cancel(out, new_den), abs(content))
 
     def base_number(self, base: dict) -> int:
         key = frozenset(base.items())
@@ -1151,14 +1146,15 @@ class _Rational:
 
     # -- value -> Expr ----------------------------------------------------------
 
-    def polynomial(self, p: dict) -> Expr:
+    def polynomial(self, p: dict, scale: int = 1) -> Expr:
         ks = self.kernels
-        return add(*(mul(Rat(c), *(pow_(ks[i], x) for i, x in enumerate(m) if x))
+        return add(*(mul(_reduced(c, scale),
+                         *(pow_(ks[i], x) for i, x in enumerate(m) if x))
                      for m, c in p.items()))
 
-    def expr(self, v: tuple[dict, dict]) -> Expr:
-        num, den = v
-        return mul(self.polynomial(num),
+    def expr(self, v: tuple[dict, dict, int]) -> Expr:
+        num, den, scale = v
+        return mul(self.polynomial(num, scale),
                    *(pow_(self.polynomial(self.bases[b]), -k) for b, k in den.items()))
 
 
@@ -1201,7 +1197,10 @@ def _normal_base(b: Add) -> bool:
             if k < 0 or not _kept_kernel(f, k):
                 return False
             m = _mono_mul(m, (0,) * numbers.setdefault(f, len(numbers)) + (k,))
-        p[m] = _coefficient(t)
+        _, n, d = _coefficient_rat(t).key
+        if d != 1:
+            return False
+        p[m] = n
     return not any(_corner(p)) and _normalize(list(numbers), p)[0] == 1
 
 
@@ -1645,8 +1644,9 @@ def _eval_plan(plan: list[tuple[Expr, tuple[int, ...]]], env: Mapping[str, float
             except OverflowError:
                 raise DomainError("power overflow") from None
         elif isinstance(e, Rat):
+            _, n, d = e.key
             try:
-                v = float(e.value)
+                v = n / d
             except OverflowError:
                 raise DomainError("constant too large for a float") from None
         elif isinstance(e, Sym):
@@ -1859,7 +1859,7 @@ def is_zero(e: Expr, seed: int = 0) -> ZeroVerdict:
     """
     s = simplify(e)
     if isinstance(s, Rat):
-        return ZeroVerdict.ZERO if s.value == 0 else ZeroVerdict.NONZERO
+        return ZeroVerdict.ZERO if s.key[1] == 0 else ZeroVerdict.NONZERO
 
     values = _sample_values(s, seed, _SINGULAR_GUARD)
     redraws = done = 0

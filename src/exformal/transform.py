@@ -8,7 +8,6 @@ canonical 1-form with its flow check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -42,7 +41,7 @@ from .symbolic import (
     ZERO,
     ZeroVerdict,
     _check_residuals,
-    _coefficient,
+    _coefficient_rat,
     _with_coefficient,
     add,
     depends_on,
@@ -212,9 +211,10 @@ def _quadratic(p_names, b, W, V) -> Expr:
     """(1/2)(p - b)^T W (p - b) + V over the momenta named `p_names`."""
     pb = [sub(Sym(p), bi) for p, bi in zip(p_names, b)]
     k = len(pb)
+    half = pow_(Rat(2), -1)
     return add(
         *(
-            mul(Rat(Fraction(1, 2)), pb[i], W[i][j], pb[j])
+            mul(half, pb[i], W[i][j], pb[j])
             for i in range(k)
             for j in range(k)
         ),
@@ -312,9 +312,9 @@ def _exp_of(e: Expr) -> Expr:
     powers = []
     rest = []
     for t in terms:
-        c, mono = _coefficient(t), _with_coefficient(ONE, t)
-        if isinstance(mono, Func) and mono.name == "ln" and c.denominator == 1:
-            powers.append(pow_(mono.arg, int(c)))
+        (_, n, d), mono = _coefficient_rat(t).key, _with_coefficient(ONE, t)
+        if isinstance(mono, Func) and mono.name == "ln" and d == 1:
+            powers.append(pow_(mono.arg, n))
         else:
             rest.append(t)
     out = mul(*powers) if powers else ONE

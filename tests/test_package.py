@@ -4,14 +4,15 @@ below it, no import sits inside a function, no module imports a private
 name of `connection`, only `symbolic` reaches its sampling internals or
 builds a `Func` node directly, only `symbolic` and `catalog` fold
 verdicts, `symbolic` divides with `/` only where a float is meant,
-its constructors and printers fold constants without `Fraction`,
-printing builds no node, and in `_linalg` only `minors` builds a minor
+its constructors and printers fold constants without `Fraction`, only
+`symbolic` imports `fractions`, and its rational normal form, float
+evaluator and zero test compute without one, printing builds no node, and in `_linalg` only `minors` builds a minor
 table.  That importing `exformal.cli` loads none of the stdlib
 modules the engine does not need (`dataclasses` and what it pulls in,
 `copy`, and `argparse` and its `gettext`) is checked in a fresh
 interpreter by `test_cli.TestImportCost`, and that calling `main` loads
 no `argparse`, `gettext` or `locale` either by
-`test_cli.TestParserCache`."""
+`test_cli.TestRepeatedCalls`."""
 
 import ast
 import importlib
@@ -172,11 +173,10 @@ def test_only_symbolic_and_catalog_fold_verdicts(path):
     assert not lines, f"{path} names _fold_verdicts on lines {lines}"
 
 
-# The definitions of symbolic.py that may use `/`: the float evaluators and
-# the exact quotient helper.  Constants are ints when integral, and `/` on
-# two ints is a float, so anywhere else it would slip an inexact constant
-# into a tree.
-DIVIDING = {"_eval_plan", "_eval_func", "_OpaqueInterp", "_quotient"}
+# The definitions of symbolic.py that may use `/`: the float evaluators.
+# Constants are ints when integral, and `/` on two ints is a float, so
+# anywhere else it would slip an inexact constant into a tree.
+DIVIDING = {"_eval_plan", "_eval_func", "_OpaqueInterp"}
 
 
 def test_symbolic_divides_only_in_float_code():
@@ -226,6 +226,43 @@ def test_constants_fold_without_fractions():
         for node in ast.walk(top)
         if (isinstance(node, ast.Name) and node.id == "Fraction")
         or (isinstance(node, ast.Attribute) and node.attr == "value")
+    }
+    assert not uses, sorted(uses)
+
+
+def test_only_symbolic_imports_fractions():
+    # every other module builds a fractional constant from int Rats, such
+    # as pow_(Rat(2), -1) for 1/2, so a `Fraction` is made only where a
+    # constant enters or leaves `symbolic`
+    importing = {
+        os.path.basename(path)
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import)
+            and any(a.name == "fractions" for a in node.names))
+    }
+    assert importing == {"symbolic.py"}
+
+
+# The rational normal form, the float evaluator and the zero test compute
+# on the ints of a Rat's key.
+INT_EXACT = {"_normalize", "_divide_exact", "_Rational", "_eval_plan", "is_zero"}
+
+
+def test_normal_form_computes_without_fractions():
+    # neither a `Fraction` nor a Rat's `value`, which makes one; the
+    # `self.value` of `_Rational` is its own method, which converts a subtree
+    tree = _tree(os.path.join(exformal.__path__[0], "symbolic.py"))
+    bodies = [top for top in tree.body if getattr(top, "name", None) in INT_EXACT]
+    assert {top.name for top in bodies} == INT_EXACT
+    uses = {
+        f"{top.name} uses {getattr(node, 'id', None) or node.attr}"
+        for top in bodies
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "value"
+            and getattr(node.value, "id", None) != "self")
     }
     assert not uses, sorted(uses)
 

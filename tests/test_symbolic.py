@@ -637,6 +637,94 @@ class TestNormalFormShortcuts:
         assert 500 < recognised < 2500  # both branches are exercised
 
 
+NF_CHART = Chart(("x", "y", "r", "u"))
+NF_COEFFS = ("1", "-1", "2", "3", "-3", "1/2", "-1/2", "3/2", "2/3", "-5/4", "7/6")
+NF_LEADS = ("2", "3", "-2", "5", "4", "1/2", "3/4")
+NF_KERNELS = ("x", "y", "r", "m", "sin(u)", "cos(u)")
+NF_PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "normal_form_pins.txt")
+
+
+def normal_form_inputs(count=300, seed=3030):
+    """Seeded rational functions with fractional coefficients and bases
+    whose leading coefficient is not +-1 (-2*x + 3*m, 3/4*y + 7/6*r):
+    removable factors, powers of cos(u), nested denominators and
+    sin(u)^2 + cos(u)^2 as a divisor."""
+    rng = random.Random(seed)
+
+    def mono():
+        ks = rng.sample(NF_KERNELS, rng.randint(1, 2))
+        return "*".join(k if rng.random() < 0.7 else f"{k}^{rng.choice((2, 3, -1))}"
+                        for k in ks)
+
+    def base():
+        a, b = rng.sample(("x", "y", "r", "m"), 2)
+        return f"{rng.choice(NF_LEADS)}*{a} + {rng.choice(NF_COEFFS)}*{b}"
+
+    def poly():
+        return " + ".join(f"{rng.choice(NF_COEFFS)}*{mono()}"
+                          for _ in range(rng.randint(1, 2)))
+
+    def term():
+        kind = rng.randrange(5)
+        if kind == 0:  # a removable factor
+            b = base()
+            return f"({b})*({poly()})/({b})"
+        if kind == 1:
+            k = rng.choice((2, 3, 4, -2, -3))
+            return f"{rng.choice(NF_COEFFS)}*cos(u)^{k}*({poly()})"
+        if kind == 2:  # a nested denominator
+            return f"1/(1/{mono()} + {rng.choice(NF_COEFFS)}/({base()}))"
+        if kind == 3:
+            return f"({poly()})/({base()})^{rng.choice((1, 2))}"
+        return f"{rng.choice(NF_COEFFS)}/({base()}) - ({poly()})/(sin(u)^2 + cos(u)^2)"
+
+    return [term() for _ in range(count)]
+
+
+class TestIntegerNormalForm:
+    """The rational normal form computes on ints: a value is an integer
+    numerator over a positive int scale times its bases."""
+
+    def test_normal_forms_are_pinned(self):
+        # `normal_form_pins.txt` holds to_text(simplify(e)) for each input,
+        # as the normal form over Fraction coefficients printed them
+        with open(NF_PINS, encoding="utf-8") as fh:
+            pins = fh.read().splitlines()
+        inputs = normal_form_inputs()
+        assert len(pins) == len(inputs) == 300
+        for text, want in zip(inputs, pins):
+            assert to_text(simplify(parse_expr(text, NF_CHART, ("m",)))) == want, text
+
+    def test_a_non_integral_quotient_coefficient_ends_the_division(self):
+        # x^2 + 1 by 2*x + 1: the first quotient coefficient is 1/2, so no
+        # integer quotient exists (Gauss's lemma) after one step of 2
+        spent = []
+        assert symbolic._divide_exact({(2,): 1, (): 1}, {(1,): 2, (): 1},
+                                      spent.append) is None
+        assert spent == [2]
+        # (4*x^2 - 1)/(2*x + 1) = 2*x - 1
+        assert symbolic._divide_exact({(2,): 4, (): -1}, {(1,): 2, (): 1},
+                                      spent.append) == {(1,): 2, (): -1}
+
+    @pytest.mark.parametrize("text, value, verdict", [
+        ("1/3", "0.3333333333333333", ZeroVerdict.NONZERO),
+        ("-7/2", "-3.5", ZeroVerdict.NONZERO),
+        ("10^400/3", "DomainError: constant too large for a float",
+         ZeroVerdict.NONZERO),
+        ("1/3 - 2/6", "0.0", ZeroVerdict.ZERO),
+    ])
+    def test_fractional_constants_evaluate_and_test_as_before(self, text, value,
+                                                              verdict):
+        e = parse_expr(text, CH)
+        try:
+            got = repr(eval_at(e, {}))
+        except ExformalError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == value
+        assert is_zero(e) is verdict
+
+
 class TestKernelShortcuts:
     """A constant times a sum scales the sum's terms without a `mul` per
     term, 1 times a sum is the sum itself, and each gives the tree that the
