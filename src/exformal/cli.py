@@ -978,7 +978,7 @@ def _cmd_check_expr(expr, chart, params) -> int:
                 raise ScenarioError(f"params: {name!r} is a chart coordinate")
         text = to_text(simplify(parse_expr(expr, coords, param_names)))
     except ExprSyntaxError as err:
-        print(f"error: SyntaxError at position {err.position}: {err}",
+        print(f"error: SyntaxError at position {err.position}: {err.message}",
               file=sys.stderr)
         if err.expected:
             print(f"  expected: {', '.join(err.expected)}", file=sys.stderr)

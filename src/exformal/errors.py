@@ -8,12 +8,15 @@ class ExformalError(Exception):
 class ExprSyntaxError(ExformalError):
     """Malformed expression text.
 
-    Carries the 0-based character ``position`` of the offending token and
-    the list of token kinds that would have been ``expected`` there.
+    Carries the bare ``message``, the 0-based character ``position`` of the
+    offending token and the list of token kinds that would have been
+    ``expected`` there; ``str()`` of the error is the message followed by
+    the position.
     """
 
     def __init__(self, message, position, expected=()):
         super().__init__(f"{message} at position {position}")
+        self.message = message
         self.position = position
         self.expected = tuple(expected)
 

@@ -12,7 +12,9 @@ over the expression trees defined here.  Design points:
   `_sample_values`), which computes each distinct subexpression once per point;
 * trees are immutable and built through canonicalizing constructors, so
   `simplify` is idempotent by construction; it keeps its result on the
-  node it simplified, so no tree is simplified twice;
+  node it simplified, so no tree is simplified twice, and `diff` keeps
+  each derivative on the node under the symbol's name, so no tree is
+  differentiated twice by one symbol;
 * zero-testing is tri-state (`ZERO` / `NONZERO` / `UNKNOWN`): symbolic
   first, then the values of one sampler (`_sample_values`, which a metric's
   det-sign check shares), with fixed point count, box and tolerance; the
@@ -62,7 +64,11 @@ form.  A constant times a sum gives each term the product of the two
 coefficients (`_with_coefficient`) instead of a `mul` per term, and the
 sum of those terms only needs sorting: the terms of a canonical sum have
 distinct monomials, and so do their multiples by one term.  1 times a
-sum is the sum itself.  `substitute`, like `simplify`, returns a node
+sum is the sum itself.  `mul`, like `add`, keeps each factor it does not
+merge as the object it was given.  The product rule in `diff` takes the
+derivative of a factor that is the symbol itself to be the other factors
+as they stand, since a canonical product with one factor removed is
+canonical.  `substitute`, like `simplify`, returns a node
 whose children all come back as the same objects as it is, since the
 constructors would give it back from them.  Printing reads a term's sign
 off its coefficient and builds no node, and the parser builds a sum by
@@ -204,8 +210,11 @@ class Expr:
     # `_simple` is the memo of `simplify`: None until the node is simplified,
     # then its simplified tree, or True when the node is that tree itself (a
     # flag rather than a self-reference, so that reference counting still
-    # frees a tree).  Rat and Sym never read or set it.
-    __slots__ = ("key", "_h", "_simple")
+    # frees a tree).  `_diff` is the memo of `diff`: None until the node is
+    # differentiated, then a dict from symbol name to derivative (never the
+    # node itself, so it makes no cycle either).  Rat and Sym never read or
+    # set them.
+    __slots__ = ("key", "_h", "_simple", "_diff")
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Expr) and self.key == other.key)
@@ -308,6 +317,7 @@ class Func(Expr):
             self.key = (2, name, arg.key)
         self._h = hash(self.key)
         self._simple = None
+        self._diff = None
 
 
 class Pow(Expr):
@@ -319,6 +329,7 @@ class Pow(Expr):
         self.key = (4, base.key, exp)
         self._h = hash(self.key)
         self._simple = None
+        self._diff = None
 
 
 class Mul(Expr):
@@ -329,6 +340,7 @@ class Mul(Expr):
         self.key = (5, tuple([f.key for f in factors]))
         self._h = hash(self.key)
         self._simple = None
+        self._diff = None
 
 
 class Add(Expr):
@@ -339,6 +351,7 @@ class Add(Expr):
         self.key = (6, tuple([t.key for t in terms]))
         self._h = hash(self.key)
         self._simple = None
+        self._diff = None
 
 
 ZERO = Rat(0)
@@ -460,6 +473,8 @@ def _as_base_exp(f: Expr) -> tuple[Expr, int]:
 def mul(*args: Expr) -> Expr:
     """Canonical product: flatten, fold coefficient, merge exponents of
     equal bases, distribute over sums, sort; ZERO at the first zero factor.
+    A factor whose base meets no equal base is kept as it is; only a
+    merged one is rebuilt.
 
     The sum factors are distributed by `_expand`, which raises an
     ExformalError past `_EXPANSION_BUDGET` term products, so a short input
@@ -490,19 +505,23 @@ def mul(*args: Expr) -> Expr:
             b, e = a, 1
         slot = bases.get(b.key)
         if slot is None:
-            bases[b.key] = [b, e]
+            bases[b.key] = [b, e, a]
         else:
             slot[1] += e
+            slot[2] = None  # merged: the factor is rebuilt from b and e
     if not num:
         coeff, num = ONE, 1
 
     # each base is an atom or a sum (a Mul is flattened, a Pow unwrapped),
-    # so a power other than 1 is a Pow node unless it is a sum to expand
+    # so a power other than 1 is a Pow node unless it is a sum to expand; a
+    # base seen once keeps the factor it came in as
     factors: list[Expr] = []
     expand: list[tuple[Add, int]] = []  # Add factors to distribute, with powers
-    for b, e in bases.values():
+    for b, e, a in bases.values():
         if e > 0 and type(b) is Add:
             expand.append((b, e))
+        elif a is not None:
+            factors.append(a)
         elif e == 1:
             factors.append(b)
         elif e:
@@ -689,49 +708,75 @@ def diff(e: Expr, name: str) -> Expr:
     Any symbol other than `name` (coordinates and parameters alike) is a
     constant; a profile produces its formal-derivative node by the chain
     rule.
+
+    The result is kept on `e` under `name`, so each tree, and each subtree
+    shared with one already differentiated, is differentiated once per
+    symbol.  The product rule skips a constant factor without a call, and
+    for the factor that is the symbol itself it takes the other factors as
+    they stand: a canonical product with one factor removed is canonical.
     """
-    if isinstance(e, Rat):
+    t = type(e)
+    if t is Rat:
         return ZERO
-    if isinstance(e, Sym):
+    if t is Sym:
         return ONE if e.name == name else ZERO
-    if isinstance(e, Add):
-        return add(*(diff(t, name) for t in e.terms))
-    if isinstance(e, Mul):
+    try:
+        memo = e._diff
+    except AttributeError:
+        raise TypeError(f"not an Expr: {e!r}") from None
+    if memo is not None:
+        out = memo.get(name)
+        if out is not None:
+            return out
+    if t is Add:
+        out = add(*[diff(u, name) for u in e.terms])
+    elif t is Mul:
         parts = []
         fs = e.factors
         for i, f in enumerate(fs):
+            tf = type(f)
+            if tf is Rat:
+                continue
+            if tf is Sym:
+                if f.name == name:
+                    rest = fs[:i] + fs[i + 1 :]
+                    parts.append(rest[0] if len(rest) == 1 else Mul(rest))
+                continue
             d = diff(f, name)
             if d is not ZERO:
                 parts.append(mul(d, *fs[:i], *fs[i + 1 :]))
-        return add(*parts)
-    if isinstance(e, Pow):
+        out = add(*parts)
+    elif t is Pow:
         d = diff(e.base, name)
-        if d is ZERO:
-            return ZERO
-        return mul(Rat(e.exp), pow_(e.base, e.exp - 1), d)
-    if isinstance(e, Func):
+        out = ZERO if d is ZERO else mul(_rat(e.exp, 1), pow_(e.base, e.exp - 1), d)
+    else:  # a Func
         d = diff(e.arg, name)
-        if d is ZERO:
-            return ZERO
-        u = e.arg
-        if e.opaque:
-            outer = Func(e.name, u, e.order + 1)
-        elif e.name == "sin":
-            outer = func("cos", u)
-        elif e.name == "cos":
-            outer = neg(func("sin", u))
-        elif e.name == "tan":
-            outer = add(ONE, pow_(func("tan", u), 2))
-        elif e.name == "exp":
-            outer = func("exp", u)
-        elif e.name == "ln":
-            outer = pow_(u, -1)
-        elif e.name == "sqrt":
-            outer = mul(_rat(1, 2), pow_(func("sqrt", u), -1))
-        else:  # pragma: no cover
-            raise ValueError(e.name)
-        return mul(outer, d)
-    raise TypeError(f"not an Expr: {e!r}")  # pragma: no cover
+        out = ZERO if d is ZERO else mul(_outer_derivative(e), d)
+    if memo is None:
+        e._diff = {name: out}
+    else:
+        memo[name] = out
+    return out
+
+
+def _outer_derivative(e: Func) -> Expr:
+    """The derivative of the function `e` applies, at its argument."""
+    u = e.arg
+    if e.opaque:
+        return Func(e.name, u, e.order + 1)
+    if e.name == "sin":
+        return func("cos", u)
+    if e.name == "cos":
+        return neg(func("sin", u))
+    if e.name == "tan":
+        return add(ONE, pow_(func("tan", u), 2))
+    if e.name == "exp":
+        return func("exp", u)
+    if e.name == "ln":
+        return pow_(u, -1)
+    if e.name == "sqrt":
+        return mul(_rat(1, 2), pow_(func("sqrt", u), -1))
+    raise ValueError(e.name)  # pragma: no cover
 
 
 def _rebuild(e: Expr, child: Callable[[Expr], Expr]) -> Expr:

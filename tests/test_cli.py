@@ -388,6 +388,12 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert err.startswith("error: SyntaxError at position 0: ")
 
+    def test_check_expr_names_the_position_once(self):
+        code, out, err = run_cli("check-expr", "x**2", "--chart", "x")
+        assert (code, out) == (2, "")
+        assert err == ("error: SyntaxError at position 2: expected an operand, "
+                       "found *\n  expected: number, identifier, '(', '-'\n")
+
     def test_check_expr_nested_too_deeply(self):
         text = "(" * 300 + "x" + ")" * 300
         code, out, err = run_cli("check-expr", text, "--chart", "x")

@@ -7,7 +7,9 @@ verdicts, `symbolic` divides with `/` only where a float is meant,
 its constructors and printers fold constants without `Fraction`, only
 `symbolic` imports `fractions`, and its rational normal form, float
 evaluator and zero test compute without one, printing builds no node, and in `_linalg` only `minors` builds a minor
-table.  That importing `exformal.cli` loads none of the stdlib
+table.  Running the bundled scenarios and the curvature benchmark corpus
+leaves no expression in cyclic garbage, so the memos that `simplify` and
+`diff` keep on a node make no reference cycle.  That importing `exformal.cli` loads none of the stdlib
 modules the engine does not need (`dataclasses` and what it pulls in,
 `copy`, and `argparse` and its `gettext`) is checked in a fresh
 interpreter by `test_cli.TestImportCost`, and that calling `main` loads
@@ -15,7 +17,11 @@ no `argparse`, `gettext` or `locale` either by
 `test_cli.TestRepeatedCalls`."""
 
 import ast
+import contextlib
+import gc
+import glob
 import importlib
+import io
 import os
 import pkgutil
 import sys
@@ -303,3 +309,35 @@ def test_printing_builds_no_node():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUILDERS
     }
     assert not calls, sorted(calls)
+
+
+def test_runs_leave_no_expression_in_cyclic_garbage():
+    # `simplify` and `diff` keep their results on the nodes they read;
+    # neither memo may point back at its node, so reference counting frees
+    # every tree with the collector off, and the collector, run once at the
+    # end, finds no `Expr` in `gc.garbage`
+    from exformal.cli import main
+    from exformal.symbolic import Expr
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "scenarios", "*.json"))
+                   + glob.glob(os.path.join(root, "bench", "corpus",
+                                            "curvature", "*.json")))
+    assert len(paths) > 3
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for path in paths:
+                main(["run", path])
+        gc.collect()
+        ours = [o for o in gc.garbage if isinstance(o, Expr)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert ours == []

@@ -244,6 +244,83 @@ class TestDiff:
         d2 = diff(func("tan", Sym("x")), "x")
         assert d2 == add(Rat(1), pow_(func("tan", Sym("x")), 2))
 
+    def test_memo_matches_the_plain_product_rule_on_random(self):
+        # seeded trees of profiles, built-ins, Pow(sum, -k), cos(u)^k and
+        # constants, each differentiated by every coordinate twice: both
+        # calls equal the plain product rule through `mul`, and the second
+        # returns the object the first kept on the tree
+        rng = random.Random(3131)
+        t, x, y = Sym("t"), Sym("x"), Sym("y")
+        atoms = [t, x, y, Sym("m"), Rat(2), Rat(Fraction(-1, 3)),
+                 opaque("a", t), opaque("f", sub(x, t)), opaque("g", y, 1)]
+
+        def tree(depth=0):
+            pick = rng.random()
+            if depth > 2 or pick < 0.25:
+                return rng.choice(atoms)
+            if pick < 0.45:
+                return mul(*(pow_(tree(depth + 1), rng.choice((1, 1, 2, -1)))
+                             for _ in range(rng.randint(2, 3))))
+            if pick < 0.6:
+                return add(*(tree(depth + 1) for _ in range(rng.randint(2, 3))))
+            if pick < 0.7:
+                return pow_(add(tree(depth + 1), rng.choice(atoms[:4]), ONE),
+                            -rng.randint(1, 3))
+            if pick < 0.8:
+                return pow_(func("cos", tree(depth + 1)), rng.randint(-2, 3))
+            name = rng.choice(("sin", "cos", "tan", "exp", "ln", "sqrt"))
+            return func(name, add(tree(depth + 1), ONE))
+
+        trees = [tree() for _ in range(300)]
+        assert {type(e) for e in trees} == {Rat, Sym, symbolic.Func, Pow, Mul, Add}
+        for e in trees:
+            for name in CH.names:
+                want = plain_diff(e, name)
+                first = diff(e, name)
+                assert first == want, (to_text(e), name)
+                assert diff(e, name) is first
+
+    def test_memo_is_kept_per_symbol(self):
+        e = parse_expr("x^2*y + sin(x*y)", CH)
+        dx, dy = diff(e, "x"), diff(e, "y")
+        assert dx != dy
+        assert diff(e, "x") is dx and diff(e, "y") is dy
+        assert diff(e, "t") is ZERO
+
+
+def plain_diff(e, name):
+    """The derivative by the textbook rules, every product through `mul`:
+    the reference that `diff`, its memo and its product-rule shortcuts
+    must agree with."""
+    if isinstance(e, Rat):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, Add):
+        return add(*(plain_diff(u, name) for u in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return add(*(mul(plain_diff(f, name), *fs[:i], *fs[i + 1:])
+                     for i, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        return mul(Rat(e.exp), pow_(e.base, e.exp - 1), plain_diff(e.base, name))
+    u = e.arg
+    if e.opaque:
+        outer = opaque(e.name, u, e.order + 1)
+    elif e.name == "sin":
+        outer = func("cos", u)
+    elif e.name == "cos":
+        outer = neg(func("sin", u))
+    elif e.name == "tan":
+        outer = add(ONE, pow_(func("tan", u), 2))
+    elif e.name == "exp":
+        outer = func("exp", u)
+    elif e.name == "ln":
+        outer = pow_(u, -1)
+    else:
+        outer = mul(Rat(Fraction(1, 2)), pow_(func("sqrt", u), -1))
+    return mul(outer, plain_diff(u, name))
+
 
 class TestSimplify:
     def test_collect(self):
@@ -491,6 +568,16 @@ class TestSimplify:
         # like terms are merged into a new term
         assert add(t1, t2, t1) == add(mul(Rat(6), x, y, z), t2)
         assert add(t1, mul(Rat(-3), z, y, x)) == ZERO
+
+    def test_mul_keeps_the_factors_it_does_not_merge(self):
+        x, y = Sym("x"), Sym("y")
+        p = pow_(add(x, ONE), -1)
+        out = mul(x, p, y)
+        assert isinstance(out, Mul) and any(f is p for f in out.factors)
+        # a merged power is rebuilt
+        q = pow_(x, 2)
+        assert mul(q, x) == pow_(x, 3)
+        assert any(f is q for f in mul(q, y).factors)
 
     def test_a_single_rational_is_kept_as_the_coefficient(self):
         half = Rat(Fraction(3, 2))
