@@ -3,7 +3,7 @@
 Scenario files are UTF-8 JSON with keys chart, params, metric, connection,
 forms, maps, vectors, tasks (see README for the schema).  Reports are
 byte-identical for identical (file, seed, version) triples: no wall-clock
-content is emitted and JSON is dumped with sorted keys.  Exit codes:
+content is emitted and JSON is written with sorted keys.  Exit codes:
 0 all task verdicts in {Pass, Closed, Exact, Value}; 1 any Fail/NonClosed
 (or Unknown under --strict; a classify_closure whose only non-Zero
 components are Unknown counts as Unknown, not NonClosed, and an Unknown
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -810,9 +811,67 @@ def _emit_text(report: dict, out) -> None:
       f"{s['unknown']} unknown\n")
 
 
-def _emit_json(report: dict, out) -> None:
-    out.write(json.dumps(report, sort_keys=True, indent=2))
-    out.write("\n")
+def _emit_json(report, out) -> None:
+    """Write `report` as `json.dumps(report, sort_keys=True, indent=2)`
+    does, then a newline, with one `out.write`.
+
+    The writer takes what reports hold and nothing else: dicts with `str`
+    keys (written in sorted order), lists, `str`, `int`, `True`, `False`
+    and `None`; any other type, a float or a tuple included, is a
+    `TypeError`.  Strings go through json's own C escaper,
+    `encode_basestring_ascii`.  `json.dumps` with `indent` runs json's
+    pure-Python encoder instead, which cost more than twice as much per
+    report and left its closures behind as cyclic garbage on every call.
+    """
+    parts: list[str] = []
+    _json_parts(report, "\n", parts.append)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _json_parts(value, newline: str, put) -> None:
+    """Pass `value`'s JSON text to `put` in pieces; `newline` is a newline
+    and the indent of the line `value` starts on."""
+    kind = type(value)
+    if kind is str:
+        put(_quote(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"a report key must be str, not "
+                                f"{type(key).__name__}")
+            put(sep)
+            put(_quote(key))
+            put(": ")
+            _json_parts(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _json_parts(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +1003,7 @@ def _cmd_table(format) -> int:
             }
             for e in rows
         ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _emit_json(payload, sys.stdout)
     else:
         for e in rows:
             verifier = e.verifier_id or "-"

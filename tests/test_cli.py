@@ -1,8 +1,10 @@
 """Scenario file execution: exit codes, determinism, operation coverage,
 and the auxiliary subcommands."""
 
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -156,6 +158,60 @@ class TestDeterminism:
                      "--format", "json", "--seed", "5"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+# Characters a report string may hold: quotes, backslashes, control
+# characters, non-ASCII, an astral character and a lone surrogate.
+_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\b", "é", "€",
+          " ", "\U0001d11e", "\ud800", "a", "Z", "0", " ", ":", ","]
+
+
+def _random_report_value(rng, depth=0):
+    """A seeded value of the shape reports have: dicts with `str` keys,
+    lists, `str`, `int`, `True`, `False` and `None`."""
+    pick = rng.randrange(8 if depth < 4 else 6)
+    if pick == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if pick == 1:
+        return rng.randrange(-10, 10)
+    if pick == 2:
+        return rng.randrange(-2 ** 80, 2 ** 80)
+    if pick == 3:
+        return rng.choice((True, False, None))
+    if pick == 4:
+        return {}
+    if pick == 5:
+        return []
+    size = rng.randrange(1, 5)
+    if pick == 6:
+        return [_random_report_value(rng, depth + 1) for _ in range(size)]
+    return {"".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))):
+            _random_report_value(rng, depth + 1) for _ in range(size)}
+
+
+class TestJsonWriter:
+    """`_emit_json` writes what `json.dumps(v, sort_keys=True, indent=2)`
+    writes, plus a newline, and refuses what a report never holds."""
+
+    def test_matches_json_dumps_on_random_values(self):
+        rng = random.Random(1009)
+        for _ in range(500):
+            value = _random_report_value(rng)
+            out = io.StringIO()
+            cli._emit_json(value, out)
+            assert out.getvalue() == \
+                json.dumps(value, sort_keys=True, indent=2) + "\n", value
+
+    @pytest.mark.parametrize("value, kind", [
+        (1.5, "float"),
+        ({"a": [1, (2, 3)]}, "tuple"),
+        ({"a": {1: "b"}}, "int"),
+    ])
+    def test_refuses_what_no_report_holds(self, value, kind):
+        out = io.StringIO()
+        with pytest.raises(TypeError, match=kind):
+            cli._emit_json(value, out)
+        assert out.getvalue() == ""
 
 
 class TestOperationCoverage:

@@ -9,7 +9,9 @@ its constructors and printers fold constants without `Fraction`, only
 evaluator and zero test compute without one, printing builds no node, and in `_linalg` only `minors` builds a minor
 table.  Running the bundled scenarios and the curvature benchmark corpus
 leaves no expression in cyclic garbage, so the memos that `simplify` and
-`diff` keep on a node make no reference cycle.  That importing `exformal.cli` loads none of the stdlib
+`diff` keep on a node make no reference cycle, and running them under
+both formats and printing the JSON table leaves no cyclic garbage at all
+(json's pure-Python encoder left some on every JSON report).  That importing `exformal.cli` loads none of the stdlib
 modules the engine does not need (`dataclasses` and what it pulls in,
 `copy`, and `argparse` and its `gettext`) is checked in a fresh
 interpreter by `test_cli.TestImportCost`, and that calling `main` loads
@@ -341,3 +343,37 @@ def test_runs_leave_no_expression_in_cyclic_garbage():
         if enabled:
             gc.enable()
     assert ours == []
+
+
+def test_runs_and_table_leave_no_cyclic_garbage():
+    # reports are written without json's pure-Python encoder, whose
+    # closures and cells made a cycle on every `--format json` report: with
+    # the collector off, both formats of every bundled scenario and
+    # curvature corpus file, and the JSON table, leave nothing for it
+    from exformal.cli import main
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "scenarios", "*.json"))
+                   + glob.glob(os.path.join(root, "bench", "corpus",
+                                            "curvature", "*.json")))
+    assert len(paths) > 3
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for path in paths:
+                for fmt in ("text", "json"):
+                    main(["run", path, "--format", fmt])
+            main(["table", "--format", "json"])
+        gc.collect()
+        left = sorted({type(o).__name__ for o in gc.garbage})
+        count = len(gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert count == 0, (count, left)
